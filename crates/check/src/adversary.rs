@@ -15,7 +15,57 @@
 //! * **stalled-synchronizer** — agent 0 (the CLEAN synchronizer, or the
 //!   seed agent of the cloning variant) is starved like a laggard.
 
-use hypersweep_sim::AgentId;
+use hypersweep_sim::{AgentId, AgentProgram, Engine};
+
+/// The runnable agents an adversary picks from: a sequence of distinct
+/// agent ids, in whatever order the driver keeps them. A decision is a
+/// position in this sequence.
+pub trait RunnableView {
+    /// How many agents are runnable (at least one when an adversary is
+    /// asked to choose).
+    fn len(&self) -> usize;
+
+    /// Whether no agent is runnable.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The agent at position `idx < len()`.
+    fn nth(&self, idx: usize) -> AgentId;
+
+    /// The position of `id`, or `None` if it is not in the view.
+    fn rank(&self, id: AgentId) -> Option<usize>;
+}
+
+impl RunnableView for [AgentId] {
+    fn len(&self) -> usize {
+        <[AgentId]>::len(self)
+    }
+
+    fn nth(&self, idx: usize) -> AgentId {
+        self[idx]
+    }
+
+    fn rank(&self, id: AgentId) -> Option<usize> {
+        self.iter().position(|&r| r == id)
+    }
+}
+
+/// The engine's runnable set, in ascending id order, read through its
+/// count/select/rank hooks without materializing the list.
+impl<P: AgentProgram> RunnableView for Engine<P> {
+    fn len(&self) -> usize {
+        self.runnable_count()
+    }
+
+    fn nth(&self, idx: usize) -> AgentId {
+        self.runnable_nth(idx)
+    }
+
+    fn rank(&self, id: AgentId) -> Option<usize> {
+        self.runnable_rank(id)
+    }
+}
 
 /// The adversary families (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,7 +107,7 @@ impl AdversaryKind {
 /// splitmix64 — tiny, seedable, dependency-free. Used only to *generate*
 /// schedules; replays never consult an RNG (the decision trace is the
 /// schedule).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 struct SplitMix64(u64);
 
 impl SplitMix64 {
@@ -76,7 +126,7 @@ impl SplitMix64 {
 }
 
 /// A stateful adversary: one per explored schedule.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Adversary {
     kind: AdversaryKind,
     rng: SplitMix64,
@@ -121,8 +171,16 @@ impl Adversary {
         self.kind
     }
 
-    /// Pick an index into `runnable` (ascending agent ids, non-empty).
+    /// Pick an index into `runnable` (distinct agent ids in any order,
+    /// non-empty).
     pub fn choose(&mut self, runnable: &[AgentId], step: u64) -> u32 {
+        self.choose_from(runnable, step)
+    }
+
+    /// Pick a position in `runnable` (non-empty). Makes the same RNG draws
+    /// and returns the same position as [`Adversary::choose`] on the list
+    /// the view stands for, without collecting it.
+    pub fn choose_from<R: RunnableView + ?Sized>(&mut self, runnable: &R, step: u64) -> u32 {
         let len = runnable.len();
         debug_assert!(len > 0);
         if len == 1 {
@@ -140,17 +198,7 @@ impl Adversary {
                 idx as u32
             }
             AdversaryKind::Laggard | AdversaryKind::StalledSynchronizer => {
-                let others: Vec<u32> = runnable
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &id)| id != self.laggard)
-                    .map(|(i, _)| i as u32)
-                    .collect();
-                if others.is_empty() {
-                    0
-                } else {
-                    others[self.rng.below(others.len() as u64) as usize]
-                }
+                self.choose_except(runnable, self.laggard)
             }
             AdversaryKind::DelayedWakeup => {
                 // Withhold one agent for a window; everything else is
@@ -158,26 +206,29 @@ impl Adversary {
                 match self.delayed {
                     Some((id, left)) if left > 0 => {
                         self.delayed = Some((id, left - 1));
-                        let others: Vec<u32> = runnable
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &r)| r != id)
-                            .map(|(i, _)| i as u32)
-                            .collect();
-                        if others.is_empty() {
-                            0
-                        } else {
-                            others[self.rng.below(others.len() as u64) as usize]
-                        }
+                        self.choose_except(runnable, id)
                     }
                     _ => {
-                        let victim = runnable[self.rng.below(len as u64) as usize];
+                        let victim = runnable.nth(self.rng.below(len as u64) as usize);
                         let window = 4 + self.rng.below(28);
                         self.delayed = Some((victim, window));
                         self.rng.below(len as u64) as u32
                     }
                 }
             }
+        }
+    }
+
+    /// A uniform position among every agent but `excluded` (`len >= 2`):
+    /// draw from the others, then step over `excluded`'s position.
+    fn choose_except<R: RunnableView + ?Sized>(&mut self, runnable: &R, excluded: AgentId) -> u32 {
+        let len = runnable.len() as u64;
+        match runnable.rank(excluded) {
+            Some(pos) => {
+                let r = self.rng.below(len - 1);
+                (r + u64::from(r >= pos as u64)) as u32
+            }
+            None => self.rng.below(len) as u32,
         }
     }
 }
@@ -207,6 +258,97 @@ mod tests {
                 let runnable: Vec<AgentId> = (0..len as AgentId).collect();
                 let idx = a.choose(&runnable, step);
                 assert!((idx as usize) < len, "{kind:?} step {step}");
+            }
+        }
+    }
+
+    /// The collecting implementation the view-based one replaced: gather
+    /// the positions of every agent but the withheld one, then draw among
+    /// them. Kept as the reference `choose` must match draw for draw.
+    fn reference_choose(a: &mut Adversary, runnable: &[AgentId], step: u64) -> u32 {
+        let len = runnable.len();
+        if len == 1 {
+            return 0;
+        }
+        let others = |rng: &mut SplitMix64, excluded: AgentId| {
+            let others: Vec<u32> = runnable
+                .iter()
+                .enumerate()
+                .filter(|(_, &id)| id != excluded)
+                .map(|(i, _)| i as u32)
+                .collect();
+            if others.is_empty() {
+                0
+            } else {
+                others[rng.below(others.len() as u64) as usize]
+            }
+        };
+        match a.kind {
+            AdversaryKind::SeededRandom => a.rng.below(len as u64) as u32,
+            AdversaryKind::RoundRobinSkew => {
+                let idx = a.cursor % len;
+                if step % 3 != 0 {
+                    a.cursor += 1;
+                }
+                idx as u32
+            }
+            AdversaryKind::Laggard | AdversaryKind::StalledSynchronizer => {
+                others(&mut a.rng, a.laggard)
+            }
+            AdversaryKind::DelayedWakeup => match a.delayed {
+                Some((id, left)) if left > 0 => {
+                    a.delayed = Some((id, left - 1));
+                    others(&mut a.rng, id)
+                }
+                _ => {
+                    let victim = runnable[a.rng.below(len as u64) as usize];
+                    let window = 4 + a.rng.below(28);
+                    a.delayed = Some((victim, window));
+                    a.rng.below(len as u64) as u32
+                }
+            },
+        }
+    }
+
+    /// The agent the next decision withholds, if any.
+    fn withheld(a: &Adversary) -> Option<AgentId> {
+        match a.kind {
+            AdversaryKind::Laggard | AdversaryKind::StalledSynchronizer => Some(a.laggard),
+            AdversaryKind::DelayedWakeup => a.delayed.filter(|&(_, left)| left > 0).map(|d| d.0),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn view_choice_matches_the_collecting_reference() {
+        let mut gen = SplitMix64(0x5EED);
+        for kind in AdversaryKind::ALL {
+            for seed in 0..16 {
+                let mut fast = Adversary::new(kind, seed);
+                let mut reference = fast.clone();
+                for step in 0..300 {
+                    // Distinct ids in shuffled order, then the withheld
+                    // agent absent, first, in the middle or last.
+                    let excluded = withheld(&fast);
+                    let mut ids: Vec<AgentId> =
+                        (0..24).filter(|&id| Some(id) != excluded).collect();
+                    for i in (1..ids.len()).rev() {
+                        ids.swap(i, gen.below(i as u64 + 1) as usize);
+                    }
+                    ids.truncate(1 + gen.below(9) as usize);
+                    if let Some(ex) = excluded {
+                        match step % 4 {
+                            0 => {}
+                            1 => ids.insert(0, ex),
+                            2 => ids.insert(ids.len() / 2, ex),
+                            _ => ids.push(ex),
+                        }
+                    }
+                    let got = fast.choose(&ids, step);
+                    let want = reference_choose(&mut reference, &ids, step);
+                    assert_eq!(got, want, "{kind:?} seed {seed} step {step} on {ids:?}");
+                    assert_eq!(fast, reference, "{kind:?} seed {seed} step {step}: state");
+                }
             }
         }
     }

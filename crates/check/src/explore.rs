@@ -291,8 +291,8 @@ fn drive_async<P: AgentProgram>(
         if engine.all_terminated() {
             break oracle.finish(step).err();
         }
-        let runnable = engine.runnable_agents();
-        if runnable.is_empty() {
+        let runnable = engine.runnable_count();
+        if runnable == 0 {
             break Some(ViolationReport {
                 step,
                 event: oracle.events_applied(),
@@ -309,12 +309,12 @@ fn drive_async<P: AgentProgram>(
             });
         }
         let raw = match &mut source {
-            Source::Adversary(a) => a.choose(&runnable, step),
+            Source::Adversary(a) => a.choose_from(&engine, step),
             Source::Trace(t) => t.get(step as usize).copied().unwrap_or(0),
         };
-        let idx = (raw as usize) % runnable.len();
+        let idx = (raw as usize) % runnable;
         decisions.push(idx as u32);
-        if let Err(e) = engine.step_agent(runnable[idx]) {
+        if let Err(e) = engine.step_agent(engine.runnable_nth(idx)) {
             break Some(ViolationReport {
                 step,
                 event: oracle.events_applied(),
@@ -472,6 +472,45 @@ mod tests {
             caught,
             "the eager-guard mutant must be caught within 200 schedules"
         );
+    }
+
+    /// The engine's view drives the same schedule as the materialized
+    /// runnable list: at every step of a CLEAN and a visibility run, every
+    /// family picks the same position with the same adversary state
+    /// either way.
+    #[test]
+    fn engine_view_and_runnable_list_choose_alike() {
+        fn lockstep<P: AgentProgram>(mut engine: Engine<P>, mut adversary: Adversary) {
+            let mut step = 0;
+            while !engine.all_terminated() {
+                let mut by_list = adversary.clone();
+                let listed = by_list.choose(&engine.runnable_agents(), step);
+                let viewed = adversary.choose_from(&engine, step);
+                assert_eq!((listed, &by_list), (viewed, &adversary), "step {step}");
+                engine
+                    .step_agent(engine.runnable_nth(viewed as usize))
+                    .expect("valid step");
+                step += 1;
+            }
+        }
+        let cube = Hypercube::new(5);
+        let cfg = |visibility| EngineConfig {
+            visibility,
+            ..EngineConfig::default()
+        };
+        for schedule in 0..AdversaryKind::ALL.len() as u64 {
+            let mut engine = Engine::new(cube, cfg(false));
+            engine.spawn(CleanAgent::synchronizer(), Node::ROOT, Role::Coordinator);
+            for _ in 1..CleanStrategy::new(cube).team_size() {
+                engine.spawn(CleanAgent::worker(), Node::ROOT, Role::Worker);
+            }
+            lockstep(engine, Adversary::for_schedule(11, schedule));
+            let mut engine = Engine::new(cube, cfg(true));
+            for _ in 0..16 {
+                engine.spawn(VisibilityAgent, Node::ROOT, Role::Worker);
+            }
+            lockstep(engine, Adversary::for_schedule(11, schedule));
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! exact gap where asynchronous-model bugs hide. This crate closes it
 //! FoundationDB-style: a seeded deterministic scheduler drives each
 //! strategy step-by-step through the engine's step-granular hooks
-//! ([`hypersweep_sim::Engine::runnable_agents`] /
+//! ([`hypersweep_sim::Engine::runnable_count`] /
+//! [`hypersweep_sim::Engine::runnable_nth`] /
+//! [`hypersweep_sim::Engine::runnable_rank`] /
 //! [`hypersweep_sim::Engine::step_agent`]), choosing the activation order
 //! adversarially and checking invariant oracles after *every* step:
 //!
@@ -19,8 +21,11 @@
 //!   nowhere left to hide.
 //!
 //! A schedule is reified as a *decision trace*: at step `t` the adversary
-//! picks an index into the ascending list of runnable agents. Failing
-//! schedules are [shrunk](shrink()) to a minimal trace (greedy
+//! picks an index into the ascending list of runnable agents. The engine
+//! keeps that list as an incrementally updated bitset with a live-agent
+//! counter, and adversaries read it through [`RunnableView`] (count,
+//! select, rank), so no step scans every agent or allocates the list.
+//! Failing schedules are [shrunk](shrink()) to a minimal trace (greedy
 //! canonicalization towards decision `0` plus tail truncation) and
 //! serialized as a [`ReplayFile`] that reproduces the violation
 //! byte-for-byte, independent of the adversary that found it.
@@ -39,7 +44,7 @@ mod oracle;
 mod replay;
 mod shrink;
 
-pub use adversary::{Adversary, AdversaryKind};
+pub use adversary::{Adversary, AdversaryKind, RunnableView};
 pub use explore::{
     explore_schedule, explore_schedule_in, run_with_adversary, run_with_adversary_in,
     run_with_trace, run_with_trace_in, CheckArena, CheckConfig, CheckStrategy, ScheduleRun,

@@ -953,9 +953,10 @@ fn cmd_telemetry_gate(with_path: &str, without_path: &str, out: &str) -> Result<
     Ok(())
 }
 
-/// Per-dimension `bench-check` measurement.
+/// Per-(strategy, dimension) `bench-check` measurement.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct CheckBenchEntry {
+    strategy: String,
     d: u32,
     schedules: u64,
     schedules_per_sec: f64,
@@ -967,14 +968,38 @@ struct CheckBenchEntry {
 #[derive(serde::Serialize, serde::Deserialize)]
 struct CheckBenchReport {
     schema: String,
-    strategy: String,
     stride: u64,
     jobs: usize,
-    dims: Vec<CheckBenchEntry>,
+    runs: Vec<CheckBenchEntry>,
+}
+
+/// What `bench-check` measures by default: each asynchronous paper
+/// strategy at its dimensions. CLEAN stops at `d = 12`, where one
+/// 64-schedule campaign already takes about 9 s.
+const BENCH_CHECK_DEFAULTS: [(CheckStrategy, &[u32]); 3] = [
+    (CheckStrategy::Cloning, &[10, 12, 14]),
+    (CheckStrategy::Clean, &[10, 12]),
+    (CheckStrategy::Visibility, &[10, 12, 14]),
+];
+
+/// A comma-separated environment list, or `None` when the variable is unset.
+fn env_list<T>(
+    var: &str,
+    parse: impl Fn(&str) -> Result<T, String>,
+) -> Result<Option<Vec<T>>, String> {
+    match std::env::var(var) {
+        Ok(s) => s
+            .split(',')
+            .map(|t| parse(t.trim()).map_err(|e| format!("{var} entry '{t}': {e}")))
+            .collect::<Result<_, _>>()
+            .map(Some),
+        Err(_) => Ok(None),
+    }
 }
 
 /// `hypersweep bench-check`: campaign throughput (schedules/s and oracle
-/// events/s) at `BENCH_CHECK_DIMS` (default 10,12,14), written to
+/// events/s) of every strategy in `BENCH_CHECK_STRATEGY` at
+/// `BENCH_CHECK_DIMS` (default [`BENCH_CHECK_DEFAULTS`]), written to
 /// `BENCH_check.json`. With `BENCH_CHECK_BASELINE=<path>` it compares
 /// against a committed baseline instead and fails on a >25% regression —
 /// the same contract as the audit-throughput and bench-serve gates.
@@ -986,28 +1011,30 @@ fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
             .and_then(|s| s.parse().ok())
             .unwrap_or(300),
     );
-    let dims: Vec<u32> = match std::env::var("BENCH_CHECK_DIMS") {
-        Ok(s) => s
-            .split(',')
-            .map(|t| {
-                t.trim()
-                    .parse()
-                    .map_err(|e| format!("BENCH_CHECK_DIMS entry '{t}': {e}"))
-            })
-            .collect::<Result<_, _>>()?,
-        Err(_) => vec![10, 12, 14],
-    };
+    let dims = env_list("BENCH_CHECK_DIMS", |t| {
+        t.parse::<u32>().map_err(|e| e.to_string())
+    })?;
     let schedules: u64 = std::env::var("BENCH_CHECK_SCHEDULES")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(64);
-    let strategy_name =
-        std::env::var("BENCH_CHECK_STRATEGY").unwrap_or_else(|_| "cloning".to_string());
-    let strategy = CheckStrategy::parse(&strategy_name)
-        .ok_or_else(|| format!("BENCH_CHECK_STRATEGY '{strategy_name}' is unknown"))?;
+    let strategies = env_list("BENCH_CHECK_STRATEGY", |t| {
+        CheckStrategy::parse(t).ok_or_else(|| "unknown strategy".to_string())
+    })?
+    .unwrap_or_else(|| BENCH_CHECK_DEFAULTS.iter().map(|&(s, _)| s).collect());
+    let mut plan = Vec::new();
+    for strategy in strategies {
+        let own = BENCH_CHECK_DEFAULTS
+            .iter()
+            .find(|&&(s, _)| s == strategy)
+            .map_or(&[10, 12, 14][..], |&(_, d)| d);
+        for &d in dims.as_deref().unwrap_or(own) {
+            plan.push((strategy, d));
+        }
+    }
 
     let mut entries = Vec::new();
-    for &d in &dims {
+    for (strategy, d) in plan {
         let mut cfg = CheckConfig::new(strategy, d);
         cfg.stride = 1;
         cfg.validate()?;
@@ -1029,8 +1056,9 @@ fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
             let elapsed = t0.elapsed();
             if let Some(c) = &outcome.counterexample {
                 return Err(format!(
-                    "bench campaign found a real violation at d={d} schedule {} — \
+                    "bench campaign found a real violation in {} at d={d} schedule {} — \
                      fix the checker before benchmarking it",
+                    strategy.name(),
                     c.schedule
                 ));
             }
@@ -1043,23 +1071,23 @@ fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
             }
         }
         let entry = CheckBenchEntry {
+            strategy: strategy.name().to_string(),
             d,
             schedules,
             schedules_per_sec: schedules as f64 / best.as_secs_f64(),
             events_per_sec: events as f64 / best.as_secs_f64(),
         };
         println!(
-            "bench-check/d{}: {:.3e} schedules/s, {:.3e} oracle events/s ({} schedules, {} events)",
-            d, entry.schedules_per_sec, entry.events_per_sec, schedules, events
+            "bench-check/{}/d{}: {:.3e} schedules/s, {:.3e} oracle events/s ({} schedules, {} events)",
+            entry.strategy, d, entry.schedules_per_sec, entry.events_per_sec, schedules, events
         );
         entries.push(entry);
     }
     let report = CheckBenchReport {
-        schema: "hypersweep-check-bench/v1".into(),
-        strategy: strategy_name,
+        schema: "hypersweep-check-bench/v2".into(),
         stride: 1,
         jobs,
-        dims: entries,
+        runs: entries,
     };
 
     if let Ok(baseline_path) = std::env::var("BENCH_CHECK_BASELINE") {
@@ -1074,8 +1102,12 @@ fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
             ));
         }
         let mut regressed = false;
-        for entry in &report.dims {
-            let Some(base) = baseline.dims.iter().find(|b| b.d == entry.d) else {
+        for entry in &report.runs {
+            let Some(base) = baseline
+                .runs
+                .iter()
+                .find(|b| b.strategy == entry.strategy && b.d == entry.d)
+            else {
                 continue;
             };
             let checks = [
@@ -1085,14 +1117,14 @@ fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
             for (label, got, expected) in checks {
                 let ratio = got / expected;
                 println!(
-                    "bench-check/gate/{label}/d{}: {ratio:.2}x of baseline",
-                    entry.d
+                    "bench-check/gate/{}/{label}/d{}: {ratio:.2}x of baseline",
+                    entry.strategy, entry.d
                 );
                 if ratio < 0.75 {
                     eprintln!(
-                        "REGRESSION ({label}) at d={}: {got:.3e}/s vs baseline \
+                        "REGRESSION ({label}) in {} at d={}: {got:.3e}/s vs baseline \
                          {expected:.3e}/s (>25% slower)",
-                        entry.d
+                        entry.strategy, entry.d
                     );
                     regressed = true;
                 }

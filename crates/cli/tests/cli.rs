@@ -506,9 +506,15 @@ fn bench_check_writes_a_report_and_gates_against_itself() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&report).unwrap();
-    assert!(text.contains("hypersweep-check-bench/v1"), "{text}");
+    assert!(text.contains("hypersweep-check-bench/v2"), "{text}");
     assert!(text.contains("schedules_per_sec"), "{text}");
     assert!(text.contains("events_per_sec"), "{text}");
+    for strategy in ["cloning", "clean", "visibility"] {
+        assert!(
+            text.contains(&format!("\"strategy\": \"{strategy}\"")),
+            "{text}"
+        );
+    }
 
     // Gate mode with handcrafted baselines, so the verdict is
     // deterministic regardless of how noisy this machine is: a slow
@@ -518,8 +524,8 @@ fn bench_check_writes_a_report_and_gates_against_itself() {
         std::fs::write(
             &path,
             format!(
-                "{{\"schema\":\"hypersweep-check-bench/v1\",\"strategy\":\"cloning\",\
-                 \"stride\":1,\"jobs\":2,\"dims\":[{{\"d\":6,\"schedules\":8,\
+                "{{\"schema\":\"hypersweep-check-bench/v2\",\"stride\":1,\"jobs\":2,\
+                 \"runs\":[{{\"strategy\":\"clean\",\"d\":6,\"schedules\":8,\
                  \"schedules_per_sec\":{rate},\"events_per_sec\":{rate}}}]}}\n"
             ),
         )

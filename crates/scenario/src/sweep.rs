@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 
-use hypersweep_check::{Adversary, StepOracle, ViolationKind, ViolationReport};
+use hypersweep_check::{Adversary, RunnableView, StepOracle, ViolationKind, ViolationReport};
 use hypersweep_intruder::ContaminationField;
 use hypersweep_sim::{AgentId, Event, EventKind, Role};
 use hypersweep_topology::{Node, Topology};
@@ -72,6 +72,24 @@ struct Task {
     agent: AgentId,
     path: VecDeque<Node>,
     target: Node,
+}
+
+/// The movers of the in-flight tasks, in task order: what the adversary
+/// picks from.
+struct TaskAgents<'a>(&'a [Task]);
+
+impl RunnableView for TaskAgents<'_> {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn nth(&self, idx: usize) -> AgentId {
+        self.0[idx].agent
+    }
+
+    fn rank(&self, id: AgentId) -> Option<usize> {
+        self.0.iter().position(|t| t.agent == id)
+    }
 }
 
 /// Whether the driver made progress or ran to completion.
@@ -422,9 +440,8 @@ impl Sweep {
                 },
             });
         }
-        let runnable: Vec<AgentId> = self.tasks.iter().map(|t| t.agent).collect();
-        let raw = adversary.choose(&runnable, step);
-        let idx = (raw as usize) % runnable.len();
+        let raw = adversary.choose_from(&TaskAgents(&self.tasks), step);
+        let idx = (raw as usize) % self.tasks.len();
         self.stats.decisions.push(idx as u32);
         let agent = self.tasks[idx].agent;
         let from = self.positions[agent as usize];

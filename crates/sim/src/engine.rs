@@ -130,13 +130,114 @@ enum Deferred {
     Terminate(AgentId),
 }
 
-/// Round-scoped buffers for [`Engine::sync_round`], reused across rounds.
+/// Round-scoped buffers for [`Engine::sync_round`], owned by the engine and
+/// reused across rounds.
 #[derive(Default)]
 struct SyncBufs {
     snapshot: Vec<NodeState>,
     active_snapshot: Vec<u32>,
     neighbor_scratch: Vec<NodeState>,
     deferred: Vec<Deferred>,
+}
+
+/// The runnable agents as an ascending-id bitset plus its population, so
+/// the step-granular hooks count, select and rank without scanning every
+/// agent: per-block member counts let select and rank skip whole blocks,
+/// then finish inside one block (one cache line of words).
+#[derive(Default)]
+struct RunnableSet {
+    words: Vec<u64>,
+    /// Members per block of [`BLOCK_WORDS`] words.
+    blocks: Vec<u32>,
+    len: usize,
+}
+
+const BLOCK_WORDS: usize = 8;
+
+impl RunnableSet {
+    fn insert(&mut self, id: AgentId) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+            self.blocks.resize(w / BLOCK_WORDS + 1, 0);
+        }
+        debug_assert_eq!(self.words[w] & bit, 0, "agent {id} already runnable");
+        self.words[w] |= bit;
+        self.blocks[w / BLOCK_WORDS] += 1;
+        self.len += 1;
+    }
+
+    fn remove(&mut self, id: AgentId) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        debug_assert_ne!(self.words[w] & bit, 0, "agent {id} not runnable");
+        self.words[w] &= !bit;
+        self.blocks[w / BLOCK_WORDS] -= 1;
+        self.len -= 1;
+    }
+
+    /// The `k`-th member in ascending id order.
+    fn nth(&self, mut k: usize) -> Option<AgentId> {
+        let mut first = 0;
+        for &count in &self.blocks {
+            if k < count as usize {
+                break;
+            }
+            k -= count as usize;
+            first += BLOCK_WORDS;
+        }
+        for (w, &word) in self.words.get(first..)?.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if k < ones {
+                return Some((first + w) as AgentId * 64 + select_in_word(word, k as u32));
+            }
+            k -= ones;
+        }
+        None
+    }
+
+    /// How many members have an id below `id`, if `id` is a member.
+    fn rank(&self, id: AgentId) -> Option<usize> {
+        let (w, b) = (id as usize / 64, id % 64);
+        let word = *self.words.get(w)?;
+        if word >> b & 1 == 0 {
+            return None;
+        }
+        let first = w / BLOCK_WORDS * BLOCK_WORDS;
+        let below: u32 = self.blocks[..w / BLOCK_WORDS].iter().sum::<u32>()
+            + self.words[first..w]
+                .iter()
+                .map(|x| x.count_ones())
+                .sum::<u32>()
+            + (word & ((1u64 << b) - 1)).count_ones();
+        Some(below as usize)
+    }
+
+    fn iter(&self) -> impl Iterator<Item = AgentId> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let b = rest.trailing_zeros();
+                    rest &= rest - 1;
+                    w as AgentId * 64 + b
+                })
+            })
+        })
+    }
+}
+
+/// Position of the `k`-th set bit of `word` (which has more than `k`).
+fn select_in_word(mut word: u64, mut k: u32) -> u32 {
+    let mut pos = 0;
+    for half in [32, 16, 8, 4, 2, 1] {
+        let low = (word & ((1u64 << half) - 1)).count_ones();
+        if k >= low {
+            k -= low;
+            word >>= half;
+            pos += half;
+        }
+    }
+    pos
 }
 
 /// What one lock-step round did (see [`Engine::step_round`]).
@@ -166,9 +267,15 @@ pub struct Engine<P: AgentProgram> {
     /// Reusable buffer for visibility snapshots in [`Engine::activate`].
     nbr_scratch: Vec<NodeState>,
     parked_at: Vec<Vec<AgentId>>,
+    /// Agents whose status is `Runnable` (the step-granular hooks' view).
+    runnable_set: RunnableSet,
+    /// Agents not yet terminated.
+    live: usize,
+    /// The policy scheduler's queue (entries may be stale; see `pick`).
     runnable: VecDeque<AgentId>,
     in_runnable: Vec<bool>,
     rr_cursor: usize,
+    sync_bufs: SyncBufs,
     rng: ChaCha8Rng,
     events: Vec<Event>,
     metrics: Metrics,
@@ -194,9 +301,12 @@ impl<P: AgentProgram> Engine<P> {
             visited: NodeSet::new(n),
             nbr_scratch: Vec::new(),
             parked_at: vec![Vec::new(); n],
+            runnable_set: RunnableSet::default(),
+            live: 0,
             runnable: VecDeque::new(),
             in_runnable: Vec::new(),
             rr_cursor: 0,
+            sync_bufs: SyncBufs::default(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             events: Vec::new(),
             metrics: Metrics::default(),
@@ -213,6 +323,18 @@ impl<P: AgentProgram> Engine<P> {
     /// Place a new agent on `node` (the paper always spawns at the
     /// homebase `00…0`, but tests may spawn elsewhere).
     pub fn spawn(&mut self, program: P, node: Node, role: Role) -> AgentId {
+        let id = self.admit(program, node, role);
+        self.emit(EventKind::Spawn {
+            agent: id,
+            node,
+            role,
+        });
+        id
+    }
+
+    /// Add a runnable agent on `node` (a spawn or a clone's materializing
+    /// slide) and account for its presence there.
+    fn admit(&mut self, program: P, node: Node, role: Role) -> AgentId {
         let id = self.agents.len() as AgentId;
         self.agents.push(AgentSlot {
             program,
@@ -220,6 +342,10 @@ impl<P: AgentProgram> Engine<P> {
             role,
             status: AgentStatus::Runnable,
         });
+        self.runnable_set.insert(id);
+        self.live += 1;
+        self.in_runnable.push(true);
+        self.runnable.push_back(id);
         self.occupancy[node.index()] += 1;
         self.active_here[node.index()] += 1;
         self.visited.insert(node);
@@ -228,14 +354,26 @@ impl<P: AgentProgram> Engine<P> {
         }
         self.metrics.team_size += 1;
         self.metrics.peak_away = self.metrics.peak_away.max(self.away_now);
-        self.in_runnable.push(true);
-        self.runnable.push_back(id);
-        self.emit(EventKind::Spawn {
-            agent: id,
-            node,
-            role,
-        });
         id
+    }
+
+    /// Change an agent's status, keeping the runnable set and the live
+    /// counter in step with it.
+    fn set_status(&mut self, id: AgentId, status: AgentStatus) {
+        let old = std::mem::replace(&mut self.agents[id as usize].status, status);
+        if old == status {
+            return;
+        }
+        match old {
+            AgentStatus::Runnable => self.runnable_set.remove(id),
+            AgentStatus::Parked => {}
+            AgentStatus::Terminated => self.live += 1,
+        }
+        match status {
+            AgentStatus::Runnable => self.runnable_set.insert(id),
+            AgentStatus::Parked => {}
+            AgentStatus::Terminated => self.live -= 1,
+        }
     }
 
     fn emit(&mut self, kind: EventKind) {
@@ -261,7 +399,7 @@ impl<P: AgentProgram> Engine<P> {
 
     fn make_runnable(&mut self, id: AgentId) {
         if self.agents[id as usize].status == AgentStatus::Parked {
-            self.agents[id as usize].status = AgentStatus::Runnable;
+            self.set_status(id, AgentStatus::Runnable);
         }
         if self.agents[id as usize].status == AgentStatus::Runnable
             && !self.in_runnable[id as usize]
@@ -295,10 +433,9 @@ impl<P: AgentProgram> Engine<P> {
     }
 
     fn park(&mut self, id: AgentId) {
-        let slot = &mut self.agents[id as usize];
-        if slot.status == AgentStatus::Runnable {
-            slot.status = AgentStatus::Parked;
-            let pos = slot.pos;
+        if self.agents[id as usize].status == AgentStatus::Runnable {
+            self.set_status(id, AgentStatus::Parked);
+            let pos = self.agents[id as usize].pos;
             self.parked_at[pos.index()].push(id);
         }
     }
@@ -491,25 +628,9 @@ impl<P: AgentProgram> Engine<P> {
     fn apply_clone(&mut self, id: AgentId, port: u32) {
         let from = self.agents[id as usize].pos;
         let to = from.flip(port);
-        let child = self.agents.len() as AgentId;
         let program = self.agents[id as usize].program.clone_program();
-        self.agents.push(AgentSlot {
-            program,
-            pos: to,
-            role: Role::Worker,
-            status: AgentStatus::Runnable,
-        });
-        self.in_runnable.push(true);
-        self.runnable.push_back(child);
-        self.occupancy[to.index()] += 1;
-        self.active_here[to.index()] += 1;
-        self.visited.insert(to);
-        if to != Node::ROOT {
-            self.away_now += 1;
-        }
-        self.metrics.team_size += 1;
+        let child = self.admit(program, to, Role::Worker);
         self.metrics.worker_moves += 1; // the clone's materializing slide
-        self.metrics.peak_away = self.metrics.peak_away.max(self.away_now);
         self.emit(EventKind::CloneSpawn {
             parent: id,
             child,
@@ -522,7 +643,7 @@ impl<P: AgentProgram> Engine<P> {
 
     fn apply_terminate(&mut self, id: AgentId) {
         let pos = self.agents[id as usize].pos;
-        self.agents[id as usize].status = AgentStatus::Terminated;
+        self.set_status(id, AgentStatus::Terminated);
         self.active_here[pos.index()] -= 1;
         self.emit(EventKind::Terminate {
             agent: id,
@@ -559,9 +680,8 @@ impl<P: AgentProgram> Engine<P> {
     /// simultaneously at the round boundary.
     fn run_synchronous(mut self) -> Result<RunReport, RunError> {
         let mut rounds_with_moves: u64 = 0;
-        let mut bufs = SyncBufs::default();
         loop {
-            let out = self.sync_round(&mut bufs)?;
+            let out = self.step_round()?;
             if out.moved {
                 rounds_with_moves += 1;
             }
@@ -579,10 +699,13 @@ impl<P: AgentProgram> Engine<P> {
     }
 
     /// One lock-step round against the round-start snapshot; moves apply
-    /// simultaneously at the round boundary.
+    /// simultaneously at the round boundary. `bufs` is the engine's own
+    /// [`SyncBufs`], taken out for the round by [`Engine::step_round`].
     fn sync_round(&mut self, bufs: &mut SyncBufs) -> Result<RoundOutcome, RunError> {
         self.clock += 1;
         let round = self.clock;
+        // Drop what a round cut short by an error left undone.
+        bufs.deferred.clear();
         // Snapshot of node states for visibility decisions.
         if self.cfg.visibility {
             bufs.snapshot.clear();
@@ -658,15 +781,11 @@ impl<P: AgentProgram> Engine<P> {
                 Deferred::Terminate(id) => self.apply_terminate(id),
             }
         }
-        let done = self
-            .agents
-            .iter()
-            .all(|a| a.status == AgentStatus::Terminated);
         Ok(RoundOutcome {
             moved,
             acted,
             wrote,
-            done,
+            done: self.live == 0,
         })
     }
 
@@ -690,13 +809,33 @@ impl<P: AgentProgram> Engine<P> {
     /// Ids of agents that can act right now (spawned or woken, not parked,
     /// not terminated), in ascending id order. The order is part of the
     /// deterministic contract: external schedulers index into this list.
+    /// [`Engine::runnable_count`], [`Engine::runnable_nth`] and
+    /// [`Engine::runnable_rank`] answer the same questions without
+    /// building it.
     pub fn runnable_agents(&self) -> Vec<AgentId> {
-        self.agents
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.status == AgentStatus::Runnable)
-            .map(|(i, _)| i as AgentId)
-            .collect()
+        self.runnable_set.iter().collect()
+    }
+
+    /// How many agents are runnable: `runnable_agents().len()`.
+    pub fn runnable_count(&self) -> usize {
+        self.runnable_set.len
+    }
+
+    /// The runnable agent at position `idx` of [`Engine::runnable_agents`].
+    ///
+    /// # Panics
+    ///
+    /// If `idx >= runnable_count()`, like indexing the list would.
+    pub fn runnable_nth(&self, idx: usize) -> AgentId {
+        self.runnable_set
+            .nth(idx)
+            .expect("runnable index below runnable_count()")
+    }
+
+    /// The position of `id` in [`Engine::runnable_agents`], or `None` if
+    /// the agent is not runnable.
+    pub fn runnable_rank(&self, id: AgentId) -> Option<usize> {
+        self.runnable_set.rank(id)
     }
 
     /// Activate one specific runnable agent. Mirrors exactly what the
@@ -726,8 +865,10 @@ impl<P: AgentProgram> Engine<P> {
     /// `ideal_time`; callers wanting it count rounds with
     /// [`RoundOutcome::moved`] themselves.
     pub fn step_round(&mut self) -> Result<RoundOutcome, RunError> {
-        let mut bufs = SyncBufs::default();
-        self.sync_round(&mut bufs)
+        let mut bufs = std::mem::take(&mut self.sync_bufs);
+        let out = self.sync_round(&mut bufs);
+        self.sync_bufs = bufs;
+        out
     }
 
     /// Total agents spawned so far, terminated guards included.
@@ -737,15 +878,12 @@ impl<P: AgentProgram> Engine<P> {
 
     /// Agents not yet terminated (runnable or parked).
     pub fn live_agents(&self) -> usize {
-        self.agents
-            .iter()
-            .filter(|a| a.status != AgentStatus::Terminated)
-            .count()
+        self.live
     }
 
     /// Whether every agent has terminated (the run is complete).
     pub fn all_terminated(&self) -> bool {
-        self.live_agents() == 0
+        self.live == 0
     }
 
     /// The event stream recorded so far; step-granular callers read the
@@ -1171,6 +1309,136 @@ mod tests {
         eng.spawn(WalkTo { target: Node(1) }, Node::ROOT, Role::Worker);
         assert_eq!(eng.node_state(Node(0)), NodeState::Guarded);
         let _ = eng; // (run consumes the engine; the view is pre-run here)
+    }
+
+    /// Each activation draws from its own splitmix64 stream whether to
+    /// wait (with or without a board write), move, clone or terminate.
+    struct Chaos {
+        state: u64,
+        clones_left: u32,
+    }
+
+    impl AgentProgram for Chaos {
+        type Board = CounterBoard;
+        fn step(&mut self, ctx: &mut Ctx<'_, CounterBoard>) -> Action {
+            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let port = 1 + (z >> 8) as u32 % ctx.cube().dim();
+            match z % 10 {
+                0..=2 => Action::Wait,
+                3 | 4 => {
+                    ctx.board_mut().value += 1;
+                    Action::Wait
+                }
+                5 | 6 => Action::Move(port),
+                7 if self.clones_left > 0 => {
+                    self.clones_left -= 1;
+                    Action::Clone(port)
+                }
+                _ => Action::Terminate,
+            }
+        }
+        fn clone_program(&self) -> Self {
+            Chaos {
+                state: self.state ^ 0x5851_F42D_4C95_7F2D,
+                clones_left: self.clones_left / 2,
+            }
+        }
+    }
+
+    /// The runnable and live bookkeeping against a scan of agent statuses.
+    fn assert_hooks_match_status_scan<P: AgentProgram>(eng: &Engine<P>) {
+        let scan: Vec<AgentId> = (0..eng.agents.len() as AgentId)
+            .filter(|&id| eng.agents[id as usize].status == AgentStatus::Runnable)
+            .collect();
+        let live = eng
+            .agents
+            .iter()
+            .filter(|a| a.status != AgentStatus::Terminated)
+            .count();
+        assert_eq!(eng.runnable_agents(), scan);
+        assert_eq!(eng.runnable_count(), scan.len());
+        assert_eq!(eng.live_agents(), live);
+        assert_eq!(eng.all_terminated(), live == 0);
+        for (k, &id) in scan.iter().enumerate() {
+            assert_eq!(eng.runnable_nth(k), id);
+        }
+        let mut rank = vec![None; eng.agents.len() + 65];
+        for (k, &id) in scan.iter().enumerate() {
+            rank[id as usize] = Some(k);
+        }
+        for (id, want) in rank.into_iter().enumerate() {
+            assert_eq!(eng.runnable_rank(id as AgentId), want, "rank of {id}");
+        }
+    }
+
+    #[test]
+    fn runnable_hooks_match_a_status_scan_under_random_steps() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x5CA7);
+        for seed in 0..24u64 {
+            let mut eng = Engine::new(
+                Hypercube::new(3),
+                EngineConfig {
+                    visibility: seed % 2 == 1,
+                    ..EngineConfig::default()
+                },
+            );
+            // Teams around word (64) and block (512) boundaries, before
+            // the clones join.
+            let team = [1, 5, 63, 64, 65, 150, 511, 600][seed as usize % 8];
+            for i in 0..team {
+                let program = Chaos {
+                    state: seed << 32 | i,
+                    clones_left: 4,
+                };
+                eng.spawn(program, Node::ROOT, Role::Worker);
+            }
+            for _ in 0..600 {
+                assert_hooks_match_status_scan(&eng);
+                if eng.runnable_count() == 0 {
+                    break;
+                }
+                let idx = rng.random_range(0..eng.runnable_count());
+                eng.step_agent(eng.runnable_nth(idx)).expect("valid step");
+            }
+            assert_hooks_match_status_scan(&eng);
+        }
+    }
+
+    #[test]
+    fn step_round_tracks_live_agents() {
+        for seed in 0..8u64 {
+            let mut eng = Engine::new(
+                Hypercube::new(3),
+                EngineConfig {
+                    policy: Policy::Synchronous,
+                    ..EngineConfig::default()
+                },
+            );
+            for i in 0..1 + seed * 23 % 90 {
+                let program = Chaos {
+                    state: seed << 32 | i,
+                    clones_left: 2,
+                };
+                eng.spawn(program, Node::ROOT, Role::Worker);
+            }
+            for _ in 0..200 {
+                let out = eng.step_round().expect("valid round");
+                assert_hooks_match_status_scan(&eng);
+                assert_eq!(
+                    out.done,
+                    eng.agents
+                        .iter()
+                        .all(|a| a.status == AgentStatus::Terminated)
+                );
+                if out.done {
+                    break;
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,40 +16,49 @@ use hypersweep::check::{
 /// must be deterministic).
 const SEED: u64 = 3;
 
-/// All five adversary families stay quiet on a correct strategy at d=12
-/// under per-event (stride-1 default) oracle checking. Schedules `0..5`
-/// rotate through the full family list (`Adversary::for_schedule`), so
-/// one schedule per family suffices for coverage; the cloning strategy
-/// keeps the debug-mode runtime tractable at 2^12 nodes.
+/// All five adversary families stay quiet on every asynchronous paper
+/// strategy at d=12 under per-event (stride-1 default) oracle checking.
+/// Schedules `0..5` rotate through the full family list
+/// (`Adversary::for_schedule`), so one schedule per family suffices for
+/// coverage. CLEAN takes close to a million decision steps per schedule at
+/// 2^12 nodes; the engine's incremental runnable set keeps that affordable
+/// even in a debug build.
 #[test]
 fn stride1_campaign_at_d12_is_quiet_across_all_adversary_families() {
-    let cfg = CheckConfig::new(CheckStrategy::Cloning, 12);
-    assert_eq!(cfg.stride, 0, "0 must derive the stride-1 default");
     let mut arena = CheckArena::new();
-    let mut families: Vec<AdversaryKind> = Vec::new();
-    for schedule in 0..AdversaryKind::ALL.len() as u64 {
-        families.push(Adversary::for_schedule(SEED, schedule).kind());
-        let run = explore_schedule_in(&cfg, SEED, schedule, &mut arena);
+    for strategy in [
+        CheckStrategy::Cloning,
+        CheckStrategy::Clean,
+        CheckStrategy::Visibility,
+    ] {
+        let cfg = CheckConfig::new(strategy, 12);
+        assert_eq!(cfg.stride, 0, "0 must derive the stride-1 default");
+        let mut families: Vec<AdversaryKind> = Vec::new();
+        for schedule in 0..AdversaryKind::ALL.len() as u64 {
+            families.push(Adversary::for_schedule(SEED, schedule).kind());
+            let run = explore_schedule_in(&cfg, SEED, schedule, &mut arena);
+            assert_eq!(
+                run.violation,
+                None,
+                "{} d=12 schedule {schedule} ({:?} adversary): {:?}",
+                strategy.name(),
+                families.last().unwrap(),
+                run.violation
+            );
+            assert!(
+                run.events as usize >= 1 << 12,
+                "a full d=12 sweep applies at least n events, saw {}",
+                run.events
+            );
+        }
+        families.sort_by_key(|k| k.name());
+        families.dedup();
         assert_eq!(
-            run.violation,
-            None,
-            "cloning d=12 schedule {schedule} ({:?} adversary): {:?}",
-            families.last().unwrap(),
-            run.violation
-        );
-        assert!(
-            run.events as usize >= 1 << 12,
-            "a full d=12 sweep applies at least n events, saw {}",
-            run.events
+            families.len(),
+            AdversaryKind::ALL.len(),
+            "schedules 0..5 must cover every adversary family, got {families:?}"
         );
     }
-    families.sort_by_key(|k| k.name());
-    families.dedup();
-    assert_eq!(
-        families.len(),
-        AdversaryKind::ALL.len(),
-        "schedules 0..5 must cover every adversary family, got {families:?}"
-    );
 }
 
 /// The synchronous variant at d=12 under per-event checking (its schedule
