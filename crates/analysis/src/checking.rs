@@ -37,8 +37,8 @@ use crate::table::Table;
 /// one claim counter, not 3125 queued closures.
 const SLICE: u64 = 32;
 
-/// Upper bound on `--campaign-size`: beyond this even the widened kernels
-/// need days, so larger requests are almost certainly typos.
+/// Upper bound on `--campaign-size`: beyond this even the cheapest
+/// strategies need days, so larger requests are almost certainly typos.
 pub const MAX_CAMPAIGN_SCHEDULES: u64 = 10_000_000;
 
 /// Upper bound on `--stride` (events between oracle checks): strides past

@@ -428,6 +428,23 @@ fn check_plant_fails_at_exactly_the_planted_schedule() {
 }
 
 #[test]
+fn check_replay_of_a_deeply_nested_file_fails_cleanly() {
+    let dir = std::env::temp_dir().join("hypersweep-cli-deep-replay");
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(60_000)).unwrap();
+    let out = bin()
+        .args(["check", "--replay", deep.to_str().unwrap()])
+        .output()
+        .unwrap();
+    // Exit 1 with a message, not 134 from a stack-overflow abort.
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("nesting deeper than"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn check_timings_renders_the_campaign_phase_table() {
     let out = bin()
         .args([

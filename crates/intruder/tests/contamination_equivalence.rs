@@ -317,7 +317,7 @@ fn assert_equivalent(topo: &dyn Topology, homebase: Node, events: &[Event]) -> R
 }
 
 /// The non-hypercube fabrics the differential battery sweeps. Universe
-/// sizes are deliberately not multiples of 256 so the widened bulk ops see
+/// sizes are deliberately not multiples of 64 so the word kernels see
 /// ragged tails.
 fn alt_topology(pick: usize) -> (Box<dyn Topology>, Node) {
     use hypersweep_topology::graph::{CubeConnectedCycles, DeBruijn, Ring, Torus};
@@ -350,8 +350,8 @@ proptest! {
 
     /// Same differential on non-hypercube fabrics: rings, tori,
     /// cube-connected cycles, de Bruijn graphs, and random partial grids.
-    /// These run the generic spread/rebuild paths over the widened
-    /// `NodeSet` bulk ops with ragged tail words.
+    /// These run the generic spread/rebuild paths over packed `NodeSet`
+    /// words with ragged tails.
     #[test]
     fn packed_field_matches_reference_on_alt_topologies(
         pick in 0usize..25,
@@ -364,13 +364,13 @@ proptest! {
 }
 
 proptest! {
-    // d = 8 is the smallest cube on the genuinely 4-wide kernel path
-    // (four words); fewer cases since each one compares 256 nodes per
-    // event against the reference.
+    // d = 8 spans four words, so the floods cross the word-stride ports
+    // 7 and 8; fewer cases since each one compares 256 nodes per event
+    // against the reference.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn packed_field_matches_reference_on_the_wide_kernel_path(
+    fn packed_field_matches_reference_on_a_four_word_cube(
         draws in collection::vec(0u64..u64::MAX, 1..140usize),
     ) {
         let cube = Hypercube::new(8);

@@ -37,6 +37,13 @@ fn wire_u64(x: u128) -> u64 {
     u64::try_from(x).expect("closed-form quantity exceeds u64 at a served dimension")
 }
 
+/// Most scenario reference runs the dispatcher memoizes. `holes:<seed>`
+/// accepts any `u64`, so without a cap a client looping over seeds grows
+/// the memo without limit. The cap sits far above every benchmarked
+/// scenario keyspace (the largest needs 43 references); a full memo is
+/// cleared, and since references are deterministic no reply changes.
+const SCENARIO_REFS_CAP: usize = 4096;
+
 /// Shared request handler: validates, computes, and counts.
 ///
 /// The request counters live in a telemetry [`MetricsRegistry`]
@@ -63,7 +70,8 @@ pub struct Dispatcher {
     scenario_misses: Counter,
     /// Reference runs per `(scenario, side, instance)` — deterministic,
     /// so caching preserves byte-identical replies while making repeat
-    /// scenario requests as cheap as a lookup.
+    /// scenario requests as cheap as a lookup. Holds at most
+    /// [`SCENARIO_REFS_CAP`] entries.
     scenario_refs: Mutex<HashMap<(ScenarioId, u32, GridInstance), ScenarioReference>>,
 }
 
@@ -273,10 +281,11 @@ impl Dispatcher {
         // (deterministic) reference and insert the same value.
         let reference = resolved.reference(side, instance);
         self.scenario_misses.inc();
-        self.scenario_refs
-            .lock()
-            .expect("scenario cache lock")
-            .insert(key, reference.clone());
+        let mut refs = self.scenario_refs.lock().expect("scenario cache lock");
+        if refs.len() >= SCENARIO_REFS_CAP {
+            refs.clear();
+        }
+        refs.insert(key, reference.clone());
         Ok(reference)
     }
 
@@ -738,6 +747,30 @@ mod tests {
         let snap = d.registry().snapshot();
         assert_eq!(snap.counter("answers.table_bypass"), Some(1));
         assert_eq!(snap.counter("answers.table_hits"), Some(1));
+    }
+
+    #[test]
+    fn scenario_memo_stays_bounded_and_replies_stay_identical() {
+        let d = dispatcher();
+        let plan = |seed| Request::ScenarioPlan {
+            scenario: ScenarioId::Grid,
+            side: 3,
+            instance: GridInstance::Holes(seed),
+        };
+        let extra = 100;
+        let first: Vec<String> = (0..4).map(|seed| d.handle(plan(seed)).to_line()).collect();
+        for seed in 4..(SCENARIO_REFS_CAP + extra) as u64 {
+            d.handle(plan(seed));
+            assert!(d.scenario_refs.lock().unwrap().len() <= SCENARIO_REFS_CAP);
+        }
+        // The first seeds were cleared out at the cap: asking again
+        // recomputes them, byte-identically.
+        let again: Vec<String> = (0..4).map(|seed| d.handle(plan(seed)).to_line()).collect();
+        assert_eq!(first, again);
+        let snap = d.registry().snapshot();
+        let misses = (SCENARIO_REFS_CAP + extra + 4) as u64;
+        assert_eq!(snap.counter("scenario.cache_misses"), Some(misses));
+        assert_eq!(snap.counter("scenario.cache_hits"), Some(0));
     }
 
     #[test]

@@ -118,6 +118,29 @@ fn oversized_lines_are_discarded_without_killing_the_connection() {
 }
 
 #[test]
+fn deeply_nested_line_is_malformed_and_the_daemon_keeps_serving() {
+    let (addr, shutdown, handle) = spawn_server(quick_limits(), Arc::new(RunCache::new()));
+    let mut client = Client::connect(&addr).expect("connect");
+
+    // 60,000 `[` fit under the 64 KiB line limit. Parsed without a depth
+    // cap they overflow the reactor's stack, which aborts the process.
+    let raw = client
+        .send_raw(&"[".repeat(60_000))
+        .expect("deep line answered");
+    assert!(raw.contains(r#""kind":"malformed""#), "{raw}");
+
+    // The daemon still answers, on a fresh connection too.
+    let mut fresh = Client::connect(&addr).expect("connect after the deep line");
+    let Response::Status(status) = fresh.request(&Request::Status).expect("status") else {
+        panic!("expected status reply");
+    };
+    assert_eq!(status.served.errors, 1);
+
+    shutdown();
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
 fn saturation_returns_busy_and_timeouts_expire() {
     // A runner that blocks until released, making pool occupancy
     // deterministic.

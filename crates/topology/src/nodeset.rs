@@ -95,31 +95,6 @@ impl NodeSet {
         wide::count_ones(&self.words)
     }
 
-    /// Union: `self |= other`. Both sets must share a universe.
-    pub fn union_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        wide::or_assign(&mut self.words, &other.words);
-    }
-
-    /// Intersection: `self &= other`. Both sets must share a universe.
-    pub fn intersect_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        wide::and_assign(&mut self.words, &other.words);
-    }
-
-    /// Symmetric difference: `self ^= other`. Both sets must share a
-    /// universe.
-    pub fn symmetric_difference_with(&mut self, other: &NodeSet) {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        wide::xor_assign(&mut self.words, &other.words);
-    }
-
-    /// Difference: `self &= !other`. Both sets must share a universe.
-    pub fn subtract(&mut self, other: &NodeSet) {
-        assert_eq!(self.len, other.len, "universe mismatch");
-        wide::andnot_assign(&mut self.words, &other.words);
-    }
-
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
@@ -173,62 +148,6 @@ impl NodeSet {
     /// in-word shuffle by `2^{p−1}`; for `p > 6` it swaps whole words at
     /// index distance `2^{p−7}`.
     pub fn hypercube_expand_into(&self, dim: u32, out: &mut NodeSet) {
-        debug_assert_eq!(self.len, 1usize << dim);
-        debug_assert_eq!(out.len, self.len);
-        let nw = self.words.len();
-        if nw < 4 {
-            // d ≤ 7: at most two words; the chunked path needs whole
-            // 4-word chunks.
-            self.hypercube_expand_into_scalar(dim, out);
-            return;
-        }
-        // d ≥ 8 ⇒ the word count 2^{d−6} is a multiple of 4, so the whole
-        // set divides into aligned 4-word chunks with no tail. Within a
-        // chunk, ports 1..=6 are in-word shuffles, port 7 pairs words at
-        // XOR-distance 1 (lanes 0↔1, 2↔3), and port 8 pairs at distance 2
-        // (lanes 0↔2, 1↔3) — all resolved without leaving the chunk.
-        let src = &self.words;
-        let dst = &mut out.words;
-        let mut i = 0;
-        while i < nw {
-            let (w0, w1, w2, w3) = (src[i], src[i + 1], src[i + 2], src[i + 3]);
-            let mut o0 = w1 | w2;
-            let mut o1 = w0 | w3;
-            let mut o2 = w3 | w0;
-            let mut o3 = w2 | w1;
-            for (k, &m) in SHUFFLE_MASKS.iter().enumerate() {
-                let s = 1u32 << k;
-                o0 |= ((w0 & m) << s) | ((w0 >> s) & m);
-                o1 |= ((w1 & m) << s) | ((w1 >> s) & m);
-                o2 |= ((w2 & m) << s) | ((w2 >> s) & m);
-                o3 |= ((w3 & m) << s) | ((w3 >> s) & m);
-            }
-            dst[i] = o0;
-            dst[i + 1] = o1;
-            dst[i + 2] = o2;
-            dst[i + 3] = o3;
-            i += 4;
-        }
-        // Ports 9..=d swap whole chunks: the word stride 2^{p−7} is a
-        // multiple of 4, so chunk alignment is preserved.
-        for p in 9..=dim {
-            let stride = 1usize << (p - 7);
-            let mut i = 0;
-            while i < nw {
-                let j = i ^ stride;
-                dst[i] |= src[j];
-                dst[i + 1] |= src[j + 1];
-                dst[i + 2] |= src[j + 2];
-                dst[i + 3] |= src[j + 3];
-                i += 4;
-            }
-        }
-    }
-
-    /// Single-word reference for [`NodeSet::hypercube_expand_into`] —
-    /// retained for the differential test suite (and used as the real
-    /// path when the universe is under four words, i.e. `d ≤ 7`).
-    pub fn hypercube_expand_into_scalar(&self, dim: u32, out: &mut NodeSet) {
         debug_assert_eq!(self.len, 1usize << dim);
         debug_assert_eq!(out.len, self.len);
         out.clear();

@@ -1,165 +1,24 @@
-//! 4-wide unrolled word kernels (u64x4-style manual SIMD in std).
+//! Word kernels over packed node sets.
 //!
-//! Every dense-bitset hot loop in the workspace — `NodeSet` bulk ops, the
-//! hypercube neighbourhood expansion, and the `ContaminationField` spread /
-//! rebuild wave floods — bottoms out in a pass over `&[u64]` words. A
-//! straightforward `for` over single words can leave the vector units
-//! idle once the loop also folds a data-dependent `grew` flag or writes
-//! two destinations. The kernels here process **four words per
-//! iteration** over `chunks_exact` splits viewed as `[u64; 4]` arrays —
-//! the fixed-size view erases every bounds check, so the backend lowers
-//! each lane body to 256-bit ops where available — with a lane-wise `any`
-//! accumulator folded once at the end so the wave kernels carry no
-//! serial reduction in the hot loop.
-//!
-//! Each kernel keeps its single-word reference implementation
-//! (`*_scalar`) alongside: the differential test battery
-//! (`topology/tests/wide_differential.rs` and the intruder equivalence
-//! suite) holds the wide paths bit-identical to the references on every
-//! sampled input, including tail lengths not divisible by four.
-//!
-//! Safety: everything is plain safe indexing on `chunks_exact`-style
-//! splits; the crate-level `#![forbid(unsafe_code)]` applies.
+//! `NodeSet` population counts and the `ContaminationField` spread and
+//! rebuild wave floods bottom out in these passes over `&[u64]` words.
+//! Each is one loop over single words on purpose: the paper's strategies
+//! never recontaminate, so the floods run only on negative controls and
+//! reference checks, and unrolling them measured no end-to-end gain (see
+//! EXPERIMENTS.md). The per-node checks in
+//! `topology/tests/per_node_kernels.rs` hold every kernel to its per-bit
+//! semantics.
 
-/// Words processed per unrolled iteration.
-pub const LANES: usize = 4;
-
-/// View a 4-word chunk as a fixed-size array: the `chunks_exact` family
-/// guarantees the length, and the array type erases every bounds check in
-/// the lane bodies (indexed chunk writes defeat vectorisation entirely —
-/// measured 0.4–0.8x of the plain word loop before this shape).
-#[inline(always)]
-fn lanes(chunk: &[u64]) -> &[u64; LANES] {
-    chunk.try_into().expect("chunks_exact yields LANES words")
-}
-
-/// Mutable counterpart of [`lanes`].
-#[inline(always)]
-fn lanes_mut(chunk: &mut [u64]) -> &mut [u64; LANES] {
-    chunk.try_into().expect("chunks_exact yields LANES words")
-}
-
-/// `dst |= src`, 4 words per iteration.
+/// `dst |= src`.
 pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let dc = lanes_mut(dc);
-        let sc = lanes(sc);
-        for k in 0..LANES {
-            dc[k] |= sc[k];
-        }
-    }
-    for (dw, &sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *dw |= sw;
-    }
-}
-
-/// Single-word reference for [`or_assign`].
-pub fn or_assign_scalar(dst: &mut [u64], src: &[u64]) {
     assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
         *d |= s;
     }
 }
 
-/// `dst &= src`, 4 words per iteration.
-pub fn and_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let dc = lanes_mut(dc);
-        let sc = lanes(sc);
-        for k in 0..LANES {
-            dc[k] &= sc[k];
-        }
-    }
-    for (dw, &sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *dw &= sw;
-    }
-}
-
-/// Single-word reference for [`and_assign`].
-pub fn and_assign_scalar(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d &= s;
-    }
-}
-
-/// `dst ^= src`, 4 words per iteration.
-pub fn xor_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let dc = lanes_mut(dc);
-        let sc = lanes(sc);
-        for k in 0..LANES {
-            dc[k] ^= sc[k];
-        }
-    }
-    for (dw, &sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *dw ^= sw;
-    }
-}
-
-/// Single-word reference for [`xor_assign`].
-pub fn xor_assign_scalar(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d ^= s;
-    }
-}
-
-/// `dst &= !src` (set difference), 4 words per iteration.
-pub fn andnot_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    let mut d = dst.chunks_exact_mut(LANES);
-    let mut s = src.chunks_exact(LANES);
-    for (dc, sc) in (&mut d).zip(&mut s) {
-        let dc = lanes_mut(dc);
-        let sc = lanes(sc);
-        for k in 0..LANES {
-            dc[k] &= !sc[k];
-        }
-    }
-    for (dw, &sw) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *dw &= !sw;
-    }
-}
-
-/// Single-word reference for [`andnot_assign`].
-pub fn andnot_assign_scalar(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d &= !s;
-    }
-}
-
-/// Population count over a word slice, 4 words per iteration with
-/// independent lane accumulators (no popcnt → add dependency chain).
+/// Population count over a word slice.
 pub fn count_ones(words: &[u64]) -> usize {
-    let chunks = words.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    let mut acc = [0usize; LANES];
-    for chunk in chunks {
-        let chunk = lanes(chunk);
-        for k in 0..LANES {
-            acc[k] += chunk[k].count_ones() as usize;
-        }
-    }
-    let mut total: usize = acc.iter().sum();
-    for w in tail {
-        total += w.count_ones() as usize;
-    }
-    total
-}
-
-/// Single-word reference for [`count_ones`].
-pub fn count_ones_scalar(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
@@ -171,40 +30,6 @@ pub fn count_ones_scalar(words: &[u64]) -> usize {
 /// spread cascade (`acc` = contaminated, `blocked` = guarded — note
 /// `!(c | g) == !c & !g`).
 pub fn flood_step(next: &mut [u64], acc: &mut [u64], blocked: &[u64]) -> bool {
-    assert_eq!(next.len(), acc.len(), "word-slice length mismatch");
-    assert_eq!(next.len(), blocked.len(), "word-slice length mismatch");
-    let mut nc = next.chunks_exact_mut(LANES);
-    let mut ac = acc.chunks_exact_mut(LANES);
-    let mut bc = blocked.chunks_exact(LANES);
-    let mut any = [0u64; LANES];
-    for ((n, a), b) in (&mut nc).zip(&mut ac).zip(&mut bc) {
-        let n = lanes_mut(n);
-        let a = lanes_mut(a);
-        let b = lanes(b);
-        for k in 0..LANES {
-            let w = n[k] & !a[k] & !b[k];
-            n[k] = w;
-            a[k] |= w;
-            any[k] |= w;
-        }
-    }
-    let mut any = any.iter().fold(0u64, |x, &y| x | y);
-    for ((nw, aw), &bw) in nc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.into_remainder().iter_mut())
-        .zip(bc.remainder())
-    {
-        let w = *nw & !*aw & !bw;
-        *nw = w;
-        *aw |= w;
-        any |= w;
-    }
-    any != 0
-}
-
-/// Single-word reference for [`flood_step`].
-pub fn flood_step_scalar(next: &mut [u64], acc: &mut [u64], blocked: &[u64]) -> bool {
     assert_eq!(next.len(), acc.len(), "word-slice length mismatch");
     assert_eq!(next.len(), blocked.len(), "word-slice length mismatch");
     let mut grew = false;
@@ -224,105 +49,10 @@ pub fn flood_step_scalar(next: &mut [u64], acc: &mut [u64], blocked: &[u64]) -> 
 pub fn mask_clear2(next: &mut [u64], a: &[u64], b: &[u64]) -> bool {
     assert_eq!(next.len(), a.len(), "word-slice length mismatch");
     assert_eq!(next.len(), b.len(), "word-slice length mismatch");
-    let mut nc = next.chunks_exact_mut(LANES);
-    let mut ac = a.chunks_exact(LANES);
-    let mut bc = b.chunks_exact(LANES);
-    let mut any = [0u64; LANES];
-    for ((n, av), bv) in (&mut nc).zip(&mut ac).zip(&mut bc) {
-        let n = lanes_mut(n);
-        let av = lanes(av);
-        let bv = lanes(bv);
-        for k in 0..LANES {
-            let w = n[k] & !av[k] & !bv[k];
-            n[k] = w;
-            any[k] |= w;
-        }
-    }
-    let mut any = any.iter().fold(0u64, |x, &y| x | y);
-    for ((nw, &aw), &bw) in nc
-        .into_remainder()
-        .iter_mut()
-        .zip(ac.remainder())
-        .zip(bc.remainder())
-    {
-        let w = *nw & !aw & !bw;
-        *nw = w;
-        any |= w;
-    }
-    any != 0
-}
-
-/// Single-word reference for [`mask_clear2`].
-pub fn mask_clear2_scalar(next: &mut [u64], a: &[u64], b: &[u64]) -> bool {
-    assert_eq!(next.len(), a.len(), "word-slice length mismatch");
-    assert_eq!(next.len(), b.len(), "word-slice length mismatch");
     let mut grew = false;
     for ((nw, &aw), &bw) in next.iter_mut().zip(a).zip(b) {
         *nw &= !aw & !bw;
         grew |= *nw != 0;
     }
     grew
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Deterministic word pattern without any RNG dependency.
-    fn pattern(len: usize, salt: u64) -> Vec<u64> {
-        (0..len)
-            .map(|i| {
-                let mut x = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                x ^ (x >> 29)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn bulk_ops_match_scalar_on_all_tail_lengths() {
-        for len in 0..=13usize {
-            let src = pattern(len, 7);
-            for (wide, scalar) in [
-                (
-                    or_assign as fn(&mut [u64], &[u64]),
-                    or_assign_scalar as fn(&mut [u64], &[u64]),
-                ),
-                (and_assign, and_assign_scalar),
-                (xor_assign, xor_assign_scalar),
-                (andnot_assign, andnot_assign_scalar),
-            ] {
-                let mut a = pattern(len, 3);
-                let mut b = a.clone();
-                wide(&mut a, &src);
-                scalar(&mut b, &src);
-                assert_eq!(a, b, "len = {len}");
-            }
-            let v = pattern(len, 11);
-            assert_eq!(count_ones(&v), count_ones_scalar(&v), "len = {len}");
-        }
-    }
-
-    #[test]
-    fn flood_and_mask_steps_match_scalar() {
-        for len in 0..=13usize {
-            let blocked = pattern(len, 1);
-            let mut next_w = pattern(len, 2);
-            let mut next_s = next_w.clone();
-            let mut acc_w = pattern(len, 4);
-            let mut acc_s = acc_w.clone();
-            let gw = flood_step(&mut next_w, &mut acc_w, &blocked);
-            let gs = flood_step_scalar(&mut next_s, &mut acc_s, &blocked);
-            assert_eq!((gw, &next_w, &acc_w), (gs, &next_s, &acc_s), "len = {len}");
-
-            let a = pattern(len, 5);
-            let b = pattern(len, 6);
-            let mut m_w = pattern(len, 8);
-            let mut m_s = m_w.clone();
-            let gw = mask_clear2(&mut m_w, &a, &b);
-            let gs = mask_clear2_scalar(&mut m_s, &a, &b);
-            assert_eq!((gw, &m_w), (gs, &m_s), "len = {len}");
-        }
-    }
 }
