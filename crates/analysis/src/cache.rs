@@ -1,4 +1,4 @@
-//! Memoized strategy runs shared across experiments.
+//! Memoized strategy runs shared across experiments and daemon requests.
 //!
 //! Several experiments execute the *same* strategy run: T2, T3, E11 and E13
 //! all trace Algorithm CLEAN's fast path over the fast dimensions; T7 and
@@ -6,13 +6,24 @@
 //! on. A [`RunCache`] keys every engine/fast execution by
 //! [`RunKey`] and guarantees each unique configuration executes exactly
 //! once per harness invocation, no matter how many experiments request it
-//! or from how many worker threads.
+//! or from how many worker threads. The daemon serves its `audit` replies
+//! from one too.
+//!
+//! The cache is hash-partitioned on the full key `(strategy, dim, exec)`:
+//! each shard has its own lock, condvar, LRU clock and slice of the
+//! capacity, so concurrent requests for different configurations do not
+//! contend on one lock. Everything else is shared: one set of `cache.*`
+//! series (plus a `cache.shard<i>.requests` counter per shard, so skew is
+//! observable), one timings log, one runner and one insert listener.
+//! `report` builds one shard; the daemon builds `--cache-shards` of them.
 //!
 //! Strategy runs are deterministic per key (random adversaries are seeded),
 //! so a cached [`SearchOutcome`] is indistinguishable from a fresh one and
 //! exported JSON is unaffected by caching or execution order.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -204,7 +215,7 @@ enum Entry {
     },
 }
 
-/// Map plus the LRU bookkeeping, guarded by one mutex.
+/// One shard's map plus its LRU bookkeeping, guarded by the shard's mutex.
 struct CacheState {
     entries: HashMap<RunKey, Entry>,
     /// Monotonic access counter driving `last_used`.
@@ -249,6 +260,16 @@ impl CacheState {
     }
 }
 
+/// One hash partition of a [`RunCache`]: its own lock, wake-up, LRU clock
+/// and capacity slice, so requests for keys on different shards never
+/// contend.
+struct Shard {
+    state: Mutex<CacheState>,
+    ready: Condvar,
+    /// The live `cache.shard<i>.requests` counter, so skew is observable.
+    requests: Counter,
+}
+
 type Runner = dyn Fn(RunKey) -> SearchOutcome + Send + Sync;
 
 /// Callback observing every *computed* insert (cache misses that finished
@@ -287,13 +308,22 @@ impl CacheMetrics {
             run_us: registry.histogram("cache.run_us"),
         }
     }
+
+    /// Account for `added` new `Ready` entries in one shard and the
+    /// `evicted` ones its capacity pass then dropped. The entries gauge
+    /// moves by deltas, not `set(len)`: each shard updates it under its
+    /// own lock, and deltas keep the one cell the total across all of them.
+    fn note_ready(&self, added: i64, evicted: u64) {
+        self.evictions.add(evicted);
+        self.entries.add(added - evicted as i64);
+    }
 }
 
 /// Removes the `InFlight` marker if the runner unwinds, waking waiters so
 /// one of them retries instead of blocking forever on an entry nobody is
 /// computing. Disarmed on the successful path before `Ready` goes in.
 struct InFlightGuard<'a> {
-    cache: &'a RunCache,
+    shard: &'a Shard,
     key: RunKey,
     armed: bool,
 }
@@ -301,12 +331,12 @@ struct InFlightGuard<'a> {
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
         if self.armed {
-            let mut state = recover(&self.cache.state);
+            let mut state = recover(&self.shard.state);
             if matches!(state.entries.get(&self.key), Some(Entry::InFlight)) {
                 state.entries.remove(&self.key);
             }
             drop(state);
-            self.cache.ready.notify_all();
+            self.shard.ready.notify_all();
         }
     }
 }
@@ -316,26 +346,61 @@ impl Drop for InFlightGuard<'_> {
 /// indefinitely, so the log must not grow without bound.
 const TIMINGS_HIGH_WATER: usize = 512;
 
-/// Concurrent memo table over [`RunKey`]s.
+/// Largest accepted shard count; beyond this the per-shard capacity slices
+/// get too thin to be useful and the poll set bookkeeping dominates.
+pub const MAX_CACHE_SHARDS: usize = 64;
+
+/// Validate a `--cache-shards` request: `1..=MAX_CACHE_SHARDS`. Returns
+/// the count unchanged, or a message naming the valid range.
+pub fn validate_cache_shards(shards: usize) -> Result<usize, String> {
+    if shards == 0 {
+        Err(format!(
+            "--cache-shards 0 would leave no shard to serve from; \
+             valid range is 1..={MAX_CACHE_SHARDS}"
+        ))
+    } else if shards > MAX_CACHE_SHARDS {
+        Err(format!(
+            "--cache-shards {shards} exceeds the supported limit {MAX_CACHE_SHARDS}; \
+             valid range is 1..={MAX_CACHE_SHARDS}"
+        ))
+    } else {
+        Ok(shards)
+    }
+}
+
+/// Shard `i`'s slice of a total capacity: `total / n` plus one of the
+/// remainder. A total below the shard count leaves the tail shards at
+/// capacity zero (they still dedupe in-flight runs, they just retain
+/// nothing) — callers wanting retention everywhere should keep
+/// `capacity >= shards`.
+fn shard_capacity(total: Option<usize>, shards: usize, i: usize) -> Option<usize> {
+    total.map(|c| c / shards + usize::from(i < c % shards))
+}
+
+/// Concurrent memo table over [`RunKey`]s, hash-partitioned into shards.
 ///
 /// The first requester of a key executes it; concurrent requesters of the
 /// same key block until the result is ready instead of duplicating work.
 /// An optional capacity bounds the number of retained outcomes with
-/// least-recently-used eviction, so a long-running server stays in bounded
-/// memory (an evicted key simply re-executes on its next request).
+/// least-recently-used eviction within each shard, so a long-running
+/// server stays in bounded memory (an evicted key simply re-executes on
+/// its next request).
 pub struct RunCache {
-    state: Mutex<CacheState>,
-    ready: Condvar,
+    shards: Vec<Shard>,
     metrics: CacheMetrics,
     /// The registry `metrics` lives in; the daemon folds this into its own
     /// snapshot when the cache was built with a private registry.
     registry: MetricsRegistry,
     timings: Mutex<Vec<JobTiming>>,
     runner: Box<Runner>,
-    /// Fired (outside the state lock) after each computed insert; see
+    /// Fired (outside the shard locks) after each computed insert; see
     /// [`InsertListener`].
     insert_listener: Mutex<Option<InsertListener>>,
 }
+
+/// Another name for [`RunCache`], which is sharded itself; the standalone
+/// `perfbench/trace` package names the daemon's cache this way.
+pub type ShardedRunCache = RunCache;
 
 impl Default for RunCache {
     fn default() -> Self {
@@ -344,40 +409,45 @@ impl Default for RunCache {
 }
 
 impl RunCache {
-    /// An unbounded cache backed by [`execute_run`].
+    /// An unbounded one-shard cache backed by [`execute_run`].
     pub fn new() -> Self {
         Self::with_runner(execute_run)
     }
 
-    /// A cache backed by [`execute_run`] keeping at most `capacity`
-    /// computed outcomes (`None` = unbounded).
+    /// A one-shard cache backed by [`execute_run`] keeping at most
+    /// `capacity` computed outcomes (`None` = unbounded).
     pub fn with_capacity(capacity: Option<usize>) -> Self {
         let cache = Self::new();
         cache.set_capacity(capacity);
         cache
     }
 
-    /// A capacity-bounded cache whose `cache.*` series live in `registry`,
-    /// so a daemon's metrics snapshot sees them directly.
+    /// `shards` shards backed by [`execute_run`], splitting `capacity`
+    /// across them, with the `cache.*` series in `registry` so a daemon's
+    /// metrics snapshot sees them directly.
     pub fn with_capacity_and_telemetry(
+        shards: usize,
         capacity: Option<usize>,
         registry: &MetricsRegistry,
     ) -> Self {
-        let cache = Self::with_runner_and_telemetry(execute_run, registry);
-        cache.set_capacity(capacity);
-        cache
+        Self::with_runner_capacity_and_telemetry(shards, execute_run, capacity, registry)
     }
 
-    /// An empty unbounded cache backed by a custom runner (for tests).
+    /// An empty unbounded one-shard cache backed by a custom runner (for
+    /// tests).
     pub fn with_runner(runner: impl Fn(RunKey) -> SearchOutcome + Send + Sync + 'static) -> Self {
         // A private registry keeps the accounting accessors live even for
         // callers that never look at telemetry.
-        Self::with_runner_and_telemetry(runner, &MetricsRegistry::new())
+        Self::with_runner_capacity_and_telemetry(1, runner, None, &MetricsRegistry::new())
     }
 
-    /// A cache with both a custom runner and a caller-chosen registry.
-    pub fn with_runner_and_telemetry(
+    /// `shards` shards (clamped to `1..=MAX_CACHE_SHARDS`) over a custom
+    /// runner, splitting `capacity` across them, accounting into
+    /// `registry`.
+    pub fn with_runner_capacity_and_telemetry(
+        shards: usize,
         runner: impl Fn(RunKey) -> SearchOutcome + Send + Sync + 'static,
+        capacity: Option<usize>,
         registry: &MetricsRegistry,
     ) -> Self {
         // A disabled registry would silently zero the accounting the
@@ -387,13 +457,20 @@ impl RunCache {
         } else {
             MetricsRegistry::new()
         };
+        let n = shards.clamp(1, MAX_CACHE_SHARDS);
+        let shards = (0..n)
+            .map(|i| Shard {
+                state: Mutex::new(CacheState {
+                    entries: HashMap::new(),
+                    tick: 0,
+                    capacity: shard_capacity(capacity, n, i),
+                }),
+                ready: Condvar::new(),
+                requests: registry.counter(&format!("cache.shard{i}.requests")),
+            })
+            .collect();
         RunCache {
-            state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                tick: 0,
-                capacity: None,
-            }),
-            ready: Condvar::new(),
+            shards,
             metrics: CacheMetrics::resolve(&registry),
             registry,
             timings: Mutex::new(Vec::new()),
@@ -407,33 +484,56 @@ impl RunCache {
         &self.registry
     }
 
-    /// Bound (or unbound, with `None`) the number of retained outcomes.
-    /// Shrinking evicts immediately.
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Which shard owns `key`: `DefaultHasher` over the key, modulo the
+    /// shard count. The hash has fixed keys, so repeated requests always
+    /// land on the same shard.
+    fn shard_index(&self, key: &RunKey) -> usize {
+        let mut hasher = DefaultHasher::new();
+        key.hash(&mut hasher);
+        (hasher.finish() % self.shards.len() as u64) as usize
+    }
+
+    fn shard(&self, key: &RunKey) -> &Shard {
+        &self.shards[self.shard_index(key)]
+    }
+
+    /// Bound (or unbound, with `None`) the total number of retained
+    /// outcomes, re-split across the shards. Shrinking evicts immediately.
     pub fn set_capacity(&self, capacity: Option<usize>) {
-        let mut state = recover(&self.state);
-        state.capacity = capacity;
-        let evicted = state.enforce_capacity();
-        self.metrics.evictions.add(evicted);
-        // Maintained as a delta, not `set(ready_count)`: several shards of a
-        // sharded cache may share one `cache.entries` gauge, and deltas make
-        // the shared cell the aggregate across all of them.
-        self.metrics.entries.add(-(evicted as i64));
+        let n = self.shards.len();
+        for (i, shard) in self.shards.iter().enumerate() {
+            let mut state = recover(&shard.state);
+            state.capacity = shard_capacity(capacity, n, i);
+            self.metrics.note_ready(0, state.enforce_capacity());
+        }
     }
 
-    /// The current capacity bound (`None` = unbounded).
+    /// The total capacity bound: the sum of the shards' slices (`None` =
+    /// unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        recover(&self.state).capacity
+        self.shards
+            .iter()
+            .map(|shard| recover(&shard.state).capacity)
+            .sum()
     }
 
-    /// The outcome for `key`, executing it exactly once across all callers.
+    /// The outcome for `key`, executing it exactly once across all callers
+    /// (the shard owning the key dedupes concurrent requesters).
     ///
     /// If the executing runner panics, the panic propagates to *its*
     /// caller, the in-flight marker is removed, and one blocked waiter
     /// retries the run (counting a fresh miss) — waiters never hang on an
     /// entry nobody is computing.
     pub fn get_or_run(&self, key: RunKey) -> Arc<SearchOutcome> {
+        let shard = self.shard(&key);
+        shard.requests.inc();
         {
-            let mut state = recover(&self.state);
+            let mut state = recover(&shard.state);
             loop {
                 match state.entries.get(&key) {
                     Some(Entry::Ready { .. }) => {
@@ -449,7 +549,7 @@ impl RunCache {
                         return Arc::clone(outcome);
                     }
                     Some(Entry::InFlight) => {
-                        state = self
+                        state = shard
                             .ready
                             .wait(state)
                             .unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -465,7 +565,7 @@ impl RunCache {
         // Execute outside the lock so unrelated keys proceed concurrently.
         // The guard undoes the in-flight marker if the runner unwinds.
         let mut guard = InFlightGuard {
-            cache: self,
+            shard,
             key,
             armed: true,
         };
@@ -475,7 +575,7 @@ impl RunCache {
         guard.armed = false;
         self.record_timing(JobTiming { key, elapsed });
         self.metrics.run_us.record_duration(elapsed);
-        let mut state = recover(&self.state);
+        let mut state = recover(&shard.state);
         state.tick += 1;
         let tick = state.tick;
         state.entries.insert(
@@ -485,13 +585,11 @@ impl RunCache {
                 last_used: tick,
             },
         );
-        let evicted = state.enforce_capacity();
-        self.metrics.evictions.add(evicted);
         // The insert replaced this key's `InFlight` marker with one `Ready`
-        // entry; see `set_capacity` for why the gauge moves by deltas.
-        self.metrics.entries.add(1 - evicted as i64);
+        // entry.
+        self.metrics.note_ready(1, state.enforce_capacity());
         drop(state);
-        self.ready.notify_all();
+        shard.ready.notify_all();
         let listener = recover(&self.insert_listener).clone();
         if let Some(listener) = listener {
             listener(key, &outcome);
@@ -506,12 +604,12 @@ impl RunCache {
         *recover(&self.insert_listener) = Some(listener);
     }
 
-    /// Insert an already-computed outcome for `key` without counting a miss
-    /// or firing the insert listener — the warm-load path. Returns `false`
-    /// (and leaves the cache unchanged) if the key is already present,
-    /// computed or in flight.
+    /// Insert an already-computed outcome for `key` into its shard without
+    /// counting a miss or firing the insert listener — the warm-load path.
+    /// Returns `false` (and leaves the cache unchanged) if the key is
+    /// already present, computed or in flight.
     pub fn insert_ready(&self, key: RunKey, outcome: SearchOutcome) -> bool {
-        let mut state = recover(&self.state);
+        let mut state = recover(&self.shard(&key).state);
         if state.entries.contains_key(&key) {
             return false;
         }
@@ -524,23 +622,26 @@ impl RunCache {
                 last_used: tick,
             },
         );
-        let evicted = state.enforce_capacity();
-        self.metrics.evictions.add(evicted);
-        self.metrics.entries.add(1 - evicted as i64);
+        self.metrics.note_ready(1, state.enforce_capacity());
         true
     }
 
     /// Every computed entry currently held, unordered. Touches no LRU
     /// state — snapshotting for compaction must not perturb eviction order.
     pub fn entries_snapshot(&self) -> Vec<(RunKey, Arc<SearchOutcome>)> {
-        recover(&self.state)
-            .entries
-            .iter()
-            .filter_map(|(k, e)| match e {
-                Entry::Ready { outcome, .. } => Some((*k, Arc::clone(outcome))),
-                Entry::InFlight => None,
-            })
-            .collect()
+        let mut snapshot = Vec::new();
+        for shard in &self.shards {
+            snapshot.extend(
+                recover(&shard.state)
+                    .entries
+                    .iter()
+                    .filter_map(|(k, e)| match e {
+                        Entry::Ready { outcome, .. } => Some((*k, Arc::clone(outcome))),
+                        Entry::InFlight => None,
+                    }),
+            );
+        }
+        snapshot
     }
 
     fn record_timing(&self, timing: JobTiming) {
@@ -573,9 +674,12 @@ impl RunCache {
         self.metrics.evictions.get()
     }
 
-    /// Computed outcomes currently held.
+    /// Computed outcomes currently held, across all shards.
     pub fn len(&self) -> usize {
-        ready_count(&recover(&self.state))
+        self.shards
+            .iter()
+            .map(|shard| ready_count(&recover(&shard.state)))
+            .sum()
     }
 
     /// Whether the cache currently holds no computed outcome.
@@ -603,7 +707,8 @@ impl RunCache {
     }
 }
 
-/// `Ready` entries in the table (in-flight markers are not outcomes).
+/// `Ready` entries in one shard's table (in-flight markers are not
+/// outcomes).
 fn ready_count(state: &CacheState) -> usize {
     state
         .entries
@@ -806,7 +911,7 @@ mod tests {
     #[test]
     fn telemetry_registry_sees_live_cache_series() {
         let registry = MetricsRegistry::new();
-        let cache = RunCache::with_capacity_and_telemetry(Some(2), &registry);
+        let cache = RunCache::with_capacity_and_telemetry(1, Some(2), &registry);
         assert!(cache.registry().ptr_eq(&registry));
         for d in 1..=3 {
             cache.get_or_run(RunKey::fast(StrategyKind::Clean, d));
@@ -903,5 +1008,230 @@ mod tests {
         let timings = cache.timings();
         assert_eq!(timings.len(), 4);
         assert!(cache.total_run_time() >= timings[0].elapsed);
+    }
+
+    fn sharded(shards: usize, capacity: Option<usize>) -> RunCache {
+        RunCache::with_runner_capacity_and_telemetry(
+            shards,
+            |_| dummy_outcome(),
+            capacity,
+            &MetricsRegistry::new(),
+        )
+    }
+
+    /// Keys of three strategies across many dims, a representative request
+    /// mix.
+    fn keys(n: u32) -> Vec<RunKey> {
+        (1..=n)
+            .flat_map(|d| {
+                [
+                    RunKey::fast(StrategyKind::Clean, d),
+                    RunKey::audited(StrategyKind::Visibility, d),
+                    RunKey::audited(StrategyKind::Cloning, d),
+                ]
+            })
+            .collect()
+    }
+
+    /// Outcomes resident in shard `i`.
+    fn shard_len(cache: &RunCache, i: usize) -> usize {
+        ready_count(&recover(&cache.shards[i].state))
+    }
+
+    #[test]
+    fn shard_count_validation_bounds() {
+        assert!(validate_cache_shards(0).is_err());
+        assert_eq!(validate_cache_shards(1), Ok(1));
+        assert_eq!(
+            validate_cache_shards(MAX_CACHE_SHARDS),
+            Ok(MAX_CACHE_SHARDS)
+        );
+        assert!(validate_cache_shards(MAX_CACHE_SHARDS + 1).is_err());
+    }
+
+    #[test]
+    fn keys_spread_across_shards_and_routing_is_stable() {
+        let cache = sharded(8, None);
+        let keys = keys(20);
+        let mut seen = vec![0usize; cache.shard_count()];
+        for key in &keys {
+            let idx = cache.shard_index(key);
+            assert_eq!(idx, cache.shard_index(key), "routing must be stable");
+            seen[idx] += 1;
+        }
+        let populated = seen.iter().filter(|&&c| c > 0).count();
+        assert!(
+            populated >= cache.shard_count() / 2,
+            "60 keys landed on only {populated}/8 shards: {seen:?}"
+        );
+    }
+
+    /// Pins the routing (`DefaultHasher` over the key, modulo the shard
+    /// count) and the capacity split on churn's audit keyspace: the
+    /// benchmark's recompute work per pass depends on exactly which keys
+    /// share a shard.
+    #[test]
+    fn churn_audit_keys_route_and_miss_as_pinned() {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let cache = ShardedRunCache::with_runner_capacity_and_telemetry(
+            8,
+            |_| {
+                RUNS.fetch_add(1, Ordering::SeqCst);
+                dummy_outcome()
+            },
+            Some(16),
+            &MetricsRegistry::new(),
+        );
+        let keys: Vec<RunKey> = StrategyKind::ALL
+            .into_iter()
+            .flat_map(|kind| (11..=13).map(move |d| RunKey::audited(kind, d)))
+            .collect();
+        let shards: Vec<usize> = keys.iter().map(|key| cache.shard_index(key)).collect();
+        assert_eq!(
+            shards,
+            [5, 0, 7, 6, 4, 1, 7, 5, 4, 0, 7, 7, 4, 1, 7, 0, 6, 5, 0, 0, 2, 1, 0, 0]
+        );
+        let mut misses = Vec::new();
+        for _ in 0..4 {
+            let before = RUNS.load(Ordering::SeqCst);
+            for key in &keys {
+                cache.get_or_run(*key);
+            }
+            misses.push(RUNS.load(Ordering::SeqCst) - before);
+        }
+        assert_eq!(misses, [24, 21, 21, 21]);
+        assert_eq!(cache.misses(), 87);
+    }
+
+    #[test]
+    fn aggregate_accounting_matches_single_cache_semantics() {
+        let registry = MetricsRegistry::new();
+        let cache =
+            RunCache::with_runner_capacity_and_telemetry(4, |_| dummy_outcome(), None, &registry);
+        let keys = keys(10);
+        for key in &keys {
+            cache.get_or_run(*key);
+        }
+        for key in &keys {
+            cache.get_or_run(*key);
+        }
+        assert_eq!(cache.misses(), keys.len() as u64);
+        assert_eq!(cache.hits(), keys.len() as u64);
+        assert_eq!(cache.len(), keys.len());
+        assert_eq!(cache.unique_runs(), keys.len());
+        // The registry's cells hold the aggregates directly (this is what
+        // keeps the daemon's `cache.*` series meaningful), and the
+        // delta-maintained entries gauge agrees with `len()`.
+        let snap = registry.snapshot();
+        assert_eq!(snap.counter("cache.misses"), Some(keys.len() as u64));
+        assert_eq!(snap.counter("cache.hits"), Some(keys.len() as u64));
+        assert_eq!(snap.gauge("cache.entries"), Some(keys.len() as i64));
+        // Per-shard request counters cover every request exactly once.
+        let requests: u64 = (0..cache.shard_count())
+            .map(|i| {
+                snap.counter(&format!("cache.shard{i}.requests"))
+                    .expect("every shard registers its request counter")
+            })
+            .sum();
+        assert_eq!(requests, 2 * keys.len() as u64);
+    }
+
+    #[test]
+    fn eviction_is_per_shard_lru() {
+        let cache = sharded(2, Some(2));
+        // Find three keys owned by the same shard, so its 1-entry slice
+        // (2 total / 2 shards) must evict.
+        let owned: Vec<RunKey> = keys(20)
+            .into_iter()
+            .filter(|k| cache.shard_index(k) == 0)
+            .take(3)
+            .collect();
+        assert_eq!(owned.len(), 3, "need three keys on shard 0");
+        assert_eq!(cache.capacity(), Some(2));
+        for key in &owned {
+            cache.get_or_run(*key);
+        }
+        // Shard 0 holds one entry; the other shard was never touched.
+        assert_eq!(cache.evictions(), 2);
+        assert_eq!(shard_len(&cache, 0), 1);
+        assert_eq!(shard_len(&cache, 1), 0);
+        // The survivor is the most recently used key.
+        cache.get_or_run(owned[2]);
+        assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn capacity_resplits_across_shards() {
+        let cache = sharded(3, Some(7));
+        let caps: Vec<_> = cache
+            .shards
+            .iter()
+            .map(|shard| recover(&shard.state).capacity)
+            .collect();
+        assert_eq!(caps, vec![Some(3), Some(2), Some(2)]);
+        cache.set_capacity(None);
+        assert_eq!(cache.capacity(), None);
+        cache.set_capacity(Some(3));
+        assert_eq!(cache.capacity(), Some(3));
+    }
+
+    #[test]
+    fn warm_inserts_route_to_owning_shards_and_listener_fans_out() {
+        let cache = sharded(4, None);
+        let seen = Arc::new(Mutex::new(Vec::<RunKey>::new()));
+        let sink = Arc::clone(&seen);
+        cache.set_insert_listener(Arc::new(move |key, _| {
+            sink.lock().unwrap().push(key);
+        }));
+        // Warm inserts land on the owning shard and never fire the listener.
+        let warm = keys(6);
+        for key in &warm {
+            assert!(cache.insert_ready(*key, dummy_outcome()));
+            assert!(shard_len(&cache, cache.shard_index(key)) > 0);
+        }
+        assert!(seen.lock().unwrap().is_empty());
+        assert_eq!(cache.len(), warm.len());
+        // Warm entries serve as hits; a fresh key computes and fires.
+        cache.get_or_run(warm[0]);
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+        let fresh = RunKey::fast(StrategyKind::Synchronous, 9);
+        cache.get_or_run(fresh);
+        assert_eq!(seen.lock().unwrap().as_slice(), [fresh]);
+        // The snapshot covers every shard.
+        assert_eq!(cache.entries_snapshot().len(), warm.len() + 1);
+    }
+
+    #[test]
+    fn concurrent_mixed_shard_traffic_dedupes_per_key() {
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let cache = Arc::new(RunCache::with_runner_capacity_and_telemetry(
+            8,
+            |_| {
+                RUNS.fetch_add(1, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(2));
+                dummy_outcome()
+            },
+            None,
+            &MetricsRegistry::new(),
+        ));
+        let keys = keys(8);
+        std::thread::scope(|scope| {
+            for _ in 0..6 {
+                let cache = Arc::clone(&cache);
+                let keys = keys.clone();
+                scope.spawn(move || {
+                    for key in &keys {
+                        cache.get_or_run(*key);
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            RUNS.load(Ordering::SeqCst),
+            keys.len(),
+            "each unique key must execute exactly once across shards"
+        );
+        assert_eq!(cache.misses(), keys.len() as u64);
+        assert_eq!(cache.hits(), 5 * keys.len() as u64);
     }
 }

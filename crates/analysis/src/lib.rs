@@ -22,11 +22,13 @@ pub mod pool;
 pub mod result;
 pub mod runner;
 pub mod series;
-pub mod sharded;
 pub mod stats;
 pub mod table;
 
-pub use cache::{execute_run, Exec, InsertListener, RunCache, RunKey, StrategyKind};
+pub use cache::{
+    execute_run, validate_cache_shards, Exec, InsertListener, RunCache, RunKey, ShardedRunCache,
+    StrategyKind, MAX_CACHE_SHARDS,
+};
 pub use checking::{
     campaign_table, run_campaign, validate_campaign_size, validate_stride, CampaignOutcome,
     CheckCampaign, MAX_CAMPAIGN_SCHEDULES, MAX_CHECK_STRIDE,
@@ -43,5 +45,4 @@ pub use runner::{
     REPORT_MAX_DIM,
 };
 pub use series::Series;
-pub use sharded::{validate_cache_shards, ShardStats, ShardedRunCache, MAX_CACHE_SHARDS};
 pub use table::Table;

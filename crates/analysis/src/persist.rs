@@ -7,13 +7,13 @@
 //! operations cover the daemon's life cycle:
 //!
 //! - **Append** ([`CacheStore::appender`]): a background thread receives
-//!   every *computed* cache insert through the shards'
+//!   every *computed* cache insert through the cache's
 //!   [`InsertListener`](crate::cache::InsertListener), batches records, and
 //!   appends them; `fsync` happens on [`PersistAppender::flush`] (the
 //!   drain path), not per record, so the hot path never blocks on disk.
 //! - **Warm-load** ([`CacheStore::warm_load`]): on start, every line is
 //!   checksum- and schema-validated; valid records are inserted with
-//!   [`ShardedRunCache::insert_ready`] and corrupt or truncated lines are
+//!   [`RunCache::insert_ready`] and corrupt or truncated lines are
 //!   *skipped*, never fatal — a `kill -9` mid-append leaves at worst a
 //!   half-written tail, and the valid prefix must still serve.
 //! - **Compact** ([`CacheStore::compact`]): on graceful drain the resident
@@ -42,8 +42,7 @@ use hypersweep_telemetry::MetricsRegistry;
 use hypersweep_topology::Node;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{Exec, InsertListener, RunKey, StrategyKind};
-use crate::sharded::ShardedRunCache;
+use crate::cache::{Exec, InsertListener, RunCache, RunKey, StrategyKind};
 
 /// Widest dimension a persisted record may claim. Guards warm-load against
 /// a corrupt-but-checksummed record conjuring an absurd key; matches the
@@ -239,7 +238,7 @@ impl CacheStore {
     /// `registry` as `cache.warm_loaded` / `cache.persist_skipped`.
     pub fn warm_load(
         &self,
-        cache: &ShardedRunCache,
+        cache: &RunCache,
         registry: &MetricsRegistry,
     ) -> io::Result<WarmLoadStats> {
         let file = match File::open(&self.path) {
@@ -281,7 +280,7 @@ impl CacheStore {
 
     /// Open the append log (creating parent directories) and start the
     /// writer thread. Hook the returned appender's
-    /// [`listener`](PersistAppender::listener) into the cache shards.
+    /// [`listener`](PersistAppender::listener) into the cache.
     pub fn appender(&self, registry: &MetricsRegistry) -> io::Result<PersistAppender> {
         if let Some(parent) = self.path.parent() {
             if !parent.as_os_str().is_empty() {
@@ -307,7 +306,7 @@ impl CacheStore {
     /// Rewrite the log as a sorted snapshot of `cache`'s resident entries
     /// (temp file + fsync + atomic rename), dropping duplicates and
     /// evicted records. Returns how many records the snapshot holds.
-    pub fn compact(&self, cache: &ShardedRunCache) -> io::Result<u64> {
+    pub fn compact(&self, cache: &RunCache) -> io::Result<u64> {
         let mut lines: Vec<(String, String)> = cache
             .entries_snapshot()
             .iter()
@@ -427,11 +426,8 @@ mod tests {
     use crate::cache::execute_run;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn sharded_counting(
-        registry: &MetricsRegistry,
-        executions: &'static AtomicUsize,
-    ) -> ShardedRunCache {
-        ShardedRunCache::with_runner_capacity_and_telemetry(
+    fn sharded_counting(registry: &MetricsRegistry, executions: &'static AtomicUsize) -> RunCache {
+        RunCache::with_runner_capacity_and_telemetry(
             4,
             |key| {
                 executions.fetch_add(1, Ordering::SeqCst);
@@ -452,7 +448,7 @@ mod tests {
     /// Run a small audited workload against a persisting cache and return
     /// the store (flushed) plus what was computed.
     fn populate(store: &CacheStore, registry: &MetricsRegistry) -> Vec<RunKey> {
-        let cache = ShardedRunCache::with_capacity_and_telemetry(4, None, registry);
+        let cache = RunCache::with_capacity_and_telemetry(4, None, registry);
         let appender = store.appender(registry).expect("open append log");
         cache.set_insert_listener(appender.listener());
         let keys = vec![
@@ -561,7 +557,7 @@ mod tests {
 
         // Warm-load (duplicates are benign), then compact.
         let warm_registry = MetricsRegistry::new();
-        let warm = ShardedRunCache::with_capacity_and_telemetry(4, None, &warm_registry);
+        let warm = RunCache::with_capacity_and_telemetry(4, None, &warm_registry);
         let stats = store.warm_load(&warm, &warm_registry).unwrap();
         assert_eq!(stats.loaded, keys.len() as u64);
         assert_eq!(stats.duplicates, keys.len() as u64);
@@ -572,7 +568,7 @@ mod tests {
         assert_eq!(clean.lines().count(), keys.len());
 
         // The compacted snapshot still warm-loads everything.
-        let again = ShardedRunCache::with_capacity_and_telemetry(4, None, &MetricsRegistry::new());
+        let again = RunCache::with_capacity_and_telemetry(4, None, &MetricsRegistry::new());
         let stats = store.warm_load(&again, &MetricsRegistry::new()).unwrap();
         assert_eq!(stats.loaded, keys.len() as u64);
         assert_eq!(stats.skipped, 0);
@@ -582,7 +578,7 @@ mod tests {
     #[test]
     fn missing_file_is_an_empty_store() {
         let store = temp_store("missing");
-        let cache = ShardedRunCache::with_capacity_and_telemetry(2, None, &MetricsRegistry::new());
+        let cache = RunCache::with_capacity_and_telemetry(2, None, &MetricsRegistry::new());
         let stats = store.warm_load(&cache, &MetricsRegistry::new()).unwrap();
         assert_eq!(stats, WarmLoadStats::default());
         assert!(cache.is_empty());

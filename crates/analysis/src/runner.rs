@@ -299,7 +299,7 @@ pub fn run_ids_pooled_with(
 ) -> HarnessReport {
     let start = Instant::now();
     let jobs = jobs.max(1);
-    let cache = RunCache::with_capacity_and_telemetry(cache_cap, registry);
+    let cache = RunCache::with_capacity_and_telemetry(1, cache_cap, registry);
     let cache = &cache;
     let report_span = Span::enter_in(registry, "report");
 

@@ -1606,9 +1606,19 @@ fn main() -> ExitCode {
                     None => Err(format!(
                         "unknown scenario '{scenario}' (known: hypercube, grid, dynamic)"
                     )),
+                    Some(ScenarioId::Hypercube) if instance.is_some() => Err(
+                        "--instance applies only to scenario campaigns (--scenario grid|dynamic); \
+                         the hypercube has one instance"
+                            .into(),
+                    ),
                     Some(ScenarioId::Hypercube) => {
                         cmd_check(&check_strategy, check_dim, &opts, out.as_deref())
                     }
+                    Some(_) if out.is_some() => Err(
+                        "--out applies only to the hypercube checker; scenario campaigns have no \
+                         replay format"
+                            .into(),
+                    ),
                     Some(id) => cmd_check_scenario(
                         id,
                         &check_strategy,

@@ -476,23 +476,85 @@ fn check_timings_renders_the_campaign_phase_table() {
 
 #[test]
 fn check_rejects_plant_for_scenario_campaigns() {
-    let out = bin()
-        .args([
-            "check",
-            "--scenario",
-            "grid",
-            "--dim",
-            "6",
-            "--campaign-size",
-            "8",
-            "--plant",
-            "3",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(err.contains("--plant applies only"), "{err}");
+    let cases: [(&[&str], &str); 4] = [
+        (
+            &[
+                "--scenario",
+                "grid",
+                "--dim",
+                "6",
+                "--campaign-size",
+                "8",
+                "--plant",
+                "3",
+            ],
+            "--plant applies only",
+        ),
+        // Scenario campaigns have no replay format, so `--out` would
+        // silently write nothing.
+        (
+            &[
+                "--scenario",
+                "grid",
+                "--strategy",
+                "mutant-grid-leaky-guard",
+                "--dim",
+                "6",
+                "--schedules",
+                "8",
+                "--out",
+                "never-written.json",
+            ],
+            "--out applies only",
+        ),
+        // The hypercube checker has one instance, so `--instance` would be
+        // silently ignored, with or without an explicit `--scenario`.
+        (
+            &[
+                "--strategy",
+                "clean",
+                "--dim",
+                "3",
+                "--schedules",
+                "5",
+                "--instance",
+                "holes:1",
+            ],
+            "--instance applies only",
+        ),
+        (
+            &[
+                "--scenario",
+                "hypercube",
+                "--strategy",
+                "clean",
+                "--dim",
+                "3",
+                "--schedules",
+                "5",
+                "--instance",
+                "holes:1",
+            ],
+            "--instance applies only",
+        ),
+    ];
+    let dir = std::env::temp_dir().join(format!(
+        "hypersweep-cli-check-refusal-{}",
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (args, message) in cases {
+        let out = bin()
+            .arg("check")
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(message), "{args:?}: {err}");
+        assert!(!dir.join("never-written.json").exists());
+    }
 }
 
 #[test]

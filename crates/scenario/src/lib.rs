@@ -224,8 +224,10 @@ pub trait Scenario: Sync {
     /// one. Full `side x side` grids: a connected monotone sweep with a
     /// guarded column frontier needs `side + 1` searchers (column
     /// guards plus one mover) — the grid analogue of the paper's
-    /// hypercube theorem bounds. Holes/corridor instances and dynamic
-    /// graphs have no closed form; the campaign measures instead.
+    /// hypercube theorem bounds. Corridors need 2. At side 1 either
+    /// instance is a single node, which one searcher cleans. Holes
+    /// instances and dynamic graphs have no closed form; the campaign
+    /// measures instead.
     fn closed_form_team(&self, side: u32, instance: GridInstance) -> Option<u64>;
 
     /// Validate a side length before building anything.
@@ -287,6 +289,7 @@ impl Scenario for GridScenario {
 
     fn closed_form_team(&self, side: u32, instance: GridInstance) -> Option<u64> {
         match instance {
+            GridInstance::Full | GridInstance::Corridor if side == 1 => Some(1),
             GridInstance::Full => Some(side as u64 + 1),
             GridInstance::Corridor => Some(2),
             GridInstance::Holes(_) => None,
@@ -423,6 +426,20 @@ mod tests {
             "measured team {} strays far from the closed form {bound}",
             r.team
         );
+    }
+
+    #[test]
+    fn grid_reference_team_equals_the_closed_form_on_full_and_corridor_instances() {
+        let s = resolve(ScenarioId::Grid).unwrap();
+        for side in 1..=8 {
+            for instance in [GridInstance::Full, GridInstance::Corridor] {
+                assert_eq!(
+                    Some(s.reference(side, instance).team),
+                    s.closed_form_team(side, instance),
+                    "side {side}, {instance:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! [`WorkerPool`] — a full queue turns into an immediate `busy` error,
 //! and a slow run turns into a `timeout` error after
 //! [`ServerLimits::request_timeout`] (the run itself still completes and
-//! warms the cache). Audits deduplicate through an N-sharded
-//! [`ShardedRunCache`] hash-partitioned on the run key.
+//! warms the cache). Audits deduplicate through one [`RunCache`],
+//! hash-partitioned on the run key into [`ServerLimits::cache_shards`]
+//! shards.
 //!
 //! Shutdown is cooperative: a SIGINT (when [`install_sigint_handler`] is
 //! active) or a `shutdown` request raises one flag; the reactor stops
@@ -26,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hypersweep_analysis::{CacheStore, PersistAppender, RunCache, ShardedRunCache, WorkerPool};
+use hypersweep_analysis::{CacheStore, PersistAppender, RunCache, WorkerPool};
 use hypersweep_telemetry::{log_line, Histogram, MetricsRegistry};
 
 use crate::dispatch::Dispatcher;
@@ -151,7 +152,7 @@ impl Shared {
 struct Persist {
     store: CacheStore,
     appender: PersistAppender,
-    cache: Arc<ShardedRunCache>,
+    cache: Arc<RunCache>,
 }
 
 /// The daemon: bind, then [`Server::run`] until shutdown.
@@ -163,13 +164,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` with a fresh sharded run cache
-    /// ([`ServerLimits::cache_shards`] shards splitting
-    /// [`ServerLimits::cache_capacity`]), accounting into the daemon's
-    /// own telemetry registry (one unmerged snapshot serves `metrics`).
+    /// Bind `addr` with a fresh run cache ([`ServerLimits::cache_shards`]
+    /// shards splitting [`ServerLimits::cache_capacity`]), accounting into
+    /// the daemon's own telemetry registry (one unmerged snapshot serves
+    /// `metrics`).
     pub fn bind(addr: impl ToSocketAddrs, limits: ServerLimits) -> io::Result<Server> {
         let registry = Self::registry_for(&limits);
-        let cache = Arc::new(ShardedRunCache::with_capacity_and_telemetry(
+        let cache = Arc::new(RunCache::with_capacity_and_telemetry(
             limits.cache_shards,
             limits.cache_capacity,
             &registry,
@@ -178,17 +179,16 @@ impl Server {
     }
 
     /// Bind `addr` serving from a caller-provided cache (tests inject slow
-    /// or pre-warmed runners this way), wrapped as a single shard. The
-    /// cache keeps its own registry; `metrics` replies merge it into the
-    /// daemon's snapshot.
+    /// or pre-warmed runners this way), with the shards it was built with.
+    /// The cache keeps its own registry; `metrics` replies merge it into
+    /// the daemon's snapshot.
     pub fn with_cache(
         addr: impl ToSocketAddrs,
         limits: ServerLimits,
         cache: Arc<RunCache>,
     ) -> io::Result<Server> {
         let registry = Self::registry_for(&limits);
-        let sharded = Arc::new(ShardedRunCache::from_caches(vec![cache]));
-        Self::build(addr, limits, sharded, registry)
+        Self::build(addr, limits, cache, registry)
     }
 
     fn registry_for(limits: &ServerLimits) -> MetricsRegistry {
@@ -202,7 +202,7 @@ impl Server {
     fn build(
         addr: impl ToSocketAddrs,
         limits: ServerLimits,
-        cache: Arc<ShardedRunCache>,
+        cache: Arc<RunCache>,
         registry: MetricsRegistry,
     ) -> io::Result<Server> {
         cache.set_capacity(limits.cache_capacity);

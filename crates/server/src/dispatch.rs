@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use hypersweep_analysis::{validate_max_dim, RunCache, RunKey, ShardedRunCache, StrategyKind};
+use hypersweep_analysis::{validate_max_dim, RunCache, RunKey, StrategyKind};
 use hypersweep_core::predictions::{
     clean_phase_accounting, clean_prediction, cloning_prediction, visibility_prediction,
 };
@@ -52,7 +52,7 @@ const SCENARIO_REFS_CAP: usize = 4096;
 /// [`Dispatcher::served`], and a `metrics` request serializes the whole
 /// registry, so `status` and `metrics` can never disagree.
 pub struct Dispatcher {
-    cache: Arc<ShardedRunCache>,
+    cache: Arc<RunCache>,
     answers: AnswerTable,
     max_dim: u32,
     registry: MetricsRegistry,
@@ -76,33 +76,19 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Build a dispatcher over a single-shard wrap of `cache`, refusing
-    /// dimensions above `max_dim`, counting into a private registry.
+    /// Build a dispatcher over `cache`, refusing dimensions above
+    /// `max_dim`, counting into a private registry.
     pub fn new(cache: Arc<RunCache>, max_dim: u32) -> Self {
-        Dispatcher::with_telemetry(cache, max_dim, &MetricsRegistry::new())
+        Dispatcher::with_sharded(cache, max_dim, &MetricsRegistry::new())
     }
 
-    /// [`Dispatcher::with_sharded`] over a single-shard wrap of `cache`
-    /// (the test-injection path: a caller-owned cache keeps its own
-    /// registry and runner).
-    pub fn with_telemetry(cache: Arc<RunCache>, max_dim: u32, registry: &MetricsRegistry) -> Self {
-        Dispatcher::with_sharded(
-            Arc::new(ShardedRunCache::from_caches(vec![cache])),
-            max_dim,
-            registry,
-        )
-    }
-
-    /// Build a dispatcher counting into `registry`. A disabled registry is
-    /// replaced with a private enabled one: the request counters double as
-    /// the `served()` accounting, which must work even when the daemon's
-    /// exported telemetry is switched off. Also precomputes the
-    /// `plan`/`predict` answer table for every strategy at `1..=max_dim`.
-    pub fn with_sharded(
-        cache: Arc<ShardedRunCache>,
-        max_dim: u32,
-        registry: &MetricsRegistry,
-    ) -> Self {
+    /// Build a dispatcher over `cache` counting into `registry`. A
+    /// disabled registry is replaced with a private enabled one: the
+    /// request counters double as the `served()` accounting, which must
+    /// work even when the daemon's exported telemetry is switched off.
+    /// Also precomputes the `plan`/`predict` answer table for every
+    /// strategy at `1..=max_dim`.
+    pub fn with_sharded(cache: Arc<RunCache>, max_dim: u32, registry: &MetricsRegistry) -> Self {
         let registry = if registry.is_enabled() {
             registry.clone()
         } else {
@@ -133,8 +119,8 @@ impl Dispatcher {
         }
     }
 
-    /// The shared (sharded) run cache.
-    pub fn cache(&self) -> &Arc<ShardedRunCache> {
+    /// The shared run cache.
+    pub fn cache(&self) -> &Arc<RunCache> {
         &self.cache
     }
 
@@ -359,7 +345,7 @@ impl Dispatcher {
 
     /// Build (and count) a `metrics` reply: every series of the daemon's
     /// registry, merged with the run cache's own registry when the cache
-    /// accounts into a separate one (a caller-injected cache does).
+    /// accounts into a separate one (a caller-built cache does).
     pub fn metrics_reply(&self, uptime_ms: u64, enabled: bool) -> MetricsReply {
         self.metrics.inc();
         self.export_reply(uptime_ms, enabled)
@@ -370,10 +356,8 @@ impl Dispatcher {
     /// ticks don't inflate `served.metrics`.
     pub fn export_reply(&self, uptime_ms: u64, enabled: bool) -> MetricsReply {
         let mut series = self.registry.snapshot();
-        for registry in self.cache.registries() {
-            if !self.registry.ptr_eq(registry) {
-                series.merge(&registry.snapshot());
-            }
+        if !self.registry.ptr_eq(self.cache.registry()) {
+            series.merge(&self.cache.registry().snapshot());
         }
         MetricsReply {
             uptime_ms,

@@ -21,14 +21,14 @@
 //! replies. `plan`/`predict` answer inline from a precomputed
 //! [`AnswerTable`]; `audit` dispatches onto the analysis crate's bounded
 //! [`WorkerPool`] (backpressure surfaces to clients as `busy` errors,
-//! never as unbounded queueing) and deduplicates through a hash-sharded
-//! [`ShardedRunCache`] with an LRU capacity bound, so the daemon stays in
-//! bounded memory no matter how long it serves. Graceful shutdown (SIGINT
-//! or a `shutdown` request) drains in-flight work and emits a final stats
-//! line.
+//! never as unbounded queueing) and deduplicates through one
+//! [`RunCache`], hash-sharded on the run key with an LRU capacity bound,
+//! so the daemon stays in bounded memory no matter how long it serves.
+//! Graceful shutdown (SIGINT or a `shutdown` request) drains in-flight
+//! work and emits a final stats line.
 //!
 //! [`WorkerPool`]: hypersweep_analysis::WorkerPool
-//! [`ShardedRunCache`]: hypersweep_analysis::ShardedRunCache
+//! [`RunCache`]: hypersweep_analysis::RunCache
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
