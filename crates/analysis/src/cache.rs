@@ -225,6 +225,16 @@ struct CacheState {
 }
 
 impl CacheState {
+    /// The outcome for `key` when it is `Ready`, marked most recently used.
+    fn touch(&mut self, key: &RunKey) -> Option<Arc<SearchOutcome>> {
+        let Some(Entry::Ready { outcome, last_used }) = self.entries.get_mut(key) else {
+            return None;
+        };
+        self.tick += 1;
+        *last_used = self.tick;
+        Some(Arc::clone(outcome))
+    }
+
     /// Evict least-recently-used `Ready` entries until the bound holds.
     /// In-flight entries are never evicted (someone is waiting on them).
     /// Returns how many entries were dropped.
@@ -535,30 +545,20 @@ impl RunCache {
         {
             let mut state = recover(&shard.state);
             loop {
-                match state.entries.get(&key) {
-                    Some(Entry::Ready { .. }) => {
-                        state.tick += 1;
-                        let tick = state.tick;
-                        let CacheState { entries, .. } = &mut *state;
-                        let Some(Entry::Ready { outcome, last_used }) = entries.get_mut(&key)
-                        else {
-                            unreachable!("entry observed ready under the same lock");
-                        };
-                        *last_used = tick;
-                        self.metrics.hits.inc();
-                        return Arc::clone(outcome);
-                    }
-                    Some(Entry::InFlight) => {
-                        state = shard
-                            .ready
-                            .wait(state)
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    }
-                    None => {
-                        state.entries.insert(key, Entry::InFlight);
-                        self.metrics.misses.inc();
-                        break;
-                    }
+                if let Some(outcome) = state.touch(&key) {
+                    self.metrics.hits.inc();
+                    return outcome;
+                }
+                if matches!(state.entries.get(&key), Some(Entry::InFlight)) {
+                    // Another thread is computing it: wait for its insert.
+                    state = shard
+                        .ready
+                        .wait(state)
+                        .unwrap_or_else(|poisoned| poisoned.into_inner());
+                } else {
+                    state.entries.insert(key, Entry::InFlight);
+                    self.metrics.misses.inc();
+                    break;
                 }
             }
         }
@@ -595,6 +595,19 @@ impl RunCache {
             listener(key, &outcome);
         }
         outcome
+    }
+
+    /// The outcome for `key` if it is already computed, without blocking
+    /// or executing anything. A returned outcome counts exactly what a
+    /// [`RunCache::get_or_run`] hit counts (`cache.hits`, the shard's
+    /// `requests` counter and its LRU clock); an absent or in-flight key
+    /// counts nothing and yields `None`.
+    pub fn get_if_ready(&self, key: RunKey) -> Option<Arc<SearchOutcome>> {
+        let shard = self.shard(&key);
+        let outcome = recover(&shard.state).touch(&key)?;
+        shard.requests.inc();
+        self.metrics.hits.inc();
+        Some(outcome)
     }
 
     /// Observe every computed insert (see [`InsertListener`]). Later
@@ -952,6 +965,55 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 0);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// `get_if_ready` counts a hit exactly as `get_or_run` does and counts
+    /// nothing on an absent or in-flight key.
+    #[test]
+    fn get_if_ready_counts_hits_only() {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let registry = MetricsRegistry::new();
+        let cache = Arc::new(RunCache::with_runner_capacity_and_telemetry(
+            1,
+            move |_| {
+                gate.lock().unwrap().recv().ok();
+                dummy_outcome()
+            },
+            Some(2),
+            &registry,
+        ));
+        let key = RunKey::audited(StrategyKind::Clean, 4);
+        let requests = || registry.snapshot().counter("cache.shard0.requests");
+        assert!(cache.get_if_ready(key).is_none());
+        assert_eq!((cache.hits(), cache.misses(), requests()), (0, 0, Some(0)));
+
+        // In flight: still `None`, still uncounted.
+        let runner = {
+            let cache = Arc::clone(&cache);
+            std::thread::spawn(move || cache.get_or_run(key))
+        };
+        while cache.misses() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(cache.get_if_ready(key).is_none());
+        assert_eq!((cache.hits(), requests()), (0, Some(1)));
+        release.send(()).unwrap();
+        let computed = runner.join().unwrap();
+
+        // Ready: the same outcome, counted as a hit on the owning shard.
+        let hit = cache.get_if_ready(key).expect("computed");
+        assert!(Arc::ptr_eq(&hit, &computed));
+        assert_eq!((cache.hits(), cache.misses(), requests()), (1, 1, Some(2)));
+
+        // The hit refreshed the key's LRU position: filling the 2-entry
+        // cache evicts the other key, not this one.
+        let other = RunKey::audited(StrategyKind::Clean, 5);
+        assert!(cache.insert_ready(other, dummy_outcome()));
+        assert!(cache.get_if_ready(key).is_some());
+        assert!(cache.insert_ready(RunKey::audited(StrategyKind::Clean, 6), dummy_outcome()));
+        assert!(cache.get_if_ready(key).is_some(), "recently used key kept");
+        assert!(cache.get_if_ready(other).is_none(), "LRU key evicted");
     }
 
     #[test]

@@ -3,20 +3,21 @@
 //! Serving is event-driven: one reactor thread (see [`crate::reactor`])
 //! multiplexes every connection over non-blocking sockets — TCP plus an
 //! optional Unix-domain socket ([`ServerLimits::uds_path`]) — with
-//! request pipelining and in-order replies. `plan`/`predict` resolve
-//! inline from the precomputed answer table; `audit` runs on a bounded
-//! [`WorkerPool`] — a full queue turns into an immediate `busy` error,
-//! and a slow run turns into a `timeout` error after
-//! [`ServerLimits::request_timeout`] (the run itself still completes and
-//! warms the cache). Audits deduplicate through one [`RunCache`],
-//! hash-partitioned on the run key into [`ServerLimits::cache_shards`]
-//! shards.
+//! request pipelining and in-order replies. Every request that needs no
+//! computation resolves inline: `plan`/`predict` from the precomputed
+//! answer table, and audits and scenario references from their memos.
+//! Only computations run on a bounded [`WorkerPool`] — a full queue turns
+//! into an immediate `busy` error, and a slow run turns into a `timeout`
+//! error after [`ServerLimits::request_timeout`] (the run itself still
+//! completes and warms the cache). Audits deduplicate through one
+//! [`RunCache`], hash-partitioned on the run key into
+//! [`ServerLimits::cache_shards`] shards.
 //!
 //! Shutdown is cooperative: a SIGINT (when [`install_sigint_handler`] is
 //! active) or a `shutdown` request raises one flag; the reactor stops
-//! accepting, unlinks the Unix socket, finishes or times out in-flight
-//! audits, flushes every reply, the pool drains, and a final status line
-//! is emitted.
+//! accepting, unlinks the Unix socket, finishes or times out pooled
+//! computations, flushes every reply, the pool drains, and a final
+//! status line is emitted.
 
 use std::fs::File;
 use std::io::{self, Write};
@@ -32,7 +33,7 @@ use hypersweep_telemetry::{log_line, Histogram, MetricsRegistry};
 
 use crate::dispatch::Dispatcher;
 use crate::limits::ServerLimits;
-use crate::protocol::{MetricsReply, Response, StatusReply};
+use crate::protocol::{MetricsReply, Request, Response, StatusReply};
 use crate::reactor::Reactor;
 
 /// How long the exporter sleeps between shutdown-flag checks.
@@ -98,6 +99,16 @@ pub(crate) struct LatencyMetrics {
 }
 
 impl LatencyMetrics {
+    /// The histogram of a compute request's kind (`plan`, `predict` or
+    /// `audit`, scenario forms included).
+    pub(crate) fn of(&self, request: &Request) -> &Histogram {
+        match request {
+            Request::Plan { .. } | Request::ScenarioPlan { .. } => &self.plan,
+            Request::Predict { .. } | Request::ScenarioPredict { .. } => &self.predict,
+            _ => &self.audit,
+        }
+    }
+
     fn resolve(registry: &MetricsRegistry) -> Self {
         LatencyMetrics {
             plan: registry.histogram("server.latency.plan_us"),

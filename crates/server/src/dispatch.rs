@@ -1,13 +1,16 @@
 //! Request handling: map a parsed [`Request`] to a [`Response`].
 //!
-//! The dispatcher is pure compute over shared state — the daemon decides
-//! *where* it runs (worker pool, with timeout) and the dispatcher decides
-//! *what* it answers. `plan` and `predict` evaluate the paper's closed
-//! forms directly; `audit` goes through the shared [`RunCache`] under an
-//! [`Exec::Audited`](hypersweep_analysis::Exec) key, so repeated audits of
-//! the same configuration are served from memory and concurrent duplicates
-//! execute exactly once.
+//! The dispatcher decides *what* a request answers; the daemon decides
+//! *where* that happens. [`Dispatcher::answer_now`] answers, without
+//! blocking, everything that needs no computation (answer-table lines,
+//! validation errors, memo hits); the reactor sends the rest to the
+//! worker pool, which calls [`Dispatcher::handle`]. `plan` and `predict`
+//! evaluate the paper's closed forms; `audit` goes through the shared
+//! [`RunCache`] under an [`Exec::Audited`](hypersweep_analysis::Exec) key,
+//! so repeated audits of the same configuration are served from memory
+//! and concurrent duplicates execute exactly once.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -15,6 +18,7 @@ use hypersweep_analysis::{validate_max_dim, RunCache, RunKey, StrategyKind};
 use hypersweep_core::predictions::{
     clean_phase_accounting, clean_prediction, cloning_prediction, visibility_prediction,
 };
+use hypersweep_core::SearchOutcome;
 use hypersweep_scenario::{ScenarioId, ScenarioReference};
 use hypersweep_sim::TraceSummary;
 use hypersweep_telemetry::{Counter, MetricsRegistry};
@@ -128,18 +132,10 @@ impl Dispatcher {
     /// `plan`/`predict` whose dimension the table covers. A returned line
     /// is byte-identical to what [`Dispatcher::handle`] would serialize,
     /// and the counters move exactly as a dispatched request would move
-    /// them (plus `answers.table_hits`).
+    /// them (plus `answers.table_hits`). The table only holds hypercube
+    /// closed forms: scenario requests miss it and count
+    /// `answers.table_bypass` when they are answered.
     pub fn answer_line(&self, request: &Request) -> Option<&str> {
-        // The table only holds hypercube closed forms; scenario
-        // plan/predict requests dispatch normally, and the bypass is
-        // counted so the serving tiers stay observable.
-        if matches!(
-            request,
-            Request::ScenarioPlan { .. } | Request::ScenarioPredict { .. }
-        ) {
-            self.table_bypass.inc();
-            return None;
-        }
         let answer = self.answers.lookup_request(request)?;
         self.table_hits.inc();
         if answer.ok {
@@ -152,6 +148,24 @@ impl Dispatcher {
             self.errors.inc();
         }
         Some(&answer.line)
+    }
+
+    /// The reply line for `request` when producing it needs no
+    /// computation, without blocking: the answer-table line of a
+    /// hypercube `plan`/`predict`, every validation error, the
+    /// `unsupported` scenario `predict`, and every `audit` or scenario
+    /// `plan` whose run or reference is memoized. `None` means the
+    /// request must compute; hand it to [`Dispatcher::handle`].
+    ///
+    /// A returned line is byte-identical to what `handle` would serialize
+    /// and moves the same counters; `None` moves none, so the later
+    /// `handle` counts the request exactly once.
+    pub fn answer_now(&self, request: &Request) -> Option<Cow<'_, str>> {
+        if let Some(line) = self.answer_line(request) {
+            return Some(Cow::Borrowed(line));
+        }
+        self.respond(request, false)
+            .map(|response| Cow::Owned(response.to_line()))
     }
 
     /// Table hits so far (the live `answers.table_hits` counter).
@@ -169,10 +183,19 @@ impl Dispatcher {
         self.max_dim
     }
 
-    /// Handle a compute request (`plan`, `predict`, or `audit`). `status`
-    /// and `shutdown` are answered inline by the daemon, not here.
+    /// Handle a compute request (`plan`, `predict`, or `audit`), executing
+    /// whatever run or scenario reference it needs. `status` and
+    /// `shutdown` are answered inline by the daemon, not here.
     pub fn handle(&self, request: Request) -> Response {
-        let result = match request {
+        self.respond(&request, true)
+            .expect("a computing dispatch always replies")
+    }
+
+    /// The reply to `request`, counted once. With `compute` false a memo
+    /// miss (a run or scenario reference that would have to execute)
+    /// yields `None` and counts nothing.
+    fn respond(&self, request: &Request, compute: bool) -> Option<Response> {
+        let result = match *request {
             Request::Plan { strategy, dim } => self
                 .check_dim(dim)
                 .and_then(|dim| plan_reply(strategy, dim))
@@ -183,31 +206,46 @@ impl Dispatcher {
                 .and_then(|dim| predict_reply(strategy, dim))
                 .map(Response::Predict)
                 .inspect(|_| self.predict.inc()),
-            Request::Audit { strategy, dim } => self
-                .check_dim(dim)
-                .map(|dim| Response::Audit(self.audit_reply(strategy, dim)))
-                .inspect(|_| self.audit.inc()),
+            Request::Audit { strategy, dim } => match self.check_dim(dim) {
+                Ok(dim) => {
+                    let key = RunKey::audited(strategy, dim);
+                    let outcome = if compute {
+                        self.cache.get_or_run(key)
+                    } else {
+                        self.cache.get_if_ready(key)?
+                    };
+                    self.audit.inc();
+                    Ok(Response::Audit(audit_reply(strategy, dim, &outcome)))
+                }
+                Err(e) => Err(e),
+            },
             Request::ScenarioPlan {
                 scenario,
                 side,
                 instance,
-            } => self
-                .scenario_reference(scenario, side, instance)
-                .map(|r| Response::Plan(scenario_plan_reply(scenario, side, &r)))
-                .inspect(|_| self.plan.inc()),
-            Request::ScenarioPredict { scenario, .. } => Err(WireError::new(
-                ErrorKind::Unsupported,
-                format!(
-                    "the {scenario} scenario has no full closed-form prediction; \
-                     use 'plan' or 'audit' to measure it"
-                ),
-            )),
+            } => {
+                let reference = self.scenario_reference(scenario, side, instance, compute)?;
+                self.table_bypass.inc();
+                reference
+                    .map(|r| Response::Plan(scenario_plan_reply(scenario, side, &r)))
+                    .inspect(|_| self.plan.inc())
+            }
+            Request::ScenarioPredict { scenario, .. } => {
+                self.table_bypass.inc();
+                Err(WireError::new(
+                    ErrorKind::Unsupported,
+                    format!(
+                        "the {scenario} scenario has no full closed-form prediction; \
+                         use 'plan' or 'audit' to measure it"
+                    ),
+                ))
+            }
             Request::ScenarioAudit {
                 scenario,
                 side,
                 instance,
             } => self
-                .scenario_reference(scenario, side, instance)
+                .scenario_reference(scenario, side, instance, compute)?
                 .map(|r| Response::Audit(scenario_audit_reply(scenario, side, &r)))
                 .inspect(|_| self.audit.inc()),
             Request::Status | Request::Metrics | Request::Shutdown => Err(WireError::new(
@@ -215,10 +253,10 @@ impl Dispatcher {
                 "status/metrics/shutdown are connection-level requests",
             )),
         };
-        result.unwrap_or_else(|e| {
+        Some(result.unwrap_or_else(|e| {
             self.note_error();
             Response::Error(e)
-        })
+        }))
     }
 
     /// Validate a requested dimension: the same rules as the offline
@@ -238,21 +276,27 @@ impl Dispatcher {
         Ok(dim)
     }
 
-    /// The cached deterministic reference run for a scenario request.
+    /// The memoized deterministic reference run for a scenario request, or
+    /// the validation error refusing it. A memo miss computes and memoizes
+    /// the reference when `compute` is set, and otherwise yields `None`
+    /// without counting.
     fn scenario_reference(
         &self,
         scenario: ScenarioId,
         side: u32,
         instance: GridInstance,
-    ) -> Result<ScenarioReference, WireError> {
-        let resolved = hypersweep_scenario::validate_scenario(scenario, side, instance)
-            .map_err(|msg| WireError::new(ErrorKind::BadDimension, msg))?
-            .ok_or_else(|| {
-                WireError::new(
+        compute: bool,
+    ) -> Option<Result<ScenarioReference, WireError>> {
+        let resolved = match hypersweep_scenario::validate_scenario(scenario, side, instance) {
+            Ok(Some(resolved)) => resolved,
+            Ok(None) => {
+                return Some(Err(WireError::new(
                     ErrorKind::UnknownScenario,
                     "the hypercube is served by the classic strategy/dim form",
-                )
-            })?;
+                )))
+            }
+            Err(msg) => return Some(Err(WireError::new(ErrorKind::BadDimension, msg))),
+        };
         let key = (scenario, side, instance);
         if let Some(cached) = self
             .scenario_refs
@@ -261,7 +305,10 @@ impl Dispatcher {
             .get(&key)
         {
             self.scenario_hits.inc();
-            return Ok(cached.clone());
+            return Some(Ok(cached.clone()));
+        }
+        if !compute {
+            return None;
         }
         // Compute outside the lock; concurrent duplicates both run the
         // (deterministic) reference and insert the same value.
@@ -272,24 +319,7 @@ impl Dispatcher {
             refs.clear();
         }
         refs.insert(key, reference.clone());
-        Ok(reference)
-    }
-
-    fn audit_reply(&self, strategy: StrategyKind, dim: u32) -> AuditReply {
-        let outcome = self.cache.get_or_run(RunKey::audited(strategy, dim));
-        AuditReply {
-            strategy: strategy.label().to_string(),
-            dim,
-            monotone: outcome.verdict.monotone,
-            contiguous: outcome.verdict.contiguous,
-            all_clean: outcome.verdict.all_clean,
-            captured: outcome.verdict.capture.map(|c| c.is_captured()),
-            violations: outcome.verdict.violations.len() as u64,
-            team_size: outcome.metrics.team_size,
-            worker_moves: outcome.metrics.worker_moves,
-            total_moves: outcome.metrics.total_moves(),
-            trace: outcome.trace_summary.unwrap_or_default(),
-        }
+        Some(Ok(reference))
     }
 
     /// Record a backpressure rejection.
@@ -365,6 +395,23 @@ impl Dispatcher {
             enabled,
             series,
         }
+    }
+}
+
+/// Map a memoized audited run into the audit envelope.
+fn audit_reply(strategy: StrategyKind, dim: u32, outcome: &SearchOutcome) -> AuditReply {
+    AuditReply {
+        strategy: strategy.label().to_string(),
+        dim,
+        monotone: outcome.verdict.monotone,
+        contiguous: outcome.verdict.contiguous,
+        all_clean: outcome.verdict.all_clean,
+        captured: outcome.verdict.capture.map(|c| c.is_captured()),
+        violations: outcome.verdict.violations.len() as u64,
+        team_size: outcome.metrics.team_size,
+        worker_moves: outcome.metrics.worker_moves,
+        total_moves: outcome.metrics.total_moves(),
+        trace: outcome.trace_summary.unwrap_or_default(),
     }
 }
 
@@ -716,8 +763,10 @@ mod tests {
         let first = d.handle(request).to_line();
         let second = d.handle(request).to_line();
         assert_eq!(first, second, "scenario replies must be byte-identical");
+        // Each answered scenario plan counts one bypass, whichever entry
+        // point answered it; the table lookup itself counts nothing.
         let snap = d.registry().snapshot();
-        assert_eq!(snap.counter("answers.table_bypass"), Some(1));
+        assert_eq!(snap.counter("answers.table_bypass"), Some(2));
         assert_eq!(snap.counter("scenario.cache_misses"), Some(1));
         assert_eq!(snap.counter("scenario.cache_hits"), Some(1));
         assert_eq!(d.served().plan, 2);
@@ -729,7 +778,7 @@ mod tests {
             })
             .is_some());
         let snap = d.registry().snapshot();
-        assert_eq!(snap.counter("answers.table_bypass"), Some(1));
+        assert_eq!(snap.counter("answers.table_bypass"), Some(2));
         assert_eq!(snap.counter("answers.table_hits"), Some(1));
     }
 

@@ -18,12 +18,14 @@
 //!
 //! The front end is a single-threaded non-blocking reactor (TCP plus an
 //! optional Unix-domain socket) with request pipelining and in-order
-//! replies. `plan`/`predict` answer inline from a precomputed
-//! [`AnswerTable`]; `audit` dispatches onto the analysis crate's bounded
-//! [`WorkerPool`] (backpressure surfaces to clients as `busy` errors,
-//! never as unbounded queueing) and deduplicates through one
-//! [`RunCache`], hash-sharded on the run key with an LRU capacity bound,
-//! so the daemon stays in bounded memory no matter how long it serves.
+//! replies. Requests that need no computation answer inline: `plan`/
+//! `predict` from a precomputed [`AnswerTable`], memoized audits and
+//! scenario references from their memos. Only computations dispatch onto
+//! the analysis crate's bounded [`WorkerPool`] (backpressure surfaces to
+//! clients as `busy` errors, never as unbounded queueing); runs
+//! deduplicate through one [`RunCache`], hash-sharded on the run key with
+//! an LRU capacity bound, so the daemon stays in bounded memory no matter
+//! how long it serves.
 //! Graceful shutdown (SIGINT or a `shutdown` request) drains in-flight
 //! work and emits a final stats line.
 //!

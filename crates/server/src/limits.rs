@@ -17,12 +17,13 @@ pub struct ServerLimits {
     /// and answered with an `oversized` error — the connection survives,
     /// and the excess bytes are discarded without buffering.
     pub max_line_bytes: usize,
-    /// How long a single `plan`/`predict`/`audit` request may take before
+    /// How long a request computing on the worker pool may take before
     /// the client gets a `timeout` error. The underlying run still
     /// completes and populates the cache for the next request.
     pub request_timeout: Duration,
-    /// Dispatch-queue bound: requests beyond `workers` executing plus this
-    /// many queued are refused with `busy`.
+    /// Dispatch-queue bound: computations beyond `workers` executing plus
+    /// this many queued are refused with `busy`. Requests answered from
+    /// the answer table or a memo never queue.
     pub queue_capacity: usize,
     /// Concurrent connections served; excess connections receive a single
     /// `busy` error line and are closed.

@@ -16,19 +16,25 @@
 //!   per write, replies always in request order. A line over the size
 //!   bound is discarded as it streams in (bounded buffering) and
 //!   answered with an `oversized` error; the connection survives.
-//! * **Compute** — `plan`/`predict` are answered inline, usually
-//!   straight from the precomputed [`AnswerTable`](crate::AnswerTable)
-//!   (one array lookup returning pre-serialized bytes); `audit` is
-//!   submitted to the worker pool and a *pending slot* is queued in the
-//!   connection's reply queue, so later pipelined replies wait behind it
-//!   and ordering is preserved. Workers push finished lines through an
-//!   mpsc channel and wake the reactor via a loopback socket.
+//! * **Compute** — a request that needs no computation is answered
+//!   inline ([`Dispatcher::answer_now`](crate::Dispatcher::answer_now)):
+//!   hypercube `plan`/`predict` straight from the precomputed
+//!   [`AnswerTable`](crate::AnswerTable) (one array lookup returning
+//!   pre-serialized bytes), every validation error, and every `audit` or
+//!   scenario `plan` whose run or reference is memoized. Only a real
+//!   computation is submitted to the worker pool, and a *pending slot* is
+//!   queued in the connection's reply queue, so later pipelined replies
+//!   wait behind it and ordering is preserved. A request identical to
+//!   one already computing parks behind it instead, and is answered from
+//!   the memo when that computation finishes. Workers push finished
+//!   lines through an mpsc channel and wake the reactor via a loopback
+//!   socket.
 //! * **Flow control** — a connection with
 //!   [`max_pipeline`](crate::ServerLimits::max_pipeline) unanswered
 //!   requests, or a write buffer past the high-water mark, simply stops
 //!   being read until replies drain. Backpressure, not errors.
 //! * **Drain** — on shutdown the listeners close (the Unix socket file
-//!   is unlinked), in-flight audits finish or time out, every reply is
+//!   is unlinked), pooled computations finish or time out, every reply is
 //!   flushed, and connections close as they empty.
 
 use std::collections::VecDeque;
@@ -40,6 +46,8 @@ use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
+
+use hypersweep_telemetry::Histogram;
 
 use crate::daemon::{sigint_seen, Shared};
 use crate::poll::{nofile_soft_limit, poll, PollFd, POLLIN, POLLOUT};
@@ -92,11 +100,13 @@ impl Stream {
 enum Slot {
     /// Serialized and waiting to enter the write buffer.
     Ready(String),
-    /// An audit executing on the pool; later replies queue behind it.
+    /// A computation executing on the pool; later replies queue behind
+    /// it. `latency` is the request kind's histogram.
     Pending {
         seq: u64,
         started: Instant,
         deadline: Instant,
+        latency: Histogram,
     },
 }
 
@@ -142,24 +152,39 @@ impl Conn {
     }
 }
 
-/// A finished pool job, routed back to the reactor thread.
-struct Completion {
+/// Where a pending reply goes: a connection slot, the generation of its
+/// occupant (so a reply never reaches a later connection in the same
+/// slot), and the reply's sequence number on that connection.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Ticket {
     conn: usize,
     gen: u64,
     seq: u64,
+}
+
+/// A request computing on the pool for `owner`, and the tickets of the
+/// identical requests parked behind it: they need its result, not a run
+/// of their own.
+struct Running {
+    request: Request,
+    owner: Ticket,
+    waiters: Vec<Ticket>,
+}
+
+/// A finished pool job, routed back to the reactor thread.
+struct Completion {
+    ticket: Ticket,
     /// `None`: the worker died before replying (the job panicked; the
     /// pool caught it and counts it in `pool.job_panics`).
     line: Option<String>,
 }
 
 /// Carried into every pool job: guarantees exactly one completion per
-/// submitted audit, even when the job panics mid-run.
+/// submitted computation, even when the job panics mid-run.
 struct ReplyGuard {
     tx: mpsc::Sender<Completion>,
     waker: Arc<TcpStream>,
-    conn: usize,
-    gen: u64,
-    seq: u64,
+    ticket: Ticket,
     done: bool,
 }
 
@@ -167,9 +192,7 @@ impl ReplyGuard {
     fn deliver(&mut self, line: Option<String>) {
         self.done = true;
         let _ = self.tx.send(Completion {
-            conn: self.conn,
-            gen: self.gen,
-            seq: self.seq,
+            ticket: self.ticket,
             line,
         });
         // One byte on the loopback pair interrupts the reactor's poll;
@@ -216,6 +239,10 @@ pub(crate) struct Reactor {
     waker_tx: Arc<TcpStream>,
     completions_tx: mpsc::Sender<Completion>,
     completions_rx: mpsc::Receiver<Completion>,
+    /// One entry per pool job, so never longer than the pool's workers
+    /// plus its queue; identical requests park on an entry instead of
+    /// submitting a job of their own.
+    running: Vec<Running>,
     /// Pre-serialized: every timeout sends the same bytes.
     timeout_line: String,
     draining: bool,
@@ -276,6 +303,7 @@ impl Reactor {
             waker_tx: Arc::new(waker_tx),
             completions_tx,
             completions_rx,
+            running: Vec::new(),
             timeout_line,
             draining: false,
             drain_deadline: None,
@@ -283,7 +311,7 @@ impl Reactor {
     }
 
     /// Serve until the shutdown flag (or SIGINT) is raised, then drain:
-    /// finish or time out pending audits, flush every reply, close every
+    /// finish or time out pooled requests, flush every reply, close every
     /// connection. The caller shuts the pool down afterwards.
     pub(crate) fn run(mut self) -> io::Result<()> {
         loop {
@@ -567,13 +595,16 @@ impl Reactor {
         self.push_reply(idx, &line);
     }
 
-    /// Answer one request line. `status`/`metrics`/`shutdown` and the
-    /// closed-form `plan`/`predict` resolve inline (microseconds);
-    /// `audit` goes to the worker pool behind a pending slot.
+    /// Answer one request line. `status`/`metrics`/`shutdown` resolve
+    /// inline, and so does every request the dispatcher can answer without
+    /// computing; the rest go to the worker pool behind a pending slot.
     fn handle_one(&mut self, idx: usize, text: &str) {
         if text.trim().is_empty() {
             return;
         }
+        // The latency clock covers parsing; a line that fails to parse
+        // records no sample.
+        let started = Instant::now();
         let shared = Arc::clone(&self.shared);
         let request = match Request::parse(text) {
             Ok(request) => request,
@@ -583,7 +614,6 @@ impl Reactor {
                 return;
             }
         };
-        let started = Instant::now();
         match request {
             Request::Status => {
                 let status = shared.status();
@@ -602,12 +632,7 @@ impl Reactor {
                 });
                 self.push_reply(idx, &ack.to_line());
             }
-            compute @ (Request::Plan { .. }
-            | Request::Predict { .. }
-            | Request::Audit { .. }
-            | Request::ScenarioPlan { .. }
-            | Request::ScenarioPredict { .. }
-            | Request::ScenarioAudit { .. }) => {
+            compute => {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     shared.dispatcher.note_error();
                     self.push_reply(
@@ -620,81 +645,109 @@ impl Reactor {
                     );
                     return;
                 }
-                if matches!(
-                    compute,
-                    Request::Audit { .. } | Request::ScenarioAudit { .. }
-                ) {
-                    self.submit_audit(idx, compute, started);
-                } else {
-                    let histogram = match compute {
-                        Request::Plan { .. } | Request::ScenarioPlan { .. } => &shared.latency.plan,
-                        _ => &shared.latency.predict,
-                    };
-                    if let Some(line) = shared.dispatcher.answer_line(&compute) {
-                        // O(1) tier: pre-serialized bytes, zero work.
-                        histogram.record_duration(started.elapsed());
-                        self.push_reply(idx, line);
-                    } else {
-                        // Out-of-range dimension: the dispatcher's own
-                        // validation produces the structured error.
-                        let line = shared.dispatcher.handle(compute).to_line();
-                        histogram.record_duration(started.elapsed());
+                match shared.dispatcher.answer_now(&compute) {
+                    Some(line) => {
+                        shared
+                            .latency
+                            .of(&compute)
+                            .record_duration(started.elapsed());
                         self.push_reply(idx, &line);
                     }
+                    None => self.enqueue(idx, compute, started),
                 }
             }
         }
     }
 
-    fn submit_audit(&mut self, idx: usize, request: Request, started: Instant) {
-        let shared = Arc::clone(&self.shared);
-        let (seq, gen) = {
-            let Some(conn) = self.conns[idx].as_mut() else {
-                return;
-            };
-            let seq = conn.next_seq;
-            conn.next_seq += 1;
-            (seq, conn.gen)
+    /// Queue a pending slot for a request that must compute, then
+    /// dispatch it.
+    fn enqueue(&mut self, idx: usize, request: Request, started: Instant) {
+        let latency = self.shared.latency.of(&request).clone();
+        let deadline = started + self.shared.limits.request_timeout;
+        let Some(conn) = self.conns[idx].as_mut() else {
+            return;
         };
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        conn.replies.push_back(Slot::Pending {
+            seq,
+            started,
+            deadline,
+            latency,
+        });
+        let ticket = Ticket {
+            conn: idx,
+            gen: conn.gen,
+            seq,
+        };
+        self.dispatch(ticket, request);
+    }
+
+    /// Park `request` behind an identical one already computing, or
+    /// submit it to the worker pool. A full queue answers `busy`.
+    fn dispatch(&mut self, ticket: Ticket, request: Request) {
+        if let Some(running) = self.running.iter_mut().find(|r| r.request == request) {
+            running.waiters.push(ticket);
+            return;
+        }
         let guard = ReplyGuard {
             tx: self.completions_tx.clone(),
             waker: Arc::clone(&self.waker_tx),
-            conn: idx,
-            gen,
-            seq,
+            ticket,
             done: false,
         };
-        let job_shared = Arc::clone(&shared);
-        let submitted = shared.pool.try_submit(move || {
+        let job_shared = Arc::clone(&self.shared);
+        let submitted = self.shared.pool.try_submit(move || {
             guard.complete(job_shared.dispatcher.handle(request).to_line());
         });
         match submitted {
-            Ok(()) => {
-                let deadline = started + shared.limits.request_timeout;
-                if let Some(conn) = self.conns[idx].as_mut() {
-                    conn.replies.push_back(Slot::Pending {
-                        seq,
-                        started,
-                        deadline,
-                    });
-                }
-            }
+            Ok(()) => self.running.push(Running {
+                request,
+                owner: ticket,
+                waiters: Vec::new(),
+            }),
             Err(_) => {
                 // The rejected job was dropped inside try_submit; its
-                // guard sent a completion no pending slot matches, so it
-                // is ignored. This request resolves as busy right here.
-                shared.dispatcher.note_busy();
-                shared.latency.audit.record_duration(started.elapsed());
-                self.push_reply(
-                    idx,
-                    &Response::Error(WireError::new(
-                        ErrorKind::Busy,
-                        "dispatch queue is full; retry later",
-                    ))
-                    .to_line(),
-                );
+                // guard sent a completion that owns no running entry and
+                // finds this slot already resolved, so it is ignored.
+                let busy = Response::Error(WireError::new(
+                    ErrorKind::Busy,
+                    "dispatch queue is full; retry later",
+                ))
+                .to_line();
+                if self.resolve(ticket, busy) {
+                    self.shared.dispatcher.note_busy();
+                }
             }
         }
+    }
+
+    /// Fill `ticket`'s pending slot with `line` and record the request's
+    /// latency. Returns `false`, dropping the line, when the connection
+    /// has closed or the slot already timed out.
+    fn resolve(&mut self, ticket: Ticket, line: String) -> bool {
+        let Some(conn) = self.conns.get_mut(ticket.conn).and_then(Option::as_mut) else {
+            return false;
+        };
+        if conn.gen != ticket.gen {
+            return false;
+        }
+        let Some(slot) = conn
+            .replies
+            .iter_mut()
+            .find(|slot| matches!(slot, Slot::Pending { seq, .. } if *seq == ticket.seq))
+        else {
+            return false;
+        };
+        let Slot::Pending {
+            started, latency, ..
+        } = slot
+        else {
+            unreachable!("find() matched a pending slot");
+        };
+        latency.record_duration(started.elapsed());
+        *slot = Slot::Ready(line);
+        true
     }
 
     /// Queue a serialized reply, appending straight to the write buffer
@@ -717,49 +770,55 @@ impl Reactor {
         }
     }
 
+    /// Deliver a finished computation, then answer the requests parked
+    /// behind it from the memo it just filled. A parked request the memo
+    /// cannot answer (the run panicked, or its entry was evicted at once)
+    /// is dispatched again.
     fn apply_completion(&mut self, completion: Completion) {
         let shared = Arc::clone(&self.shared);
-        let Some(conn) = self.conns.get_mut(completion.conn).and_then(Option::as_mut) else {
-            return;
-        };
-        if conn.gen != completion.gen {
-            return;
-        }
-        // A slot that already timed out was replaced by a Ready timeout
-        // line; the late completion is dropped (the run still warmed the
-        // cache for the next request).
-        let Some(pos) = conn
-            .replies
-            .iter()
-            .position(|slot| matches!(slot, Slot::Pending { seq, .. } if *seq == completion.seq))
-        else {
-            return;
-        };
-        let Slot::Pending { started, .. } = &conn.replies[pos] else {
-            unreachable!("position() matched a pending slot");
-        };
-        let elapsed = started.elapsed();
-        let line = match completion.line {
-            Some(line) => line,
+        // A late completion still resolves nothing if its slot timed out
+        // (the run still warmed the cache for the next request).
+        match completion.line {
+            Some(line) => {
+                self.resolve(completion.ticket, line);
+            }
             None => {
                 // The job panicked before replying: the pool caught it
                 // (pool.job_panics counts it) and the worker survives;
                 // this client gets a structured internal error.
-                shared.dispatcher.note_error();
-                Response::Error(WireError::new(
+                let line = Response::Error(WireError::new(
                     ErrorKind::Internal,
                     "request worker failed before producing a reply; \
                      see the pool.job_panics counter",
                 ))
-                .to_line()
+                .to_line();
+                if self.resolve(completion.ticket, line) {
+                    shared.dispatcher.note_error();
+                }
             }
+        }
+        let Some(pos) = self
+            .running
+            .iter()
+            .position(|running| running.owner == completion.ticket)
+        else {
+            return;
         };
-        shared.latency.audit.record_duration(elapsed);
-        conn.replies[pos] = Slot::Ready(line);
+        let Running {
+            request, waiters, ..
+        } = self.running.swap_remove(pos);
+        for waiter in waiters {
+            match shared.dispatcher.answer_now(&request) {
+                Some(line) => {
+                    self.resolve(waiter, line.into_owned());
+                }
+                None => self.dispatch(waiter, request),
+            }
+        }
     }
 
-    /// Convert pending audits past their deadline into timeout errors.
-    /// The underlying run keeps executing and warms the cache.
+    /// Convert pending requests past their deadline into timeout errors.
+    /// The underlying computation keeps executing and warms the cache.
     fn expire_timeouts(&mut self) {
         let now = Instant::now();
         let shared = Arc::clone(&self.shared);
@@ -767,12 +826,15 @@ impl Reactor {
         for conn in self.conns.iter_mut().flatten() {
             for slot in conn.replies.iter_mut() {
                 if let Slot::Pending {
-                    started, deadline, ..
+                    started,
+                    deadline,
+                    latency,
+                    ..
                 } = slot
                 {
                     if now >= *deadline {
                         shared.dispatcher.note_timeout();
-                        shared.latency.audit.record_duration(started.elapsed());
+                        latency.record_duration(started.elapsed());
                         *slot = Slot::Ready(timeout_line.clone());
                     }
                 }

@@ -1,0 +1,224 @@
+//! Differential test for the reactor's inline tier: every reply
+//! [`Dispatcher::answer_now`] gives must be byte-identical to what the
+//! computing path gives, and must move the telemetry registry exactly as
+//! that path moves it.
+//!
+//! The computing path here is the one every request took before memo hits
+//! were answered inline: the answer table for hypercube `plan`/`predict`,
+//! [`Dispatcher::handle`] for everything else. On a daemon the two paths
+//! also differ in `pool.*`, which no dispatcher touches.
+
+use std::sync::Arc;
+
+use hypersweep_analysis::{execute_run, RunCache, RunKey};
+use hypersweep_scenario::ScenarioId;
+use hypersweep_server::{Dispatcher, Request, WIRE_STRATEGIES};
+use hypersweep_telemetry::MetricsRegistry;
+use hypersweep_topology::GridInstance;
+
+const MAX_DIM: u32 = 6;
+
+/// A dispatcher whose request, table, scenario and run-cache series all
+/// land in one registry.
+fn dispatcher() -> (Dispatcher, MetricsRegistry) {
+    let registry = MetricsRegistry::new();
+    let cache = Arc::new(RunCache::with_capacity_and_telemetry(8, None, &registry));
+    (
+        Dispatcher::with_sharded(cache, MAX_DIM, &registry),
+        registry,
+    )
+}
+
+/// `plan`/`predict`/`audit` for every wire strategy at every served
+/// dimension.
+fn hypercube_requests() -> Vec<Request> {
+    WIRE_STRATEGIES
+        .iter()
+        .flat_map(|&strategy| {
+            (1..=MAX_DIM).flat_map(move |dim| {
+                [
+                    Request::Plan { strategy, dim },
+                    Request::Predict { strategy, dim },
+                    Request::Audit { strategy, dim },
+                ]
+            })
+        })
+        .collect()
+}
+
+/// Grid `plan`/`audit` over `full`, `holes:k` and `corridor`, and dynamic
+/// `plan`/`audit`, at several sides.
+fn scenario_requests() -> Vec<Request> {
+    let mut requests = Vec::new();
+    for side in 3..=MAX_DIM {
+        let grids = [
+            GridInstance::Full,
+            GridInstance::Holes(3),
+            GridInstance::Corridor,
+        ];
+        let instances = grids
+            .into_iter()
+            .map(|instance| (ScenarioId::Grid, instance))
+            .chain([(ScenarioId::Dynamic, GridInstance::Full)]);
+        for (scenario, instance) in instances {
+            requests.push(Request::ScenarioPlan {
+                scenario,
+                side,
+                instance,
+            });
+            requests.push(Request::ScenarioAudit {
+                scenario,
+                side,
+                instance,
+            });
+        }
+    }
+    requests
+}
+
+/// Requests every dispatcher refuses: out-of-range dimensions and sides,
+/// scenario `predict`, and the hypercube named as a scenario.
+fn refused_requests() -> Vec<Request> {
+    let strategy = WIRE_STRATEGIES[0];
+    let mut requests: Vec<Request> = [0, MAX_DIM + 1, 25]
+        .into_iter()
+        .flat_map(|dim| {
+            [
+                Request::Plan { strategy, dim },
+                Request::Predict { strategy, dim },
+                Request::Audit { strategy, dim },
+            ]
+        })
+        .collect();
+    let instance = GridInstance::Full;
+    for scenario in [ScenarioId::Grid, ScenarioId::Dynamic] {
+        requests.push(Request::ScenarioPredict {
+            scenario,
+            side: 5,
+            instance,
+        });
+    }
+    for (scenario, side) in [
+        (ScenarioId::Hypercube, 5),
+        (ScenarioId::Grid, 0),
+        (ScenarioId::Grid, 99),
+    ] {
+        requests.push(Request::ScenarioPredict {
+            scenario,
+            side,
+            instance,
+        });
+        requests.push(Request::ScenarioPlan {
+            scenario,
+            side,
+            instance,
+        });
+        requests.push(Request::ScenarioAudit {
+            scenario,
+            side,
+            instance,
+        });
+    }
+    requests
+}
+
+/// Whether answering `request` executes a run or a scenario reference on
+/// a cold dispatcher.
+fn computes(request: &Request) -> bool {
+    match *request {
+        Request::Audit { dim, .. } => (1..=MAX_DIM).contains(&dim),
+        Request::ScenarioPlan { scenario, side, .. }
+        | Request::ScenarioAudit { scenario, side, .. } => {
+            scenario != ScenarioId::Hypercube && (3..=MAX_DIM).contains(&side)
+        }
+        _ => false,
+    }
+}
+
+/// The computing path's reply: the answer table where it applies, else
+/// [`Dispatcher::handle`].
+fn computed_line(d: &Dispatcher, request: Request) -> String {
+    match d.answer_line(&request) {
+        Some(line) => line.to_string(),
+        None => d.handle(request).to_line(),
+    }
+}
+
+/// Memoize every hypercube audit (warm-loaded, as from a persisted cache)
+/// and compute every scenario reference once.
+fn warm(d: &Dispatcher) {
+    for request in hypercube_requests() {
+        if let Request::Audit { strategy, dim } = request {
+            let key = RunKey::audited(strategy, dim);
+            assert!(d.cache().insert_ready(key, execute_run(key)));
+        }
+    }
+    for request in scenario_requests() {
+        if matches!(request, Request::ScenarioPlan { .. }) {
+            d.handle(request);
+        }
+    }
+}
+
+#[test]
+fn warm_requests_answer_now_byte_for_byte_and_count_alike() {
+    let (fast, fast_registry) = dispatcher();
+    let (computing, computing_registry) = dispatcher();
+    let (reference, _) = dispatcher();
+    for d in [&fast, &computing, &reference] {
+        warm(d);
+    }
+    assert_eq!(fast_registry.snapshot(), computing_registry.snapshot());
+
+    let requests: Vec<Request> = hypercube_requests()
+        .into_iter()
+        .chain(scenario_requests())
+        .chain(refused_requests())
+        .collect();
+    for request in requests {
+        let line = fast
+            .answer_now(&request)
+            .unwrap_or_else(|| panic!("warm {request:?} must answer now"))
+            .into_owned();
+        assert_eq!(line, reference.handle(request).to_line(), "{request:?}");
+        assert_eq!(line, computed_line(&computing, request), "{request:?}");
+        assert_eq!(
+            fast_registry.snapshot(),
+            computing_registry.snapshot(),
+            "{request:?} moved the registry differently"
+        );
+    }
+    // Every warm audit was a hit, on either path.
+    assert_eq!(fast.cache().misses(), 0);
+    assert_eq!(fast.cache().hits(), computing.cache().hits());
+}
+
+#[test]
+fn cold_computations_are_deferred_without_counting() {
+    let (d, registry) = dispatcher();
+    let (reference, _) = dispatcher();
+    let requests: Vec<Request> = hypercube_requests()
+        .into_iter()
+        .chain(scenario_requests())
+        .chain(refused_requests())
+        .collect();
+    let mut deferred = 0;
+    for request in requests {
+        let before = registry.snapshot();
+        match d.answer_now(&request) {
+            None => {
+                assert!(computes(&request), "{request:?} deferred needlessly");
+                assert_eq!(registry.snapshot(), before, "{request:?} counted");
+                deferred += 1;
+            }
+            Some(line) => {
+                assert!(!computes(&request), "{request:?} computed inline");
+                assert_eq!(line, reference.handle(request).to_line(), "{request:?}");
+            }
+        }
+    }
+    // 8 strategies x 6 dims of audits, plus plan and audit of 4 scenario
+    // instances at 4 sides.
+    assert_eq!(deferred, 8 * 6 + 2 * 4 * 4);
+    assert_eq!(d.cache().len(), 0, "answer_now never executes a run");
+}

@@ -5,9 +5,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
-use hypersweep_analysis::{execute_run, RunCache, StrategyKind};
-use hypersweep_server::{Client, ErrorKind, Request, Response, ServerLimits};
+use hypersweep_analysis::{execute_run, RunCache, RunKey, StrategyKind};
+use hypersweep_scenario::ScenarioId;
+use hypersweep_server::{Client, Dispatcher, ErrorKind, Request, Response, ServerLimits};
 use hypersweep_testutil::{quick_limits, spawn_bound_server, spawn_server};
+use hypersweep_topology::GridInstance;
 
 #[test]
 fn serves_all_request_types_and_survives_malformed_lines() {
@@ -142,11 +144,13 @@ fn deeply_nested_line_is_malformed_and_the_daemon_keeps_serving() {
 
 #[test]
 fn saturation_returns_busy_and_timeouts_expire() {
-    // A runner that blocks until released, making pool occupancy
-    // deterministic.
+    // A runner that announces each run and blocks until released, making
+    // pool occupancy deterministic.
     let (release, gate) = mpsc::channel::<()>();
-    let gate = Mutex::new(gate);
+    let (announce, started) = mpsc::channel::<()>();
+    let (gate, announce) = (Mutex::new(gate), Mutex::new(announce));
     let cache = Arc::new(RunCache::with_runner(move |key| {
+        announce.lock().unwrap().send(()).ok();
         gate.lock().unwrap().recv().ok();
         execute_run(key)
     }));
@@ -180,9 +184,7 @@ fn saturation_returns_busy_and_timeouts_expire() {
 
     // Occupy the single worker, then the single queue slot.
     let first = spawn_waiter(3);
-    while in_flight(&mut probe) < 1 {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    started.recv().expect("first run started");
     let second = spawn_waiter(4);
     while in_flight(&mut probe) < 2 {
         std::thread::sleep(Duration::from_millis(5));
@@ -243,6 +245,268 @@ fn saturation_returns_busy_and_timeouts_expire() {
 }
 
 #[test]
+fn cached_requests_answer_while_the_pool_is_saturated() {
+    // The gated runner of the saturation test: a computed audit announces
+    // itself and holds its worker until released.
+    let (release, gate) = mpsc::channel::<()>();
+    let (announce, started) = mpsc::channel::<()>();
+    let (gate, announce) = (Mutex::new(gate), Mutex::new(announce));
+    let cache = Arc::new(RunCache::with_runner(move |key| {
+        announce.lock().unwrap().send(()).ok();
+        gate.lock().unwrap().recv().ok();
+        execute_run(key)
+    }));
+    let warm = RunKey::audited(StrategyKind::Clean, 5);
+    assert!(cache.insert_ready(warm, execute_run(warm)));
+    let limits = ServerLimits {
+        workers: 1,
+        queue_capacity: 1,
+        ..quick_limits()
+    };
+    let (addr, shutdown, handle) = spawn_server(limits, cache);
+
+    let audit = |dim| Request::Audit {
+        strategy: StrategyKind::Clean,
+        dim,
+    };
+    let holes = GridInstance::Holes(7);
+    let scenario_audit = Request::ScenarioAudit {
+        scenario: ScenarioId::Grid,
+        side: 5,
+        instance: holes,
+    };
+    let scenario_plan = Request::ScenarioPlan {
+        scenario: ScenarioId::Grid,
+        side: 5,
+        instance: holes,
+    };
+    let scenario_miss = Request::ScenarioPlan {
+        scenario: ScenarioId::Grid,
+        side: 5,
+        instance: GridInstance::Corridor,
+    };
+
+    let mut probe = Client::connect(&addr).expect("probe connect");
+    let in_flight = |probe: &mut Client| -> u64 {
+        match probe.request(&Request::Status).expect("status") {
+            Response::Status(s) => s.in_flight,
+            other => panic!("{other:?}"),
+        }
+    };
+    // Memoize one grid reference on the pool.
+    let warmed = probe.request(&scenario_audit).expect("warm scenario");
+    assert!(warmed.is_ok(), "{warmed:?}");
+
+    // Two hypercube misses hold the single worker and the single queue slot.
+    let spawn_waiter = |dim| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).expect("connect");
+            c.request(&audit(dim)).expect("response")
+        })
+    };
+    let first = spawn_waiter(3);
+    started.recv().expect("first run started");
+    let second = spawn_waiter(4);
+    while in_flight(&mut probe) < 2 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Cached requests need no worker: real replies, byte-identical to a
+    // fresh offline dispatcher's.
+    let offline = Dispatcher::new(Arc::new(RunCache::new()), quick_limits().max_dim);
+    let mut third = Client::connect(&addr).expect("connect");
+    for request in [audit(5), scenario_audit, scenario_plan] {
+        let served = third.send_raw(&request.to_line()).expect("cached reply");
+        assert_eq!(served, offline.handle(request).to_line(), "{request:?}");
+    }
+    // A scenario miss must compute, and the pool is full.
+    let Response::Error(e) = third.request(&scenario_miss).expect("busy reply") else {
+        panic!("expected busy");
+    };
+    assert_eq!(e.kind, ErrorKind::Busy);
+    let Response::Status(status) = probe.request(&Request::Status).expect("status") else {
+        panic!("expected status reply");
+    };
+    assert_eq!(status.served.busy, 1, "only the scenario miss was refused");
+
+    // Released, the saturating misses complete normally.
+    release.send(()).ok();
+    release.send(()).ok();
+    for waiter in [first, second] {
+        let reply = waiter.join().expect("waiter");
+        assert!(matches!(reply, Response::Audit(_)), "{reply:?}");
+    }
+    shutdown();
+    let stats = handle.join().expect("clean shutdown");
+    assert_eq!(stats.served.busy, 1);
+}
+
+#[test]
+fn identical_requests_park_behind_one_computation() {
+    let (release, gate) = mpsc::channel::<()>();
+    let (announce, started) = mpsc::channel::<()>();
+    let (gate, announce) = (Mutex::new(gate), Mutex::new(announce));
+    let cache = Arc::new(RunCache::with_runner(move |key| {
+        announce.lock().unwrap().send(()).ok();
+        gate.lock().unwrap().recv().ok();
+        execute_run(key)
+    }));
+    let limits = ServerLimits {
+        workers: 1,
+        queue_capacity: 1,
+        ..quick_limits()
+    };
+    let (addr, shutdown, handle) = spawn_server(limits, cache);
+    let audit = |dim| Request::Audit {
+        strategy: StrategyKind::Clean,
+        dim,
+    };
+    let send = |lines: Vec<String>| {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(&addr).expect("connect");
+            c.send_raw_batch(&lines).expect("replies")
+        })
+    };
+    let mut probe = Client::connect(&addr).expect("probe connect");
+    let status = |probe: &mut Client| match probe.request(&Request::Status).expect("status") {
+        Response::Status(s) => s,
+        other => panic!("{other:?}"),
+    };
+
+    let first = send(vec![audit(3).to_line()]);
+    started.recv().expect("first run started");
+    // Four duplicates of the running audit, then a table plan: the plan
+    // is counted only once the reactor has read every duplicate.
+    let plan = Request::Plan {
+        strategy: StrategyKind::Clean,
+        dim: 6,
+    };
+    let mut lines = vec![audit(3).to_line(); 4];
+    lines.push(plan.to_line());
+    let parked = send(lines);
+    while status(&mut probe).served.plan < 1 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // The duplicates took no queue slot: another computation still fits.
+    let now = status(&mut probe);
+    assert_eq!((now.in_flight, now.served.busy), (1, 0));
+    let other = send(vec![audit(4).to_line()]);
+    while status(&mut probe).in_flight < 2 {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    release.send(()).expect("release the first run");
+    release.send(()).expect("release the second run");
+    let offline = Dispatcher::new(Arc::new(RunCache::new()), quick_limits().max_dim);
+    let expected = offline.handle(audit(3)).to_line();
+    assert_eq!(
+        first.join().expect("first"),
+        std::slice::from_ref(&expected)
+    );
+    let replies = parked.join().expect("parked");
+    assert_eq!(replies[..4], vec![expected; 4]);
+    assert_eq!(replies[4], offline.handle(plan).to_line());
+    let reply = &other.join().expect("other")[0];
+    assert!(Response::parse(reply).is_ok_and(|r| r.is_ok()), "{reply}");
+
+    let Response::Metrics(metrics) = probe.request(&Request::Metrics).expect("metrics") else {
+        panic!("expected a metrics reply");
+    };
+    assert_eq!(metrics.series.counter("pool.jobs"), Some(2));
+    shutdown();
+    let stats = handle.join().expect("clean shutdown");
+    assert_eq!((stats.cache.misses, stats.cache.hits), (2, 4));
+    assert_eq!((stats.served.audit, stats.served.busy), (6, 0));
+}
+
+#[test]
+fn pipelined_replies_keep_order_across_inline_and_pooled_paths() {
+    // Audit A's run holds its worker until released, so every later reply
+    // in the batch is ready first and must wait behind A's.
+    let (release, gate) = mpsc::channel::<()>();
+    let gate = Mutex::new(gate);
+    let slow = RunKey::audited(StrategyKind::Visibility, 6);
+    let cache = Arc::new(RunCache::with_runner(move |key| {
+        if key == slow {
+            gate.lock().unwrap().recv().ok();
+        }
+        execute_run(key)
+    }));
+    let hit = RunKey::audited(StrategyKind::Cloning, 5);
+    assert!(cache.insert_ready(hit, execute_run(hit)));
+    let (addr, shutdown, handle) = spawn_server(quick_limits(), cache);
+
+    let scenario_plan = Request::ScenarioPlan {
+        scenario: ScenarioId::Grid,
+        side: 6,
+        instance: GridInstance::Full,
+    };
+    let mut probe = Client::connect(&addr).expect("probe connect");
+    // Memoize the grid reference the batch's scenario plan hits.
+    let warmed = probe.request(&scenario_plan).expect("warm scenario");
+    assert!(warmed.is_ok(), "{warmed:?}");
+
+    let miss = Request::Audit {
+        strategy: StrategyKind::Visibility,
+        dim: 6,
+    };
+    let batch = [
+        miss,
+        Request::Audit {
+            strategy: StrategyKind::Cloning,
+            dim: 5,
+        },
+        Request::Plan {
+            strategy: StrategyKind::Clean,
+            dim: 6,
+        },
+        scenario_plan,
+        miss,
+    ];
+    let pipelined = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let lines: Vec<String> = batch.iter().map(Request::to_line).collect();
+            let mut client = Client::connect(&addr).expect("connect");
+            client.send_raw_batch(&lines).expect("batch")
+        })
+    };
+    // Both plans of the batch answer inline while A is still held.
+    loop {
+        let Response::Status(status) = probe.request(&Request::Status).expect("status") else {
+            panic!("expected status reply");
+        };
+        if status.served.plan == 3 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    release.send(()).expect("release A");
+    let got = pipelined.join().expect("pipelined client");
+
+    let serial = Dispatcher::new(Arc::new(RunCache::new()), quick_limits().max_dim);
+    let expected: Vec<String> = batch.iter().map(|r| serial.handle(*r).to_line()).collect();
+    assert_eq!(got, expected, "replies reordered or altered");
+
+    // Pooled requests land in their own kind's latency histogram: the
+    // warm-up scenario plan miss in `plan_us`, beside the batch's two
+    // inline plans.
+    let Response::Metrics(metrics) = probe.request(&Request::Metrics).expect("metrics") else {
+        panic!("expected a metrics reply");
+    };
+    let samples = |name| metrics.series.histogram(name).map(|h| h.count);
+    assert_eq!(samples("server.latency.plan_us"), Some(3));
+    assert_eq!(samples("server.latency.audit_us"), Some(3));
+
+    shutdown();
+    let stats = handle.join().expect("clean shutdown");
+    assert_eq!(stats.cache.misses, 1, "the repeat of A waited for its run");
+    assert_eq!(stats.cache.hits, 2);
+}
+
+#[test]
 fn metrics_request_reports_live_series_after_warm_audits() {
     // bind() (not with_cache) so the run cache accounts straight into the
     // daemon's registry — the path `hypersweep serve` takes.
@@ -273,8 +537,9 @@ fn metrics_request_reports_live_series_after_warm_audits() {
     assert_eq!(series.counter("cache.hits"), Some(1));
     assert_eq!(series.counter("cache.misses"), Some(1));
     assert_eq!(series.gauge("cache.entries"), Some(1));
-    // Pool series: both audits dispatched through the worker pool.
-    assert_eq!(series.counter("pool.jobs"), Some(2));
+    // Pool series: only the miss reached the worker pool; the hit was
+    // answered on the reactor.
+    assert_eq!(series.counter("pool.jobs"), Some(1));
     assert_eq!(series.counter("pool.job_panics"), Some(0));
     // Latency histograms recorded one sample per audit request.
     let latency = series
@@ -365,10 +630,20 @@ fn panicking_runner_yields_internal_error_and_daemon_survives() {
     assert_eq!(PANICS.load(Ordering::SeqCst), 2);
 
     // The panic is visible in the telemetry, and the error was counted.
-    let Response::Metrics(reply) = client.request(&Request::Metrics).expect("metrics") else {
-        panic!("expected a metrics reply");
+    // The pool counts it when the unwound job returns to the worker, a
+    // beat after the job's reply went out, so wait for the count to land.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let panics = loop {
+        let Response::Metrics(reply) = client.request(&Request::Metrics).expect("metrics") else {
+            panic!("expected a metrics reply");
+        };
+        let panics = reply.series.counter("pool.job_panics");
+        if panics == Some(1) || std::time::Instant::now() >= deadline {
+            break panics;
+        }
+        std::thread::sleep(Duration::from_millis(2));
     };
-    assert_eq!(reply.series.counter("pool.job_panics"), Some(1));
+    assert_eq!(panics, Some(1));
     let Response::Status(status) = client.request(&Request::Status).expect("status") else {
         panic!("expected a status reply");
     };
