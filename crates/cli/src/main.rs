@@ -10,14 +10,14 @@
 //! hypersweep run visibility 8 --policy synchronous
 //! ```
 
+mod args;
+mod bench_audit;
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hypersweep_analysis::experiments::ALL_IDS;
-use hypersweep_analysis::{
-    default_jobs, run_ids_pooled_with, runner, validate_cache_cap, validate_cache_shards,
-    validate_max_dim, ExperimentConfig,
-};
+use hypersweep_analysis::{run_ids_pooled_with, runner, ExperimentConfig};
 use hypersweep_check::{CheckConfig, CheckStrategy, ReplayFile};
 use hypersweep_core::{
     CleanStrategy, CloningStrategy, SearchStrategy, SynchronousStrategy, VisibilityStrategy,
@@ -28,38 +28,6 @@ use hypersweep_server::{run_bench, BenchConfig, Server, ServerLimits};
 use hypersweep_sim::{Event, Policy};
 use hypersweep_topology::{GridInstance, Hypercube, Node};
 use serde::Deserialize as _;
-
-fn usage() -> &'static str {
-    "usage:\n\
-     \thypersweep list\n\
-     \thypersweep report <id...|all> [--full] [--max-dim N] [--json DIR] [--jobs N] [--cache-cap N] [--timings]\n\
-     \thypersweep figures [--full]\n\
-     \thypersweep run <clean|visibility|cloning|synchronous> <d> [--policy P] [--fast]\n\
-     \thypersweep watch <strategy> <d> [--stride N]\n\
-     \thypersweep trace <strategy> <d> <out.json>\n\
-     \thypersweep audit <d> <trace.json>\n\
-     \thypersweep check [--strategy S|all] [--dim D] [--campaign-size N] [--seed K] [--jobs N]\n\
-     \t                 [--max-steps N] [--stride N] [--plant I] [--timings] [--out FILE]\n\
-     \t                 [--scenario hypercube|grid|dynamic] [--instance full|holes:<seed>|corridor]\n\
-     \thypersweep check --replay FILE\n\
-     \thypersweep bench-check [--jobs N] [--out FILE]   (env: BENCH_CHECK_DIMS, BENCH_CHECK_SCHEDULES,\n\
-     \t                 BENCH_CHECK_STRATEGY, BENCH_CHECK_BUDGET_MS, BENCH_CHECK_BASELINE)\n\
-     \thypersweep serve [--addr HOST:PORT] [--uds PATH] [--max-dim N] [--jobs N] [--cache-cap N]\n\
-     \t                 [--cache-shards N] [--timeout-ms N] [--metrics-file FILE]\n\
-     \t                 [--metrics-interval-ms N] [--no-telemetry] [--persist FILE]\n\
-     \t                 [--state-file FILE] [--log-file FILE]\n\
-     \thypersweep daemon <start|status|stop|restart> [--state-dir DIR] [--force]\n\
-     \t                 [+ any serve flag, forwarded to the managed daemon]\n\
-     \thypersweep bench-serve [--addr HOST:PORT] [--uds PATH] [--connections N] [--requests N]\n\
-     \t                       [--pipeline-depth N] [--max-dim N] [--out FILE]\n\
-     \thypersweep telemetry-gate <with.json> <without.json> [--out FILE]\n\
-     \n\
-     policies: fifo, lifo, round-robin, random:<seed>, synchronous\n\
-     check strategies: clean, visibility, cloning, synchronous, mutant-eager-guard, all\n\
-     scenario strategies (--scenario grid|dynamic): sweep, mutant-grid-leaky-guard, all\n\
-     experiment ids: f1 f2 f3 f4 t2 t3 t4 t5 t6 t7 t8 t9 t10 e11 e12 e13 e14 e15 e16\n\
-     report ids also accept: scenarios (registry comparison table)"
-}
 
 fn parse_policy(s: &str) -> Result<Policy, String> {
     match s {
@@ -386,10 +354,6 @@ fn cmd_check(
         planted,
         timings,
     } = *opts;
-    let schedules = hypersweep_analysis::validate_campaign_size(schedules)?;
-    if stride > 0 {
-        hypersweep_analysis::validate_stride(stride)?;
-    }
     if let Some(p) = planted {
         if p >= schedules {
             return Err(format!(
@@ -479,24 +443,9 @@ fn cmd_check_scenario(
         seed,
         jobs,
         max_steps,
-        stride,
-        planted,
         timings,
+        ..
     } = *opts;
-    let schedules = hypersweep_analysis::validate_campaign_size(schedules)?;
-    if stride > 1 {
-        return Err(
-            "--stride applies only to the hypercube checker; scenario oracles verify every event"
-                .into(),
-        );
-    }
-    if planted.is_some() {
-        return Err(
-            "--plant applies only to the hypercube checker; scenario campaigns have no \
-             planted-violation harness"
-                .into(),
-        );
-    }
     let instance = match instance {
         None => None,
         Some(text) => Some(GridInstance::parse(text).ok_or_else(|| {
@@ -742,55 +691,6 @@ fn cmd_serve(
         stats.served.timeouts,
     );
     Ok(())
-}
-
-/// Flags that consume a value — used when re-walking the raw argv to
-/// forward serve flags to a managed daemon child.
-const VALUE_FLAGS: &[&str] = &[
-    "--addr",
-    "--uds",
-    "--max-dim",
-    "--jobs",
-    "--cache-cap",
-    "--cache-shards",
-    "--timeout-ms",
-    "--metrics-file",
-    "--metrics-interval-ms",
-    "--persist",
-    "--state-file",
-    "--log-file",
-    "--state-dir",
-];
-
-/// Everything from the raw argv that should reach the managed daemon's
-/// `serve` child: serve flags pass through, daemon-only flags
-/// (`--state-dir`, `--force`) and the positionals (`daemon <action>`)
-/// are dropped.
-fn forwarded_serve_args(args: &[String]) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if arg == "--state-dir" {
-            i += 2;
-        } else if arg == "--force" {
-            i += 1;
-        } else if VALUE_FLAGS.contains(&arg) {
-            out.push(args[i].clone());
-            if let Some(v) = args.get(i + 1) {
-                out.push(v.clone());
-            }
-            i += 2;
-        } else if arg.starts_with("--") {
-            // Boolean serve flags (--no-telemetry).
-            out.push(args[i].clone());
-            i += 1;
-        } else {
-            // Positionals: `daemon` and its action.
-            i += 1;
-        }
-    }
-    out
 }
 
 /// Append `flag default` unless the forwarded args already carry it.
@@ -1186,538 +1086,9 @@ fn cmd_bench_serve(cfg: &BenchConfig, out: &str) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut positional: Vec<String> = Vec::new();
-    let mut full = false;
-    let mut fast = false;
-    let mut timings = false;
-    let mut json_dir: Option<PathBuf> = None;
-    let mut policy = Policy::Fifo;
-    let mut stride: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
-    let mut max_dim: Option<u32> = None;
-    let mut cache_cap: Option<usize> = None;
-    let mut addr = "127.0.0.1:7071".to_string();
-    let mut uds: Option<PathBuf> = None;
-    let mut clients: usize = 4;
-    let mut requests: usize = 64;
-    let mut pipeline_depth: usize = 1;
-    let mut cache_shards: Option<usize> = None;
-    let mut timeout_ms: Option<u64> = None;
-    let mut out: Option<String> = None;
-    let mut metrics_file: Option<PathBuf> = None;
-    let mut metrics_interval_ms: Option<u64> = None;
-    let mut no_telemetry = false;
-    let mut persist: Option<PathBuf> = None;
-    let mut state_file: Option<PathBuf> = None;
-    let mut log_file: Option<PathBuf> = None;
-    let mut state_dir: Option<PathBuf> = None;
-    let mut force = false;
-    let mut check_strategy = "all".to_string();
-    let mut check_dim: u32 = 6;
-    let mut scenario = "hypercube".to_string();
-    let mut instance: Option<String> = None;
-    let mut schedules: u64 = 200;
-    let mut seed: u64 = 0;
-    let mut max_steps: u64 = 0;
-    let mut planted: Option<u64> = None;
-    let mut replay_path: Option<String> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--full" => full = true,
-            "--fast" => fast = true,
-            "--timings" => timings = true,
-            "--no-telemetry" => no_telemetry = true,
-            "--force" => force = true,
-            "--persist" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => persist = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--persist needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--state-file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => state_file = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--state-file needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--log-file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => log_file = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--log-file needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--state-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => state_dir = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--state-dir needs a directory\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--metrics-file" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => metrics_file = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--metrics-file needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--metrics-interval-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(v) if v >= 1 => metrics_interval_ms = Some(v),
-                    _ => {
-                        eprintln!(
-                            "--metrics-interval-ms needs a positive integer\n{}",
-                            usage()
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--json" => {
-                i += 1;
-                match args.get(i) {
-                    Some(dir) => json_dir = Some(PathBuf::from(dir)),
-                    None => {
-                        eprintln!("--json needs a directory\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v >= 1 => jobs = Some(v),
-                    _ => {
-                        eprintln!("--jobs needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--max-dim" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(v) => match validate_max_dim(v) {
-                        Ok(v) => max_dim = Some(v),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => {
-                        eprintln!("--max-dim needs an integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--cache-cap" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(v) => match validate_cache_cap(v) {
-                        Ok(v) => cache_cap = Some(v),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => {
-                        eprintln!("--cache-cap needs an integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--addr" => {
-                i += 1;
-                match args.get(i) {
-                    Some(a) => addr = a.clone(),
-                    None => {
-                        eprintln!("--addr needs a host:port\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--uds" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => uds = Some(PathBuf::from(p)),
-                    None => {
-                        eprintln!("--uds needs a socket path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            // `--connections` is the pipelined-bench spelling; `--clients`
-            // stays as the original alias.
-            "--clients" | "--connections" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v >= 1 => clients = v,
-                    _ => {
-                        eprintln!("--connections needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--pipeline-depth" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v >= 1 => pipeline_depth = v,
-                    _ => {
-                        eprintln!("--pipeline-depth needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--cache-shards" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<usize>().ok()) {
-                    Some(v) => match validate_cache_shards(v) {
-                        Ok(v) => cache_shards = Some(v),
-                        Err(e) => {
-                            eprintln!("{e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => {
-                        eprintln!("--cache-shards needs an integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--requests" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v >= 1 => requests = v,
-                    _ => {
-                        eprintln!("--requests needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--timeout-ms" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(v) if v >= 1 => timeout_ms = Some(v),
-                    _ => {
-                        eprintln!("--timeout-ms needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = Some(p.clone()),
-                    None => {
-                        eprintln!("--out needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--strategy" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => check_strategy = s.clone(),
-                    None => {
-                        eprintln!("--strategy needs a value\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--scenario" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => scenario = s.clone(),
-                    None => {
-                        eprintln!("--scenario needs a value\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--instance" => {
-                i += 1;
-                match args.get(i) {
-                    Some(s) => instance = Some(s.clone()),
-                    None => {
-                        eprintln!("--instance needs a value\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--dim" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u32>().ok()) {
-                    Some(v) if v >= 1 => check_dim = v,
-                    _ => {
-                        eprintln!("--dim needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--schedules" | "--campaign-size" => {
-                let flag = args[i].clone();
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(v) => match hypersweep_analysis::validate_campaign_size(v) {
-                        Ok(v) => schedules = v,
-                        Err(e) => {
-                            eprintln!("{flag}: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => {
-                        eprintln!("{flag} needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--plant" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(v) => planted = Some(v),
-                    None => {
-                        eprintln!("--plant needs a schedule index\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--seed" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(v) => seed = v,
-                    None => {
-                        eprintln!("--seed needs an integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--max-steps" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(v) => max_steps = v,
-                    None => {
-                        eprintln!("--max-steps needs an integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--replay" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => replay_path = Some(p.clone()),
-                    None => {
-                        eprintln!("--replay needs a file path\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--stride" => {
-                i += 1;
-                match args.get(i).and_then(|s| s.parse::<u64>().ok()) {
-                    Some(v) => match hypersweep_analysis::validate_stride(v) {
-                        Ok(v) => stride = Some(v as usize),
-                        Err(e) => {
-                            eprintln!("--stride: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                    None => {
-                        eprintln!("--stride needs a positive integer\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--policy" => {
-                i += 1;
-                match args.get(i).map(|s| parse_policy(s)) {
-                    Some(Ok(p)) => policy = p,
-                    Some(Err(e)) => {
-                        eprintln!("{e}\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                    None => {
-                        eprintln!("--policy needs a value\n{}", usage());
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            other => positional.push(other.to_string()),
-        }
-        i += 1;
-    }
-    let result = match positional.first().map(String::as_str) {
-        Some("list") => {
-            cmd_list();
-            Ok(())
-        }
-        Some("report") if positional.len() == 2 && positional[1] == "scenarios" => {
-            cmd_report_scenarios(check_dim)
-        }
-        Some("report") if positional.len() >= 2 => cmd_report(
-            &positional[1..],
-            full,
-            max_dim,
-            json_dir,
-            jobs.unwrap_or_else(default_jobs),
-            cache_cap,
-            timings,
-        ),
-        Some("figures") => cmd_report(
-            &["f1", "f2", "f3", "f4"].map(String::from),
-            full,
-            max_dim,
-            json_dir,
-            jobs.unwrap_or_else(default_jobs),
-            cache_cap,
-            timings,
-        ),
-        Some("check") if positional.len() == 1 => match &replay_path {
-            Some(path) => cmd_check_replay(path),
-            None => {
-                let opts = CheckCampaignOpts {
-                    schedules,
-                    seed,
-                    jobs: jobs.unwrap_or_else(default_jobs),
-                    max_steps,
-                    stride: stride.map(|v| v as u64).unwrap_or(0),
-                    planted,
-                    timings,
-                };
-                match ScenarioId::parse(&scenario) {
-                    None => Err(format!(
-                        "unknown scenario '{scenario}' (known: hypercube, grid, dynamic)"
-                    )),
-                    Some(ScenarioId::Hypercube) if instance.is_some() => Err(
-                        "--instance applies only to scenario campaigns (--scenario grid|dynamic); \
-                         the hypercube has one instance"
-                            .into(),
-                    ),
-                    Some(ScenarioId::Hypercube) => {
-                        cmd_check(&check_strategy, check_dim, &opts, out.as_deref())
-                    }
-                    Some(_) if out.is_some() => Err(
-                        "--out applies only to the hypercube checker; scenario campaigns have no \
-                         replay format"
-                            .into(),
-                    ),
-                    Some(id) => cmd_check_scenario(
-                        id,
-                        &check_strategy,
-                        check_dim,
-                        instance.as_deref(),
-                        &opts,
-                    ),
-                }
-            }
-        },
-        Some("serve") if positional.len() == 1 => {
-            let mut limits = ServerLimits::default();
-            if let Some(v) = max_dim {
-                limits.max_dim = v;
-            }
-            if let Some(v) = jobs {
-                limits.workers = v;
-            }
-            if let Some(v) = cache_cap {
-                limits.cache_capacity = Some(v);
-            }
-            if let Some(v) = timeout_ms {
-                limits.request_timeout = std::time::Duration::from_millis(v);
-            }
-            limits.telemetry = !no_telemetry;
-            limits.metrics_file = metrics_file.clone();
-            if let Some(v) = metrics_interval_ms {
-                limits.metrics_interval = std::time::Duration::from_millis(v);
-            }
-            if let Some(v) = cache_shards {
-                limits.cache_shards = v;
-            }
-            limits.uds_path = uds.clone();
-            limits.persist_path = persist.clone();
-            cmd_serve(&addr, limits, state_file.clone(), log_file.clone())
-        }
-        Some("daemon") if positional.len() == 2 => {
-            let dir = state_dir
-                .clone()
-                .unwrap_or_else(|| PathBuf::from(".hypersweep-daemon"));
-            return match cmd_daemon(&positional[1], dir, force, forwarded_serve_args(&args)) {
-                Ok(code) => code,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        Some("bench-check") if positional.len() == 1 => cmd_bench_check(
-            out.as_deref().unwrap_or("BENCH_check.json"),
-            jobs.unwrap_or_else(default_jobs),
-        ),
-        Some("bench-serve") if positional.len() == 1 => cmd_bench_serve(
-            &BenchConfig {
-                addr: addr.clone(),
-                uds: uds.clone(),
-                clients,
-                requests,
-                pipeline_depth,
-                max_dim: max_dim.unwrap_or(8),
-            },
-            out.as_deref().unwrap_or("BENCH_serve.json"),
-        ),
-        Some("telemetry-gate") if positional.len() == 3 => cmd_telemetry_gate(
-            &positional[1],
-            &positional[2],
-            out.as_deref().unwrap_or("BENCH_telemetry.json"),
-        ),
-        Some("run") if positional.len() == 3 => match positional[2].parse::<u32>() {
-            Ok(d) if (1..=hypersweep_topology::MAX_DIMENSION).contains(&d) => {
-                cmd_run(&positional[1], d, policy, fast)
-            }
-            _ => Err(format!("bad dimension '{}'", positional[2])),
-        },
-        Some("watch") if positional.len() == 3 => match positional[2].parse::<u32>() {
-            Ok(d) if (1..=8).contains(&d) => cmd_watch(&positional[1], d, stride.unwrap_or(8)),
-            _ => Err(format!(
-                "watch needs a dimension in 1..=8, got '{}'",
-                positional[2]
-            )),
-        },
-        Some("trace") if positional.len() == 4 => match positional[2].parse::<u32>() {
-            Ok(d) if (1..=14).contains(&d) => cmd_trace(&positional[1], d, &positional[3]),
-            _ => Err(format!(
-                "trace needs a dimension in 1..=14, got '{}'",
-                positional[2]
-            )),
-        },
-        Some("audit") if positional.len() == 3 => match positional[1].parse::<u32>() {
-            Ok(d) if (1..=14).contains(&d) => cmd_audit(d, &positional[2]),
-            _ => Err(format!(
-                "audit needs a dimension in 1..=14, got '{}'",
-                positional[1]
-            )),
-        },
-        _ => Err(usage().to_string()),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match args::run(&argv) {
+        Ok(code) => code,
         Err(e) => {
             eprintln!("{e}");
             ExitCode::FAILURE

@@ -52,7 +52,8 @@ pub fn parse_strategy(label: &str) -> Option<StrategyKind> {
 /// Machine-readable error category, stable across releases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorKind {
-    /// The line was not a valid JSON object.
+    /// The line was not a valid JSON object, or it repeated a field or
+    /// carried one its request form does not take.
     Malformed,
     /// The `type` field was missing or not a known request type.
     UnknownRequest,
@@ -259,6 +260,12 @@ impl Request {
     }
 
     /// Parse one wire line. Errors are structured, never connection-fatal.
+    ///
+    /// `type` picks the request kind and, for `plan`/`predict`/`audit`, a
+    /// non-hypercube `scenario` picks the scenario form. The object's
+    /// fields are then read in one pass against that form's declared
+    /// fields, so a repeated or undeclared field is `malformed`: such a
+    /// line would otherwise get the reply of a different line.
     pub fn parse(line: &str) -> Result<Request, WireError> {
         let value = serde_json::from_str_value(line)
             .map_err(|e| WireError::new(ErrorKind::Malformed, format!("invalid JSON: {e}")))?;
@@ -271,116 +278,141 @@ impl Request {
                 "missing request 'type' (expected plan|predict|audit|status|metrics|shutdown)",
             )
         })?;
-        match tag {
-            "plan" | "predict" | "audit" => {
-                // An explicit non-hypercube `scenario` field routes to the
-                // registry; absent (or `"hypercube"`) keeps the classic
-                // strategy/dim form, byte-compatible with every old client.
-                let scenario_field = serde::get_field(fields, "scenario");
-                if !matches!(scenario_field, Value::Null) {
-                    let label = scenario_field.as_str().ok_or_else(|| {
-                        WireError::new(ErrorKind::UnknownScenario, "'scenario' must be a string")
-                    })?;
-                    let scenario = ScenarioId::parse(label).ok_or_else(|| {
-                        let known: Vec<&str> = ScenarioId::ALL.iter().map(|s| s.label()).collect();
-                        WireError::new(
-                            ErrorKind::UnknownScenario,
-                            format!("unknown scenario '{label}' (known: {})", known.join(", ")),
-                        )
-                    })?;
-                    if let Some(resolved) = hypersweep_scenario::resolve(scenario) {
-                        let side = u32::deserialize_value(serde::get_field(fields, "dim"))
-                            .map_err(|_| {
-                                WireError::new(
-                                    ErrorKind::BadDimension,
-                                    format!("'{tag}' requires an integer 'dim' field"),
-                                )
-                            })?;
-                        let instance_field = serde::get_field(fields, "instance");
-                        let instance = if matches!(instance_field, Value::Null) {
-                            resolved.default_instance()
-                        } else {
-                            let spelled = instance_field.as_str().ok_or_else(|| {
-                                WireError::new(
-                                    ErrorKind::BadInstance,
-                                    "'instance' must be a string",
-                                )
-                            })?;
-                            GridInstance::parse(spelled).ok_or_else(|| {
-                                WireError::new(
-                                    ErrorKind::BadInstance,
-                                    format!(
-                                        "unknown instance '{spelled}' \
-                                         (expected full|holes:<seed>|corridor)"
-                                    ),
-                                )
-                            })?
-                        };
-                        return Ok(match tag {
-                            "plan" => Request::ScenarioPlan {
-                                scenario,
-                                side,
-                                instance,
-                            },
-                            "predict" => Request::ScenarioPredict {
-                                scenario,
-                                side,
-                                instance,
-                            },
-                            _ => Request::ScenarioAudit {
-                                scenario,
-                                side,
-                                instance,
-                            },
-                        });
-                    }
-                    // `"scenario":"hypercube"` is the explicit spelling of
-                    // the default: fall through to the classic form.
-                }
-                let strategy_label =
-                    serde::get_field(fields, "strategy")
-                        .as_str()
-                        .ok_or_else(|| {
-                            WireError::new(
-                                ErrorKind::UnknownStrategy,
-                                format!("'{tag}' requires a string 'strategy' field"),
-                            )
-                        })?;
-                let strategy = parse_strategy(strategy_label).ok_or_else(|| {
-                    let known: Vec<&str> = WIRE_STRATEGIES.iter().map(|s| s.label()).collect();
-                    WireError::new(
-                        ErrorKind::UnknownStrategy,
-                        format!(
-                            "unknown strategy '{strategy_label}' (known: {})",
-                            known.join(", ")
-                        ),
-                    )
-                })?;
-                let dim =
-                    u32::deserialize_value(serde::get_field(fields, "dim")).map_err(|_| {
-                        WireError::new(
-                            ErrorKind::BadDimension,
-                            format!("'{tag}' requires an integer 'dim' field"),
-                        )
-                    })?;
-                Ok(match tag {
-                    "plan" => Request::Plan { strategy, dim },
-                    "predict" => Request::Predict { strategy, dim },
-                    _ => Request::Audit { strategy, dim },
-                })
+        let scenario = match tag {
+            "plan" | "predict" | "audit" => route_scenario(serde::get_field(fields, "scenario"))?,
+            "status" | "metrics" | "shutdown" => None,
+            other => {
+                return Err(WireError::new(
+                    ErrorKind::UnknownRequest,
+                    format!(
+                        "unknown request type '{other}' \
+                         (expected plan|predict|audit|status|metrics|shutdown)"
+                    ),
+                ))
             }
-            "status" => Ok(Request::Status),
-            "metrics" => Ok(Request::Metrics),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(WireError::new(
-                ErrorKind::UnknownRequest,
-                format!(
-                    "unknown request type '{other}' \
-                     (expected plan|predict|audit|status|metrics|shutdown)"
-                ),
-            )),
+        };
+        // Each form's declared fields, the form's own one last; `read`
+        // holds the value of each.
+        let form: &[&str] = match (tag, scenario) {
+            ("status" | "metrics" | "shutdown", _) => &["type"],
+            (_, None) => &["type", "scenario", "dim", "strategy"],
+            (_, Some(_)) => &["type", "scenario", "dim", "instance"],
+        };
+        let mut read: [Option<&Value>; 4] = [None; 4];
+        for (key, value) in fields {
+            let Some(i) = form.iter().position(|f| f == key) else {
+                return Err(WireError::new(
+                    ErrorKind::Malformed,
+                    format!(
+                        "'{tag}' takes no '{key}' field (it takes {})",
+                        form.join(", ")
+                    ),
+                ));
+            };
+            if read[i].replace(value).is_some() {
+                return Err(WireError::new(
+                    ErrorKind::Malformed,
+                    format!("field '{key}' appears twice"),
+                ));
+            }
         }
+        let [.., dim, own] = read.map(|v| v.unwrap_or(&Value::Null));
+        let dim = || {
+            u32::deserialize_value(dim).map_err(|_| {
+                WireError::new(
+                    ErrorKind::BadDimension,
+                    format!("'{tag}' requires an integer 'dim' field"),
+                )
+            })
+        };
+        if let Some((scenario, resolved)) = scenario {
+            let side = dim()?;
+            let instance = match own {
+                Value::Null => resolved.default_instance(),
+                field => {
+                    let spelled = field.as_str().ok_or_else(|| {
+                        WireError::new(ErrorKind::BadInstance, "'instance' must be a string")
+                    })?;
+                    GridInstance::parse(spelled).ok_or_else(|| {
+                        WireError::new(
+                            ErrorKind::BadInstance,
+                            format!(
+                                "unknown instance '{spelled}' \
+                                 (expected full|holes:<seed>|corridor)"
+                            ),
+                        )
+                    })?
+                }
+            };
+            return Ok(match tag {
+                "plan" => Request::ScenarioPlan {
+                    scenario,
+                    side,
+                    instance,
+                },
+                "predict" => Request::ScenarioPredict {
+                    scenario,
+                    side,
+                    instance,
+                },
+                _ => Request::ScenarioAudit {
+                    scenario,
+                    side,
+                    instance,
+                },
+            });
+        }
+        match tag {
+            "status" => return Ok(Request::Status),
+            "metrics" => return Ok(Request::Metrics),
+            "shutdown" => return Ok(Request::Shutdown),
+            _ => {}
+        }
+        let strategy_label = own.as_str().ok_or_else(|| {
+            WireError::new(
+                ErrorKind::UnknownStrategy,
+                format!("'{tag}' requires a string 'strategy' field"),
+            )
+        })?;
+        let strategy = parse_strategy(strategy_label).ok_or_else(|| {
+            let known: Vec<&str> = WIRE_STRATEGIES.iter().map(|s| s.label()).collect();
+            WireError::new(
+                ErrorKind::UnknownStrategy,
+                format!(
+                    "unknown strategy '{strategy_label}' (known: {})",
+                    known.join(", ")
+                ),
+            )
+        })?;
+        let dim = dim()?;
+        Ok(match tag {
+            "plan" => Request::Plan { strategy, dim },
+            "predict" => Request::Predict { strategy, dim },
+            _ => Request::Audit { strategy, dim },
+        })
     }
+}
+
+/// Route on a request's `scenario` field: absent (or `"hypercube"`, the
+/// spelled-out default) keeps the classic strategy/dim form; a registered
+/// scenario selects the scenario form.
+fn route_scenario(
+    field: &Value,
+) -> Result<Option<(ScenarioId, &'static dyn hypersweep_scenario::Scenario)>, WireError> {
+    if matches!(field, Value::Null) {
+        return Ok(None);
+    }
+    let label = field
+        .as_str()
+        .ok_or_else(|| WireError::new(ErrorKind::UnknownScenario, "'scenario' must be a string"))?;
+    let scenario = ScenarioId::parse(label).ok_or_else(|| {
+        let known: Vec<&str> = ScenarioId::ALL.iter().map(|s| s.label()).collect();
+        WireError::new(
+            ErrorKind::UnknownScenario,
+            format!("unknown scenario '{label}' (known: {})", known.join(", ")),
+        )
+    })?;
+    Ok(hypersweep_scenario::resolve(scenario).map(|resolved| (scenario, resolved)))
 }
 
 /// One phase of a cleaning schedule.

@@ -371,3 +371,66 @@ fn unknown_request_errors_advertise_metrics() {
         err.message
     );
 }
+
+#[test]
+fn unknown_repeated_and_foreign_fields_are_malformed() {
+    // A valid line of each form, with a field only the other form takes.
+    let forms: [(&str, &[&str]); 9] = [
+        (
+            r#"{"type":"plan","strategy":"clean","dim":6}"#,
+            &[r#""instance":"holes:1""#],
+        ),
+        (
+            r#"{"type":"predict","strategy":"visibility","dim":8}"#,
+            &[r#""instance":"full""#],
+        ),
+        (
+            r#"{"type":"audit","scenario":"hypercube","strategy":"clean","dim":6}"#,
+            &[r#""instance":"corridor""#],
+        ),
+        (
+            r#"{"type":"plan","scenario":"grid","dim":6,"instance":"holes:42"}"#,
+            &[r#""strategy":"clean""#],
+        ),
+        (
+            r#"{"type":"audit","scenario":"grid","dim":6}"#,
+            &[r#""strategy":"clean""#],
+        ),
+        (
+            r#"{"type":"predict","scenario":"dynamic","dim":5}"#,
+            &[r#""strategy":"clean""#],
+        ),
+        (
+            r#"{"type":"status"}"#,
+            &[r#""dim":6"#, r#""strategy":"clean""#],
+        ),
+        (
+            r#"{"type":"metrics"}"#,
+            &[r#""dim":6"#, r#""scenario":"grid""#],
+        ),
+        (r#"{"type":"shutdown"}"#, &[r#""instance":"full""#]),
+    ];
+    for (line, foreign) in forms {
+        Request::parse(line).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+        let with = |field: &str| format!("{},{field}}}", &line[..line.len() - 1]);
+        let mut extended: Vec<String> = vec![with(r#""bogus":1"#)];
+        extended.extend(foreign.iter().map(|field| with(field)));
+        // Every present key again, with another value.
+        let value = serde_json::from_str_value(line).expect("valid JSON");
+        for (key, present) in value.as_object().expect("an object") {
+            let other = match present.as_str() {
+                Some(text) => format!("\"{text}-2\""),
+                None => "7".to_string(),
+            };
+            extended.push(with(&format!("\"{key}\":{other}")));
+        }
+        for bad in extended {
+            let err = Request::parse(&bad).expect_err(&bad);
+            assert_eq!(err.kind, ErrorKind::Malformed, "{bad}: {}", err.message);
+            assert!(
+                err.message.contains('\''),
+                "{bad}: the message names the field"
+            );
+        }
+    }
+}

@@ -9,8 +9,9 @@
 //! the adversary.
 //!
 //! Events are appended to a global log while both endpoint locks are held,
-//! giving a linearization the `hypersweep-intruder` monitors can audit just
-//! like an engine trace. Intended for moderate dimensions (`d ≤ 10`, i.e.
+//! and the lock-free state mirrors change under the same log lock, giving
+//! a linearization the `hypersweep-intruder` monitors can audit just like
+//! an engine trace. Intended for moderate dimensions (`d ≤ 10`, i.e.
 //! at most a few hundred threads) as a cross-check of the engine, not as
 //! the scalable path.
 
@@ -80,8 +81,14 @@ impl<B: Board> Shared<B> {
         }
     }
 
-    fn emit(&self, kind: EventKind, away_delta: i64) {
+    /// Append an event, first running `publish` (the `occupancy`/`visited`
+    /// updates that other agents read without a lock) under the log lock.
+    /// Published any earlier, an agent could see the new state and log
+    /// its reaction ahead of this event, and the log would no longer be a
+    /// linearization.
+    fn emit(&self, kind: EventKind, away_delta: i64, publish: impl FnOnce()) {
         let mut log = self.log.lock();
+        publish();
         log.clock += 1;
         let time = log.clock;
         if self.record_events {
@@ -170,8 +177,6 @@ pub fn run_threaded<P: AgentProgram>(
                 let mut cell = shared.cells[Node::ROOT.index()].lock();
                 cell.active += 1;
             }
-            shared.occupancy[Node::ROOT.index()].fetch_add(1, Ordering::AcqRel);
-            shared.visited[Node::ROOT.index()].store(true, Ordering::Release);
             shared.emit(
                 EventKind::Spawn {
                     agent: id,
@@ -179,6 +184,10 @@ pub fn run_threaded<P: AgentProgram>(
                     role,
                 },
                 0,
+                || {
+                    shared.occupancy[Node::ROOT.index()].fetch_add(1, Ordering::AcqRel);
+                    shared.visited[Node::ROOT.index()].store(true, Ordering::Release);
+                },
             );
             let shared_ref = &shared;
             scope.spawn(move || agent_main(shared_ref, scope, program, id, role, Node::ROOT));
@@ -294,9 +303,6 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                 };
                 from_cell.active -= 1;
                 to_cell.active += 1;
-                shared.occupancy[pos.index()].fetch_sub(1, Ordering::AcqRel);
-                shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
-                shared.visited[to.index()].store(true, Ordering::Release);
                 let away = match (pos == Node::ROOT, to == Node::ROOT) {
                     (true, false) => 1,
                     (false, true) => -1,
@@ -310,6 +316,11 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                         role,
                     },
                     away,
+                    || {
+                        shared.occupancy[pos.index()].fetch_sub(1, Ordering::AcqRel);
+                        shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
+                        shared.visited[to.index()].store(true, Ordering::Release);
+                    },
                 );
                 match role {
                     Role::Coordinator => shared.coordinator_moves.fetch_add(1, Ordering::Relaxed),
@@ -329,8 +340,6 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                 {
                     let mut to_cell = shared.cells[to.index()].lock();
                     to_cell.active += 1;
-                    shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
-                    shared.visited[to.index()].store(true, Ordering::Release);
                     shared.emit(
                         EventKind::CloneSpawn {
                             parent: id,
@@ -339,6 +348,10 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                             to,
                         },
                         i64::from(to != Node::ROOT),
+                        || {
+                            shared.occupancy[to.index()].fetch_add(1, Ordering::AcqRel);
+                            shared.visited[to.index()].store(true, Ordering::Release);
+                        },
                     );
                     shared.worker_moves.fetch_add(1, Ordering::Relaxed);
                 }
@@ -357,6 +370,7 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                         node: pos,
                     },
                     0,
+                    || {},
                 );
                 shared.notify_visible(pos);
                 return;

@@ -214,3 +214,34 @@ fn final_occupancy_is_identical_across_executors() {
         );
     }
 }
+
+#[test]
+fn threaded_logs_audit_complete_over_many_runs() {
+    // Each move publishes the state other agents read under the log lock.
+    // Published before it, an agent could react to a move and log the
+    // reaction first: a node then reads as vacated before its neighbour's
+    // guard arrives, and the audit sees recontamination. That happened in
+    // about 1 run in 40 (cloning) and 1 in 100 (visibility) at d=5.
+    let cube = Hypercube::new(5);
+    let cfg = ThreadedConfig {
+        visibility: true,
+        ..ThreadedConfig::default()
+    };
+    for run in 0..200 {
+        let cloning = run_threaded(cube, vec![(CloningAgent::new(), Role::Worker)], cfg).unwrap();
+        let verdict = audit(cube, &cloning.events);
+        assert!(
+            verdict.is_complete(),
+            "cloning run {run}: {:?}",
+            verdict.violations
+        );
+        let team = (0..16).map(|_| (VisibilityAgent, Role::Worker)).collect();
+        let visibility = run_threaded(cube, team, cfg).unwrap();
+        let verdict = audit(cube, &visibility.events);
+        assert!(
+            verdict.is_complete(),
+            "visibility run {run}: {:?}",
+            verdict.violations
+        );
+    }
+}
