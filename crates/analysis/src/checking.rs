@@ -13,13 +13,17 @@
 //! schedule index**, deterministic for a fixed `(strategy, dim, schedules,
 //! seed)` regardless of parallelism — see
 //! [`crate::pool::StreamCutoff`] for why the cutoff cannot skip the
-//! winner.
+//! winner. The outcome's tallies count only the schedules up to and
+//! including the winner, which every worker count runs exactly once, so
+//! the campaign table reads the same under any `--jobs`.
 //!
-//! Telemetry lands in the `check.*` series: `check.schedules`,
-//! `check.steps`, `check.events`, `check.violations`, `check.slices`,
-//! `check.slices_skipped` counters, the per-schedule `check.schedule_us`
-//! wall-time histogram, and per-campaign `span.check.campaign_us` /
-//! `span.check.shrink_us` phase spans (rendered by `check --timings`).
+//! Telemetry counts the work actually done, including schedules a pooled
+//! campaign ran past the winner. It lands in the `check.*` series:
+//! `check.schedules`, `check.steps`, `check.events`, `check.violations`,
+//! `check.slices`, `check.slices_skipped` counters, the per-schedule
+//! `check.schedule_us` wall-time histogram, and per-campaign
+//! `span.check.campaign_us` / `span.check.shrink_us` phase spans (rendered
+//! by `check --timings`).
 
 use std::time::{Duration, Instant};
 
@@ -109,14 +113,14 @@ pub struct CampaignOutcome {
     pub strategy: String,
     /// Hypercube dimension.
     pub dim: u32,
-    /// Schedules actually explored (slices stop at their first violation,
-    /// so this can undershoot the request when a counterexample exists).
+    /// Schedules explored up to and including the counterexample (all of
+    /// them when there is none), the same for any worker count.
     pub schedules_run: u64,
-    /// Decision steps executed across all explored schedules.
+    /// Decision steps executed across those schedules.
     pub steps: u64,
-    /// Events fed through the oracles.
+    /// Events fed through the oracles across those schedules.
     pub events: u64,
-    /// Violating schedules seen across all slices.
+    /// Violating schedules among them: 1 with a counterexample, else 0.
     pub violations: u64,
     /// The lowest-index counterexample, shrunk and ready to serialize.
     /// `None` means every explored schedule upheld every invariant.
@@ -137,15 +141,14 @@ impl CampaignOutcome {
     }
 }
 
-/// What one streaming worker accumulates over every slice it claims.
-struct WorkerTally {
-    arena: CheckArena,
+/// What one streamed slice of schedules accumulated.
+#[derive(Default)]
+struct SliceTally {
     schedules_run: u64,
     steps: u64,
     events: u64,
-    violations: u64,
-    /// Lowest violating schedule this worker saw, with its run.
-    best: Option<(u64, hypersweep_check::ScheduleRun)>,
+    /// The slice's violating schedule (its last), with its run.
+    violation: Option<(u64, hypersweep_check::ScheduleRun)>,
 }
 
 /// The config a specific schedule runs under: the campaign config, except
@@ -159,11 +162,11 @@ fn schedule_cfg(campaign: &CheckCampaign, schedule: u64) -> CheckConfig {
 }
 
 /// Run one campaign on `jobs` streaming workers, recording `check.*`
-/// telemetry into `registry`. Deterministic verdict: the returned
-/// counterexample is the lowest-index violating schedule regardless of
-/// `jobs`; aggregate tallies are deterministic whenever the campaign is
-/// quiet (no violation ⇒ the cutoff never engages and every schedule
-/// runs).
+/// telemetry into `registry`. Deterministic for any `jobs`: the returned
+/// counterexample is the lowest-index violating schedule, and the tallies
+/// count exactly the schedules up to and including it (every schedule when
+/// the campaign is quiet). The `check.*` counters count every schedule
+/// actually run, including those a pooled campaign ran past the winner.
 pub fn run_campaign(
     campaign: &CheckCampaign,
     jobs: usize,
@@ -178,26 +181,19 @@ pub fn run_campaign(
     let violations_counter = registry.counter("check.violations");
     let schedule_us = registry.histogram("check.schedule_us");
 
-    let tallies = execute_schedule_stream(
+    let slices = execute_schedule_stream(
         campaign.schedules,
         SLICE,
         jobs.max(1),
         registry,
         "check",
-        |_worker| WorkerTally {
-            // One arena per *worker* for the whole campaign: every slice
-            // it claims recycles the oracle field's allocations.
-            arena: CheckArena::new(),
-            schedules_run: 0,
-            steps: 0,
-            events: 0,
-            violations: 0,
-            best: None,
-        },
-        |tally, schedule| {
+        // One arena per *worker* for the whole campaign: every slice it
+        // claims recycles the oracle field's allocations.
+        |_worker| CheckArena::new(),
+        |arena, tally: &mut SliceTally, schedule| {
             let run_cfg = schedule_cfg(campaign, schedule);
             let t0 = Instant::now();
-            let run = explore_schedule_in(&run_cfg, seed, schedule, &mut tally.arena);
+            let run = explore_schedule_in(&run_cfg, seed, schedule, arena);
             schedule_us.record(t0.elapsed().as_micros() as u64);
             tally.schedules_run += 1;
             tally.steps += run.steps;
@@ -206,11 +202,8 @@ pub fn run_campaign(
             steps_counter.add(run.steps);
             events_counter.add(run.events);
             if run.violation.is_some() {
-                tally.violations += 1;
                 violations_counter.add(1);
-                if tally.best.as_ref().is_none_or(|(s, _)| schedule < *s) {
-                    tally.best = Some((schedule, run));
-                }
+                tally.violation = Some((schedule, run));
                 true
             } else {
                 false
@@ -219,7 +212,7 @@ pub fn run_campaign(
     );
 
     let mut outcome = CampaignOutcome {
-        strategy: cfg.strategy.name().to_string(),
+        strategy: cfg.name().to_string(),
         dim: cfg.dim,
         schedules_run: 0,
         steps: 0,
@@ -228,19 +221,16 @@ pub fn run_campaign(
         counterexample: None,
         elapsed: Duration::ZERO,
     };
-    let mut winner: Option<(u64, hypersweep_check::ScheduleRun)> = None;
-    for tally in tallies {
-        outcome.schedules_run += tally.schedules_run;
-        outcome.steps += tally.steps;
-        outcome.events += tally.events;
-        outcome.violations += tally.violations;
-        if let Some((schedule, run)) = tally.best {
-            if winner.as_ref().is_none_or(|(s, _)| schedule < *s) {
-                winner = Some((schedule, run));
-            }
-        }
+    // Only the last slice can hold a violation: the winner.
+    let mut winner = None;
+    for slice in slices {
+        outcome.schedules_run += slice.schedules_run;
+        outcome.steps += slice.steps;
+        outcome.events += slice.events;
+        winner = slice.violation;
     }
     if let Some((schedule, run)) = winner {
+        outcome.violations = 1;
         let shrink_cfg = schedule_cfg(campaign, schedule);
         let t0 = Instant::now();
         outcome.counterexample = Some(shrunk_replay(&shrink_cfg, seed, schedule, run));
@@ -366,6 +356,34 @@ mod tests {
                 "planted counterexample must serialize identically across jobs"
             );
         }
+    }
+
+    /// A failing campaign's tallies cover exactly the schedules up to the
+    /// winner, so its table row is the same under any `--jobs`, however far
+    /// pooled workers ran past the winner before the cutoff stopped them.
+    #[test]
+    fn planted_campaign_tallies_are_equal_for_any_jobs() {
+        let c = CheckCampaign {
+            cfg: CheckConfig::new(CheckStrategy::Cloning, 6),
+            schedules: 100_000,
+            seed: 2005,
+            planted: Some(1337),
+        };
+        let rows: Vec<Vec<String>> = [1usize, 2, 4]
+            .into_iter()
+            .map(|jobs| {
+                let out = run_campaign(&c, jobs, &MetricsRegistry::disabled());
+                assert_eq!(
+                    (out.schedules_run, out.violations),
+                    (1338, 1),
+                    "jobs = {jobs}"
+                );
+                let mut row = campaign_table(&[out]).rows.remove(0);
+                row[5].clear(); // sched/s is wall clock
+                row
+            })
+            .collect();
+        assert!(rows.windows(2).all(|w| w[0] == w[1]), "{rows:?}");
     }
 
     #[test]

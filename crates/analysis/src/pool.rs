@@ -165,9 +165,9 @@ where
 /// they would run exceeds the bound. The skip is **deterministic for the
 /// winner**: the bound only ever holds indices of *actual* violations, so
 /// it can never sink below the global minimum violating index `v*` — and
-/// therefore `v*` itself can never be skipped. Quiet ranges (no violation
-/// anywhere) never move the bound and are explored exhaustively, keeping
-/// their aggregate counts independent of the worker count.
+/// therefore no index up to and including `v*` is ever skipped: each runs
+/// exactly once under any worker count. Quiet ranges (no violation
+/// anywhere) never move the bound and are explored exhaustively.
 pub struct StreamCutoff(AtomicU64);
 
 impl StreamCutoff {
@@ -192,19 +192,22 @@ impl StreamCutoff {
 /// heap-allocated jobs regardless of its size.
 ///
 /// Each worker builds one `S` via `init` (its reusable arena state, kept
-/// across every slice it claims), then calls `run(&mut state, index)` for
-/// each index. `run` returns `true` when the index *violated*; the
-/// executor records it in the [`StreamCutoff`] and stops the slice. Slices
-/// whose low end exceeds the cutoff are skipped whole (counted in
-/// `{prefix}.slices_skipped`); claimed slices land in `{prefix}.slices`.
+/// across every slice it claims), then calls `run(&mut state, &mut tally,
+/// index)` for each index, where `tally` is a fresh `T` per slice. `run`
+/// returns `true` when the index *violated*; the executor records it in
+/// the [`StreamCutoff`] and stops the slice. Slices whose low end exceeds
+/// the cutoff are skipped whole (counted in `{prefix}.slices_skipped`);
+/// claimed slices land in `{prefix}.slices`.
 ///
-/// Determinism: the minimum violating index is always executed (see
-/// [`StreamCutoff`]), so a caller that keeps its per-worker minimum and
-/// merges by `min` reports the same winner for any `workers`. Aggregate
-/// counts (indices run, work done) are deterministic exactly when the
-/// range is quiet; with a violation present they depend on timing, which
-/// is why campaign reports only promise the *winner*, not the tallies.
-pub fn execute_schedule_stream<S, I, R>(
+/// Returns, in index order, the tallies of the slices that start at or
+/// below the lowest violating index (every slice when the range is quiet).
+/// Those slices ran every index from their low end up to their first
+/// violation, and no other, under any worker count (see [`StreamCutoff`]),
+/// so whatever the caller folds over them — the winner and every count —
+/// is the same for any `workers`. Slices above the winner ran as far as
+/// timing let them; their tallies are dropped. One tally per claimed slice
+/// is kept until the end (3,125 for a 100k-schedule campaign).
+pub fn execute_schedule_stream<S, T, I, R>(
     total: u64,
     slice_width: u64,
     workers: usize,
@@ -212,11 +215,11 @@ pub fn execute_schedule_stream<S, I, R>(
     prefix: &str,
     init: I,
     run: R,
-) -> Vec<S>
+) -> Vec<T>
 where
-    S: Send,
+    T: Default + Send,
     I: Fn(usize) -> S + Sync,
-    R: Fn(&mut S, u64) -> bool + Sync,
+    R: Fn(&mut S, &mut T, u64) -> bool + Sync,
 {
     let slice_width = slice_width.max(1);
     let slices_counter = registry.counter(&format!("{prefix}.slices"));
@@ -226,8 +229,9 @@ where
     let cutoff = StreamCutoff::new();
     let (next, cutoff, init, run) = (&next, &cutoff, &init, &run);
 
-    let worker_body = |me: usize| -> S {
+    let worker_body = |me: usize| -> Vec<(u64, T)> {
         let mut state = init(me);
+        let mut tallies = Vec::new();
         loop {
             let slice = next.fetch_add(1, Ordering::SeqCst);
             let Some(lo) = slice.checked_mul(slice_width) else {
@@ -242,31 +246,38 @@ where
                 continue;
             }
             slices_counter.inc();
+            let mut tally = T::default();
             for index in lo..hi {
                 if index > cutoff.bound() {
                     break;
                 }
-                if run(&mut state, index) {
+                if run(&mut state, &mut tally, index) {
                     cutoff.record(index);
                     break;
                 }
             }
+            tallies.push((lo, tally));
         }
-        state
+        tallies
     };
 
-    if workers == 1 {
-        return vec![worker_body(0)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| scope.spawn(move || worker_body(me)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("stream worker panicked"))
-            .collect()
-    })
+    let mut tallies: Vec<(u64, T)> = if workers == 1 {
+        worker_body(0)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| scope.spawn(move || worker_body(me)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("stream worker panicked"))
+                .collect()
+        })
+    };
+    let winner = cutoff.bound();
+    tallies.retain(|&(lo, _)| lo <= winner);
+    tallies.sort_unstable_by_key(|&(lo, _)| lo);
+    tallies.into_iter().map(|(_, tally)| tally).collect()
 }
 
 /// The submission was rejected because the pool's queue is at capacity —

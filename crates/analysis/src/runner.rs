@@ -244,10 +244,12 @@ impl RunSummary {
             self.cache_misses,
             self.cache_evictions,
             self.unique_runs,
+            // Summed as `Duration`s: an empty `f64` sum is −0.0.
             self.run_timings
                 .iter()
-                .map(|(_, t)| t.as_secs_f64())
-                .sum::<f64>(),
+                .map(|(_, t)| *t)
+                .sum::<Duration>()
+                .as_secs_f64(),
             self.wall.as_secs_f64(),
             if slowest.is_empty() {
                 "-".into()
@@ -400,6 +402,25 @@ pub fn export_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn summary_without_runs_renders_zero_run_time() {
+        let summary = RunSummary {
+            jobs: 1,
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_evictions: 0,
+            unique_runs: 0,
+            run_timings: Vec::new(),
+            experiment_timings: Vec::new(),
+            warm_wall: Duration::ZERO,
+            experiments_wall: Duration::ZERO,
+            wall: Duration::ZERO,
+        };
+        let line = summary.render();
+        assert!(line.contains("(0 unique runs, 0.0s run time)"), "{line}");
+        assert!(!line.contains("-0.0"), "{line}");
+    }
 
     #[test]
     fn unknown_id_is_none() {

@@ -12,7 +12,7 @@ use hypersweep_sim::{AgentProgram, Engine, EngineConfig, Policy, Role};
 use hypersweep_topology::{Hypercube, Node};
 
 use crate::adversary::Adversary;
-use crate::mutant::EagerVisibilityAgent;
+use crate::mutant::{EagerVisibilityAgent, Mutant, WakeupCloningAgent};
 use crate::oracle::{StepOracle, ViolationKind, ViolationReport};
 
 /// Which strategy the checker drives.
@@ -76,6 +76,10 @@ impl CheckStrategy {
 pub struct CheckConfig {
     /// The strategy under check.
     pub strategy: CheckStrategy,
+    /// Run this mutant of `strategy` in its place (a negative control);
+    /// `None` runs the strategy itself. Set only by [`CheckConfig::named`],
+    /// so `strategy` is always the one the mutant breaks.
+    pub(crate) mutant: Option<Mutant>,
     /// Hypercube dimension (`1..=16`; team sizes are exponential in it).
     pub dim: u32,
     /// Step budget per schedule; `0` derives a generous default from the
@@ -94,10 +98,30 @@ impl CheckConfig {
     pub fn new(strategy: CheckStrategy, dim: u32) -> Self {
         CheckConfig {
             strategy,
+            mutant: None,
             dim,
             max_steps: 0,
             stride: 0,
         }
+    }
+
+    /// A config with derived bounds for the strategy or mutant called
+    /// `name` (see [`CheckStrategy::parse`] and [`Mutant::parse`]).
+    pub fn named(name: &str, dim: u32) -> Option<Self> {
+        if let Some(strategy) = CheckStrategy::parse(name) {
+            return Some(CheckConfig::new(strategy, dim));
+        }
+        let mutant = Mutant::parse(name)?;
+        Some(CheckConfig {
+            mutant: Some(mutant),
+            ..CheckConfig::new(mutant.strategy(), dim)
+        })
+    }
+
+    /// The name [`CheckConfig::named`] reads: the mutant's, if any, else
+    /// the strategy's.
+    pub fn name(&self) -> &'static str {
+        self.mutant.map_or(self.strategy.name(), Mutant::name)
     }
 
     /// Validate the dimension range.
@@ -230,6 +254,15 @@ fn run_impl(cfg: &CheckConfig, source: Source<'_>, arena: &mut CheckArena) -> Sc
         record_events: true,
         ..EngineConfig::default()
     };
+    if let Some(mutant) = cfg.mutant {
+        return match mutant {
+            Mutant::WakeupClone => {
+                let mut engine = Engine::new(cube, engine_cfg(true, Policy::Fifo));
+                engine.spawn(WakeupCloningAgent::default(), Node::ROOT, Role::Worker);
+                drive_async(engine, cube, cfg, source, arena)
+            }
+        };
+    }
     match cfg.strategy {
         CheckStrategy::Clean => {
             let mut engine = Engine::new(cube, engine_cfg(false, Policy::Fifo));

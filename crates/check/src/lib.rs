@@ -25,10 +25,13 @@
 //! keeps that list as an incrementally updated bitset with a live-agent
 //! counter, and adversaries read it through [`RunnableView`] (count,
 //! select, rank), so no step scans every agent or allocates the list.
-//! Failing schedules are [shrunk](shrink()) to a minimal trace (greedy
-//! canonicalization towards decision `0` plus tail truncation) and
-//! serialized as a [`ReplayFile`] that reproduces the violation
-//! byte-for-byte, independent of the adversary that found it.
+//! Failing schedules are [shrunk](shrink()) to a minimal trace (the
+//! all-canonical trace if it still violates, else greedy canonicalization
+//! towards decision `0`, plus tail truncation) and serialized as a
+//! [`ReplayFile`] that reproduces the violation byte-for-byte, independent
+//! of the adversary that found it. The [`Mutant`]s and
+//! [`CheckStrategy::MutantEagerGuard`] are negative controls: deliberately
+//! broken strategies the campaign must catch.
 //!
 //! Like `hypersweep-telemetry`, the crate is std-only: the only
 //! dependencies beyond the workspace's own crates are the vendored
@@ -49,7 +52,7 @@ pub use explore::{
     explore_schedule, explore_schedule_in, run_with_adversary, run_with_adversary_in,
     run_with_trace, run_with_trace_in, CheckArena, CheckConfig, CheckStrategy, ScheduleRun,
 };
-pub use mutant::EagerVisibilityAgent;
+pub use mutant::{EagerVisibilityAgent, Mutant, WakeupCloningAgent};
 pub use oracle::{StepOracle, ViolationKind, ViolationReport};
 pub use replay::{
     shrunk_replay, shrunk_replay_with_budget, ReplayError, ReplayFile, REPLAY_VERSION,

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::adversary::Adversary;
-use crate::explore::{run_with_trace, CheckConfig, CheckStrategy, ScheduleRun};
+use crate::explore::{run_with_trace, CheckConfig, ScheduleRun};
 use crate::oracle::ViolationReport;
 use crate::shrink::shrink;
 
@@ -20,7 +20,7 @@ pub(crate) const SHRINK_BUDGET: u64 = 2_000;
 pub struct ReplayFile {
     /// Format version ([`REPLAY_VERSION`]).
     pub version: u32,
-    /// Strategy name (see [`CheckStrategy::parse`]).
+    /// Strategy or mutant name (see [`CheckConfig::named`]).
     pub strategy: String,
     /// Hypercube dimension.
     pub dim: u32,
@@ -128,9 +128,8 @@ impl ReplayFile {
 
     /// The checking problem this replay belongs to.
     pub fn check_config(&self) -> Result<CheckConfig, ReplayError> {
-        let strategy = CheckStrategy::parse(&self.strategy)
+        let mut cfg = CheckConfig::named(&self.strategy, self.dim)
             .ok_or_else(|| ReplayError::UnknownStrategy(self.strategy.clone()))?;
-        let mut cfg = CheckConfig::new(strategy, self.dim);
         cfg.max_steps = self.max_steps.unwrap_or(0);
         Ok(cfg)
     }
@@ -171,13 +170,23 @@ pub fn shrunk_replay_with_budget(
     budget: u64,
 ) -> ReplayFile {
     let (shrunk, _stats) = shrink(cfg, run, budget);
+    replay_file(cfg, seed, schedule, shrunk)
+}
+
+/// Wrap an already shrunk violating run as a replay file.
+pub(crate) fn replay_file(
+    cfg: &CheckConfig,
+    seed: u64,
+    schedule: u64,
+    shrunk: ScheduleRun,
+) -> ReplayFile {
     let violation = shrunk
         .violation
         .clone()
         .expect("shrinking preserves the violation");
     ReplayFile {
         version: REPLAY_VERSION,
-        strategy: cfg.strategy.name().to_string(),
+        strategy: cfg.name().to_string(),
         dim: cfg.dim,
         campaign_seed: seed,
         schedule,
@@ -194,6 +203,7 @@ pub fn shrunk_replay_with_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::CheckStrategy;
     use crate::find_counterexample;
 
     #[test]

@@ -459,7 +459,7 @@ pub(crate) fn usage() -> String {
         "usage:\n{rows}\n\
          daemon start|restart passes its serve flags to the managed daemon\n\
          policies: fifo, lifo, round-robin, random:<seed>, synchronous\n\
-         check strategies: clean, visibility, cloning, synchronous, mutant-eager-guard, all\n\
+         check strategies: clean, visibility, cloning, synchronous, mutant-eager-guard, mutant-wakeup-clone, all\n\
          scenario strategies (--scenario grid|dynamic): sweep, mutant-grid-leaky-guard, all\n\
          experiment ids: f1 f2 f3 f4 t2 t3 t4 t5 t6 t7 t8 t9 t10 e11 e12 e13 e14 e15 e16\n\
          bench-check env: BENCH_CHECK_{{DIMS,SCHEDULES,STRATEGY,BUDGET_MS,BASELINE}}\n\

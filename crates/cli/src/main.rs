@@ -361,16 +361,18 @@ fn cmd_check(
             ));
         }
     }
-    let strategies: Vec<CheckStrategy> = if strategy == "all" {
-        CheckStrategy::PAPER.to_vec()
+    let configs: Vec<CheckConfig> = if strategy == "all" {
+        CheckStrategy::PAPER
+            .iter()
+            .map(|&s| CheckConfig::new(s, dim))
+            .collect()
     } else {
-        vec![CheckStrategy::parse(strategy)
+        vec![CheckConfig::named(strategy, dim)
             .ok_or_else(|| format!("unknown check strategy '{strategy}'"))?]
     };
     let registry = hypersweep_telemetry::MetricsRegistry::new();
     let mut outcomes = Vec::new();
-    for s in strategies {
-        let mut cfg = CheckConfig::new(s, dim);
+    for mut cfg in configs {
         cfg.max_steps = max_steps;
         cfg.stride = stride;
         cfg.validate()?;

@@ -76,7 +76,8 @@ pub struct ScenarioOutcome {
     pub side: u32,
     /// Live nodes in the instance.
     pub nodes: u64,
-    /// Schedules explored (short of the request only on failure).
+    /// Schedules explored up to and including the counterexample (all of
+    /// them when there is none), the same for any worker count.
     pub schedules_run: u64,
     /// Total decision steps.
     pub steps: u64,
@@ -114,6 +115,7 @@ impl ScenarioOutcome {
     }
 }
 
+/// What one streamed slice of schedules accumulated.
 struct SliceOutcome {
     schedules_run: u64,
     steps: u64,
@@ -124,7 +126,25 @@ struct SliceOutcome {
     rounds: u64,
     mutations: u64,
     rejected: u64,
-    first: Option<(u64, ScheduleStats)>,
+    /// The slice's violating schedule (its last), with its stats.
+    violation: Option<(u64, ScheduleStats)>,
+}
+
+impl Default for SliceOutcome {
+    fn default() -> Self {
+        SliceOutcome {
+            schedules_run: 0,
+            steps: 0,
+            events: 0,
+            moves: 0,
+            team_min: u64::MAX,
+            team_max: 0,
+            rounds: 0,
+            mutations: 0,
+            rejected: 0,
+            violation: None,
+        }
+    }
 }
 
 fn run_one(campaign: &ScenarioCampaign, schedule: u64, max_steps: u64) -> ScheduleStats {
@@ -155,9 +175,10 @@ fn run_one(campaign: &ScenarioCampaign, schedule: u64, max_steps: u64) -> Schedu
 /// workers. Schedules stream through fixed-width slices claimed from a
 /// shared counter — nothing is materialized up front, so a 100k-schedule
 /// campaign enqueues zero heap-allocated jobs. Deterministic for a given
-/// campaign under any worker count: per-worker tallies are merged and the
-/// lowest failing schedule wins (quiet campaigns are explored
-/// exhaustively, so their aggregate counts are jobs-invariant too).
+/// campaign under any worker count: the lowest failing schedule wins, and
+/// the tallies count exactly the schedules up to and including it (every
+/// schedule when the campaign is quiet). The `scenario.*` counters count
+/// every schedule actually run.
 pub fn run_scenario_campaign(
     campaign: &ScenarioCampaign,
     jobs: usize,
@@ -175,25 +196,14 @@ pub fn run_scenario_campaign(
     let rejected_ctr = registry.counter("scenario.dynamic.rejected");
     let schedule_us = registry.histogram("scenario.schedule_us");
 
-    let tallies = execute_schedule_stream(
+    let slices = execute_schedule_stream(
         campaign.schedules,
         SLICE,
         jobs.max(1),
         registry,
         "scenario",
-        |_worker| SliceOutcome {
-            schedules_run: 0,
-            steps: 0,
-            events: 0,
-            moves: 0,
-            team_min: u64::MAX,
-            team_max: 0,
-            rounds: 0,
-            mutations: 0,
-            rejected: 0,
-            first: None,
-        },
-        |out, schedule| {
+        |_worker| (),
+        |_, out: &mut SliceOutcome, schedule| {
             let t0 = Instant::now();
             let stats = run_one(campaign, schedule, max_steps);
             schedule_us.record(t0.elapsed().as_micros() as u64);
@@ -213,10 +223,7 @@ pub fn run_scenario_campaign(
             rejected_ctr.add(stats.rejected);
             if stats.violation.is_some() {
                 violations_ctr.add(1);
-                let better = out.first.as_ref().is_none_or(|(s, _)| schedule < *s);
-                if better {
-                    out.first = Some((schedule, stats));
-                }
+                out.violation = Some((schedule, stats));
                 true
             } else {
                 false
@@ -243,8 +250,9 @@ pub fn run_scenario_campaign(
         counterexample: None,
         elapsed: Duration::ZERO,
     };
-    let mut winner: Option<(u64, ScheduleStats)> = None;
-    for slice in tallies {
+    // Only the last slice can hold a violation: the winner.
+    let mut winner = None;
+    for slice in slices {
         outcome.schedules_run += slice.schedules_run;
         outcome.steps += slice.steps;
         outcome.events += slice.events;
@@ -254,12 +262,7 @@ pub fn run_scenario_campaign(
         outcome.rounds += slice.rounds;
         outcome.mutations += slice.mutations;
         outcome.rejected += slice.rejected;
-        if let Some((schedule, stats)) = slice.first {
-            let better = winner.as_ref().is_none_or(|(s, _)| schedule < *s);
-            if better {
-                winner = Some((schedule, stats));
-            }
-        }
+        winner = slice.violation;
     }
     if outcome.team_min == u64::MAX {
         outcome.team_min = 0;
@@ -376,6 +379,22 @@ mod tests {
         assert_eq!(outcome.violations, 1);
         let c = outcome.counterexample.expect("mutant must be caught");
         assert_eq!(c.schedule, 0, "mutant must die on the very first schedule");
+    }
+
+    #[test]
+    fn failing_campaign_tallies_are_jobs_invariant() {
+        let campaign = grid_campaign(GridStrategy::LeakyGuard, 640);
+        let rows: Vec<Vec<String>> = [1usize, 2, 4]
+            .into_iter()
+            .map(|jobs| {
+                let out = run_scenario_campaign(&campaign, jobs, &MetricsRegistry::disabled());
+                assert_eq!((out.schedules_run, out.violations), (1, 1), "jobs = {jobs}");
+                let mut row = scenario_table(&[out]).rows.remove(0);
+                row[10].clear(); // sched/s is wall clock
+                row
+            })
+            .collect();
+        assert!(rows.windows(2).all(|w| w[0] == w[1]), "{rows:?}");
     }
 
     #[test]

@@ -5,7 +5,11 @@
 
 use std::path::PathBuf;
 
-use hypersweep::check::{explore_schedule, shrunk_replay, CheckConfig, CheckStrategy, ReplayFile};
+use hypersweep::analysis::{run_campaign, CheckCampaign};
+use hypersweep::check::{
+    explore_schedule, run_with_trace, shrunk_replay, CheckConfig, CheckStrategy, ReplayFile,
+};
+use hypersweep::telemetry::MetricsRegistry;
 use proptest::prelude::*;
 
 fn corpus_dir() -> PathBuf {
@@ -93,6 +97,61 @@ fn mutant_is_caught_and_correct_strategy_is_not_under_the_same_budget() {
             );
         }
     }
+}
+
+/// The wake-up mutant (a §5 cloning agent that dispatches when woken,
+/// whatever woke it) needs the adversary: the all-canonical schedule
+/// upholds every invariant, while some family catches it within 10
+/// schedules. Its shrunk replay keeps non-canonical decisions (the greedy
+/// pass ran after the canonical candidate failed), is byte-identical under
+/// `--jobs` 1, 2 and 4, and is the committed corpus file.
+#[test]
+fn wakeup_mutant_needs_the_adversary_and_shrinks_to_the_committed_replay() {
+    const BUDGET: u64 = 10;
+    for dim in 3..=8 {
+        let cfg = CheckConfig::named("mutant-wakeup-clone", dim).expect("a mutant");
+        let canonical = run_with_trace(&cfg, &[]);
+        assert_eq!(
+            canonical.violation, None,
+            "d={dim}: the canonical schedule already exposes the mutant"
+        );
+        // Every canonical activation clones, moves or terminates (one event
+        // per step, plus the seed agent's spawn): no clone ever waits.
+        assert_eq!(canonical.events, canonical.steps + 1, "d={dim}");
+        for seed in 1..=3 {
+            assert!(
+                (0..BUDGET).any(|s| explore_schedule(&cfg, seed, s).violation.is_some()),
+                "d={dim} seed {seed}: mutant not caught within {BUDGET} schedules"
+            );
+        }
+    }
+    let campaign = CheckCampaign {
+        cfg: CheckConfig::named("mutant-wakeup-clone", 5).expect("a mutant"),
+        schedules: 50,
+        seed: 1,
+        planted: None,
+    };
+    let jsons: Vec<String> = [1usize, 2, 4]
+        .into_iter()
+        .map(|jobs| {
+            let out = run_campaign(&campaign, jobs, &MetricsRegistry::disabled());
+            out.counterexample.expect("mutant caught").to_json() + "\n"
+        })
+        .collect();
+    assert!(
+        jsons.windows(2).all(|w| w[0] == w[1]),
+        "replay depends on --jobs"
+    );
+    let replay = ReplayFile::from_json(&jsons[0]).expect("parses");
+    assert!(
+        replay.decisions.iter().any(|&d| d != 0),
+        "the shrunk replay kept no non-canonical decision"
+    );
+    let committed = corpus_dir().join("mutant-wakeup-clone-d5-round-robin-skew.json");
+    assert_eq!(
+        jsons[0],
+        std::fs::read_to_string(committed).expect("committed replay")
+    );
 }
 
 /// The split/merge corpus subset: schedules whose violation lands on or
