@@ -24,7 +24,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use hypersweep_baselines::{FloodStrategy, FrontierStrategy};
@@ -35,6 +35,8 @@ use hypersweep_core::{
 use hypersweep_sim::Policy;
 use hypersweep_telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
 use hypersweep_topology::Hypercube;
+
+use crate::pool::recover;
 
 /// Which strategy (including ablation variants) a run executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -287,15 +289,6 @@ type Runner = dyn Fn(RunKey) -> SearchOutcome + Send + Sync;
 /// it — the persistence layer would otherwise re-append every record it
 /// just loaded.
 pub type InsertListener = Arc<dyn Fn(RunKey, &Arc<SearchOutcome>) + Send + Sync>;
-
-/// Lock that recovers from poisoning. The cache's invariants hold at every
-/// release point (runs execute outside the lock), so poison only means
-/// some *other* thread panicked — which must not wedge this one.
-fn recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
 
 /// Live cache counters; these *are* the accounting (the accessors read
 /// them back), registered either in a caller-provided registry so a daemon

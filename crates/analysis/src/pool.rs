@@ -1,19 +1,19 @@
-//! A fixed-size work-stealing pool for harness jobs.
+//! Fixed-size worker pools for harness jobs.
 //!
 //! The previous harness spawned one OS thread per experiment, which both
 //! oversubscribed small machines and offered no way to bound parallelism.
 //! [`execute_jobs`] instead runs an arbitrary batch of closures on exactly
-//! `workers` threads: each worker owns a deque seeded round-robin, drains it
-//! front-to-back, and steals from the back of its siblings' deques when its
-//! own runs dry. Results come back **in submission order** regardless of
-//! which worker ran what — the property the runner relies on to keep
-//! exported JSON byte-identical across `--jobs` settings.
+//! `workers` threads, which claim jobs in submission order from one shared
+//! atomic counter: the same claim loop [`execute_schedule_stream`] runs
+//! over a campaign's schedules. Results come back **in submission order**
+//! regardless of which worker ran what — the property the runner relies on
+//! to keep exported JSON byte-identical across `--jobs` settings.
 //!
 //! Both the batch API and the persistent [`WorkerPool`] report into a
 //! [`MetricsRegistry`]: queue depth and running jobs as gauges, completed
-//! jobs / panics / steals as counters, and per-job wall time as the
-//! `pool.job_us` histogram. The plain constructors use a disabled registry,
-//! which costs one dead branch per event.
+//! jobs and panics as counters, and per-job wall time as the `pool.job_us`
+//! histogram. The plain constructors use a disabled registry, which costs
+//! one dead branch per event.
 //!
 //! Worker threads survive panicking jobs: the panic is caught at the job
 //! boundary, counted (`pool.job_panics`, [`WorkerPool::failed_jobs`]), and
@@ -24,7 +24,6 @@
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -38,11 +37,11 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Lock that shrugs off poisoning: the pool's queue invariants hold at
-/// every release point, so a panic elsewhere never invalidates the data —
-/// propagating the poison would just turn one failed job into a wedged
-/// pool.
-fn recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+/// Lock that shrugs off poisoning. The pool's queue and the cache's shards
+/// hold their invariants at every release point (jobs and runs execute
+/// outside the lock), so poison only means some *other* thread panicked —
+/// propagating it would just turn one failed job into a wedged pool.
+pub(crate) fn recover<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex
         .lock()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -59,8 +58,9 @@ where
 }
 
 /// [`execute_jobs`] with instrumentation: per-job wall time lands in the
-/// `pool.job_us` histogram, completed jobs in `pool.jobs`, and cross-deque
-/// steals in `pool.steals`.
+/// `pool.job_us` histogram and completed jobs in `pool.jobs`. Workers claim
+/// jobs one at a time through [`execute_schedule_stream`] (slice width 1),
+/// so a worker that finishes early takes the next job.
 pub fn execute_jobs_metered<T, F>(
     jobs: Vec<F>,
     workers: usize,
@@ -70,92 +70,31 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let total = jobs.len();
-    if total == 0 {
-        return Vec::new();
-    }
     let job_us = registry.histogram("pool.job_us");
     let jobs_counter = registry.counter("pool.jobs");
-    let steals = registry.counter("pool.steals");
-
-    let workers = workers.max(1).min(total);
-    if workers == 1 {
-        // No threads needed; run inline in order.
-        return jobs
-            .into_iter()
-            .map(|job| {
-                let started = Instant::now();
-                let result = job();
-                job_us.record_duration(started.elapsed());
-                jobs_counter.inc();
-                result
-            })
-            .collect();
-    }
-
-    // Seed the deques round-robin so every worker starts with local work.
-    let mut deques: Vec<Mutex<VecDeque<(usize, F)>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, job) in jobs.into_iter().enumerate() {
-        deques[index % workers]
-            .get_mut()
-            .unwrap()
-            .push_back((index, job));
-    }
-    let deques = &deques;
-
-    let (sender, receiver) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let sender = sender.clone();
-            let job_us = job_us.clone();
-            let jobs_counter = jobs_counter.clone();
-            let steals = steals.clone();
-            scope.spawn(move || {
-                loop {
-                    // Own work first (front), then steal (back) walking the
-                    // other deques starting after ours.
-                    let mut next = recover(&deques[me]).pop_front();
-                    if next.is_none() {
-                        for offset in 1..workers {
-                            let victim = (me + offset) % workers;
-                            next = recover(&deques[victim]).pop_back();
-                            if next.is_some() {
-                                steals.inc();
-                                break;
-                            }
-                        }
-                    }
-                    match next {
-                        Some((index, job)) => {
-                            let started = Instant::now();
-                            let result = job();
-                            job_us.record_duration(started.elapsed());
-                            jobs_counter.inc();
-                            // The receiver outlives the scope; a send can
-                            // only fail if the main thread is unwinding.
-                            let _ = sender.send((index, result));
-                        }
-                        None => return,
-                    }
-                }
-            });
-        }
-        drop(sender);
-    });
-
-    let mut slots: Vec<Option<T>> = (0..total).map(|_| None).collect();
-    let mut received = 0;
-    while let Ok((index, result)) = receiver.recv() {
-        assert!(slots[index].is_none(), "job {index} completed twice");
-        slots[index] = Some(result);
-        received += 1;
-    }
-    assert_eq!(received, total, "pool lost results");
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every job completed"))
-        .collect()
+    // Each index is claimed exactly once, so every lock is uncontended.
+    let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
+    execute_schedule_stream(
+        jobs.len() as u64,
+        1,
+        workers,
+        &MetricsRegistry::disabled(),
+        "pool",
+        |_| (),
+        |_, result: &mut Option<T>, index| {
+            let job = recover(&jobs[index as usize])
+                .take()
+                .expect("every job is claimed once");
+            let started = Instant::now();
+            *result = Some(job());
+            job_us.record_duration(started.elapsed());
+            jobs_counter.inc();
+            false
+        },
+    )
+    .into_iter()
+    .map(|result| result.expect("every job completed"))
+    .collect()
 }
 
 /// The shared early-exit bound of a streamed index range: the lowest
@@ -538,53 +477,28 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_uneven_queues() {
-        // One deque gets all the slow jobs (round-robin seeding then a
-        // worker count that doesn't divide the job count would still spread
-        // them, so force the imbalance through job durations instead): the
-        // fast workers must steal the stragglers for this to finish quickly.
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16)
-            .map(|i| {
-                let job: Box<dyn FnOnce() -> usize + Send> = if i % 4 == 0 {
-                    Box::new(move || {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                        i
-                    })
-                } else {
-                    Box::new(move || i)
-                };
-                job
-            })
-            .collect();
-        let results = execute_jobs(jobs, 4);
-        assert_eq!(results, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn metered_batch_reports_jobs_latency_and_steals() {
+    fn metered_batch_reports_jobs_and_latency() {
         let registry = MetricsRegistry::new();
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16)
-            .map(|i| {
-                let job: Box<dyn FnOnce() -> usize + Send> = if i % 4 == 0 {
-                    Box::new(move || {
-                        std::thread::sleep(std::time::Duration::from_millis(5));
-                        i
-                    })
-                } else {
-                    Box::new(move || i)
-                };
-                job
-            })
-            .collect();
+        let jobs: Vec<_> = (0..16).map(|i| move || i).collect();
         let results = execute_jobs_metered(jobs, 4, &registry);
         assert_eq!(results, (0..16).collect::<Vec<_>>());
         let snap = registry.snapshot();
         assert_eq!(snap.counter("pool.jobs"), Some(16));
         assert_eq!(snap.histogram("pool.job_us").map(|h| h.count), Some(16));
-        assert!(
-            snap.counter("pool.steals").unwrap_or(0) > 0,
-            "the skewed durations must force at least one steal"
-        );
+    }
+
+    #[test]
+    fn job_panics_propagate_to_the_caller() {
+        for workers in [1, 4] {
+            let jobs: Vec<_> = (0..8)
+                .map(|i| move || assert_ne!(i, 5, "job 5 exploded (expected in this test)"))
+                .collect();
+            let outcome = std::panic::catch_unwind(|| execute_jobs(jobs, workers));
+            assert!(
+                outcome.is_err(),
+                "workers {workers}: the panic was swallowed"
+            );
+        }
     }
 
     #[test]

@@ -290,8 +290,8 @@ pub fn run_ids_pooled_capped(
 
 /// [`run_ids_pooled_capped`] reporting into `registry`: phase spans
 /// (`span.report.warm_us`, `span.report.experiments_us`), per-experiment
-/// wall time (`experiment.<id>_us` histograms), the pool's job/steal
-/// series, and the shared cache's `cache.*` series.
+/// wall time (`experiment.<id>_us` histograms), the pool's `pool.jobs`
+/// and `pool.job_us` series, and the shared cache's `cache.*` series.
 pub fn run_ids_pooled_with(
     ids: &[&str],
     cfg: &ExperimentConfig,

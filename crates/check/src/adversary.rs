@@ -5,7 +5,7 @@
 //! round-robin across the schedule index, so a campaign of `N` schedules
 //! exercises each family `N/5` times with distinct seeds:
 //!
-//! * **seeded-random** — uniform choice from a splitmix64 stream;
+//! * **seeded-random** — uniform choice from a [`SplitMix64`] stream;
 //! * **round-robin-skew** — a rotating cursor that periodically sticks,
 //!   so one agent gets activated twice in a row while another starves;
 //! * **laggard-agent** — one seed-chosen agent is starved: it only runs
@@ -16,6 +16,7 @@
 //!   seed agent of the cloning variant) is starved like a laggard.
 
 use hypersweep_sim::{AgentId, AgentProgram, Engine};
+use hypersweep_topology::rng::SplitMix64;
 
 /// The runnable agents an adversary picks from: a sequence of distinct
 /// agent ids, in whatever order the driver keeps them. A decision is a
@@ -104,28 +105,9 @@ impl AdversaryKind {
     }
 }
 
-/// splitmix64 — tiny, seedable, dependency-free. Used only to *generate*
-/// schedules; replays never consult an RNG (the decision trace is the
-/// schedule).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next() % n
-    }
-}
-
-/// A stateful adversary: one per explored schedule.
+/// A stateful adversary: one per explored schedule. Its [`SplitMix64`]
+/// stream only *generates* schedules; replays never consult it (the
+/// decision trace is the schedule).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Adversary {
     kind: AdversaryKind,
@@ -142,7 +124,7 @@ pub struct Adversary {
 impl Adversary {
     /// Build an adversary of `kind` from a raw seed.
     pub fn new(kind: AdversaryKind, seed: u64) -> Self {
-        let mut rng = SplitMix64(seed ^ 0xA076_1D64_78BD_642F);
+        let mut rng = SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F);
         let laggard = match kind {
             AdversaryKind::StalledSynchronizer => 0,
             // Starve a small id: early agents carry the coordination load,
@@ -321,7 +303,7 @@ mod tests {
 
     #[test]
     fn view_choice_matches_the_collecting_reference() {
-        let mut gen = SplitMix64(0x5EED);
+        let mut gen = SplitMix64::new(0x5EED);
         for kind in AdversaryKind::ALL {
             for seed in 0..16 {
                 let mut fast = Adversary::new(kind, seed);

@@ -51,6 +51,9 @@ pub enum ReplayError {
     UnsupportedVersion(u32),
     /// Unknown strategy name.
     UnknownStrategy(String),
+    /// The file's configuration is outside what the checker runs (a
+    /// dimension outside `1..=16`).
+    InvalidConfig(String),
     /// The re-execution did not reproduce the recorded violation.
     Diverged {
         /// The recorded violation.
@@ -71,6 +74,7 @@ impl std::fmt::Display for ReplayError {
                 )
             }
             ReplayError::UnknownStrategy(s) => write!(f, "unknown strategy {s:?}"),
+            ReplayError::InvalidConfig(m) => write!(f, "invalid replay file: {m}"),
             ReplayError::Diverged { expected, actual } => match actual {
                 Some(a) => write!(f, "replay diverged: expected [{expected}], got [{a}]"),
                 None => write!(
@@ -126,10 +130,12 @@ impl ReplayFile {
         Ok(file)
     }
 
-    /// The checking problem this replay belongs to.
+    /// The checking problem this replay belongs to, validated as a
+    /// campaign's is (a file must not ask for a cube `check` refuses).
     pub fn check_config(&self) -> Result<CheckConfig, ReplayError> {
         let mut cfg = CheckConfig::named(&self.strategy, self.dim)
             .ok_or_else(|| ReplayError::UnknownStrategy(self.strategy.clone()))?;
+        cfg.validate().map_err(ReplayError::InvalidConfig)?;
         cfg.max_steps = self.max_steps.unwrap_or(0);
         Ok(cfg)
     }
@@ -280,5 +286,24 @@ mod tests {
             ReplayFile::from_json(&bad_strategy.to_json()),
             Err(ReplayError::UnknownStrategy(_))
         ));
+    }
+
+    #[test]
+    fn dimensions_outside_the_checked_range_are_refused() {
+        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
+        let mut replay = find_counterexample(&cfg, 2, 400).0.expect("mutant caught");
+        for dim in [0, 17, 29, u32::MAX] {
+            replay.dim = dim;
+            let errors = [
+                ReplayFile::from_json(&replay.to_json()).err(),
+                replay.replay().err(),
+                replay.verify().err(),
+            ];
+            for error in errors {
+                let named =
+                    matches!(&error, Some(ReplayError::InvalidConfig(m)) if m.contains("1..=16"));
+                assert!(named, "dim {dim}: {error:?}");
+            }
+        }
     }
 }

@@ -109,6 +109,7 @@ mod tests {
     use crate::explore::{explore_schedule, CheckStrategy};
     use crate::oracle::{ViolationKind, ViolationReport};
     use crate::replay::replay_file;
+    use hypersweep_topology::rng::SplitMix64;
 
     fn find_violating_run(cfg: &CheckConfig, seed: u64) -> (u64, ScheduleRun) {
         for schedule in 0..400 {
@@ -163,23 +164,6 @@ mod tests {
         (normalized, stats)
     }
 
-    /// splitmix64, for generating synthetic problems.
-    struct Gen(u64);
-
-    impl Gen {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
     /// A stand-in for the checker with the same trace contract: step `t`
     /// reduces the trace's decision modulo a runnable-set size, pads an
     /// exhausted trace with `0`, records what it executed, and stops at
@@ -193,14 +177,14 @@ mod tests {
     }
 
     impl Synthetic {
-        fn random(gen: &mut Gen) -> Self {
+        fn random(gen: &mut SplitMix64) -> Self {
             let horizon = 1 + gen.below(24) as usize;
             let width = 1 + gen.below(6) as u32;
             Synthetic {
                 sizes: (0..horizon)
                     .map(|_| 1 + gen.below(u64::from(width)) as u32)
                     .collect(),
-                salt: gen.next(),
+                salt: gen.next_u64(),
                 rarity: 1 + gen.below(2 * horizon as u64),
             }
         }
@@ -211,7 +195,7 @@ mod tests {
             for (step, &size) in self.sizes.iter().enumerate() {
                 let idx = trace.get(step).copied().unwrap_or(0) % size;
                 decisions.push(idx);
-                hash = Gen(hash ^ u64::from(idx)).next();
+                hash = SplitMix64::new(hash ^ u64::from(idx)).next_u64();
                 if hash % self.rarity == 0 {
                     let step = step as u64;
                     return ScheduleRun {
@@ -245,7 +229,7 @@ mod tests {
     /// case); budget 0 attempts nothing.
     #[test]
     fn agrees_with_the_reference_greedy_pass_on_synthetic_runs() {
-        let mut gen = Gen(0x5412_1F00);
+        let mut gen = SplitMix64::new(0x5412_1F00);
         let (mut canonical, mut greedy, mut capped) = (0, 0, 0);
         for _ in 0..3_000 {
             let problem = Synthetic::random(&mut gen);

@@ -445,6 +445,30 @@ fn check_replay_of_a_deeply_nested_file_fails_cleanly() {
 }
 
 #[test]
+fn check_replay_refuses_dimensions_outside_the_checked_range() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus");
+    let replay = std::fs::read_to_string(format!("{corpus}/mutant-d3-stalled-synchronizer.json"));
+    let replay = replay.unwrap();
+    let dir = std::env::temp_dir().join("hypersweep-cli-replay-dims");
+    std::fs::create_dir_all(&dir).unwrap();
+    // 29 first: a build without the range check panics on it at once,
+    // before any dimension it would try to build a cube for.
+    for dim in [29, u32::MAX, 0, 17] {
+        let path = dir.join(format!("d{dim}.json"));
+        let edited = replay.replace("\"dim\": 3,", &format!("\"dim\": {dim},"));
+        std::fs::write(&path, edited).unwrap();
+        let out = bin()
+            .args(["check", "--replay", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "dim {dim}: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("dimensions 1..=16"), "dim {dim}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn check_timings_renders_the_campaign_phase_table() {
     let out = bin()
         .args([

@@ -22,9 +22,9 @@
 use hypersweep_check::{Adversary, StepOracle, ViolationKind, ViolationReport};
 use hypersweep_intruder::ContaminationField;
 use hypersweep_topology::graph::AdjGraph;
+use hypersweep_topology::rng::SplitMix64;
 use hypersweep_topology::{GridInstance, Node, NodeSet, Topology};
 
-use crate::rng::SplitMix64;
 use crate::sweep::{Progress, ScheduleStats, Sweep};
 
 /// Decision steps driven between mutation batches.
@@ -184,7 +184,7 @@ pub(crate) fn run_dynamic(
         for _ in 0..MUTATIONS_PER_ROUND {
             let a = Node(churn.below(n as u64) as u32);
             let b = Node(churn.below(n as u64) as u32);
-            let insert = churn.next() & 1 == 0;
+            let insert = churn.next_u64() & 1 == 0;
             if try_mutate(&mut graph, &safe, &occupancy, homebase, a, b, insert) {
                 mutations += 1;
             } else {

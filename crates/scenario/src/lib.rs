@@ -32,7 +32,6 @@
 
 mod campaign;
 mod dynamic;
-mod rng;
 mod sweep;
 
 pub use campaign::{

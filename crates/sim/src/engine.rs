@@ -15,15 +15,13 @@
 
 use std::collections::VecDeque;
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
 use hypersweep_topology::{Hypercube, Node, NodeSet};
 
 use crate::event::{AgentId, Event, EventKind, Role};
 use crate::metrics::Metrics;
 use crate::policy::Policy;
 use crate::program::{Action, AgentProgram, Board, Ctx};
+use crate::rng::ChaCha8;
 use crate::state::NodeState;
 
 /// Engine configuration.
@@ -276,7 +274,7 @@ pub struct Engine<P: AgentProgram> {
     in_runnable: Vec<bool>,
     rr_cursor: usize,
     sync_bufs: SyncBufs,
-    rng: ChaCha8Rng,
+    rng: ChaCha8,
     events: Vec<Event>,
     metrics: Metrics,
     away_now: u64,
@@ -307,7 +305,7 @@ impl<P: AgentProgram> Engine<P> {
             in_runnable: Vec::new(),
             rr_cursor: 0,
             sync_bufs: SyncBufs::default(),
-            rng: ChaCha8Rng::seed_from_u64(seed),
+            rng: ChaCha8::new(seed),
             events: Vec::new(),
             metrics: Metrics::default(),
             away_now: 0,
@@ -468,7 +466,7 @@ impl<P: AgentProgram> Engine<P> {
                     return None;
                 }
                 loop {
-                    let i = self.rng.random_range(0..self.runnable.len());
+                    let i = self.rng.below(self.runnable.len() as u64) as usize;
                     let id = self.runnable[i];
                     if self.in_runnable[id as usize] {
                         self.runnable.remove(i);
@@ -907,6 +905,7 @@ impl<P: AgentProgram> Engine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hypersweep_topology::rng::SplitMix64;
 
     /// A trivial strategy: walk the ascending tree path to a fixed target,
     /// then terminate.
@@ -1311,21 +1310,17 @@ mod tests {
         let _ = eng; // (run consumes the engine; the view is pre-run here)
     }
 
-    /// Each activation draws from its own splitmix64 stream whether to
+    /// Each activation draws from its own SplitMix64 stream whether to
     /// wait (with or without a board write), move, clone or terminate.
     struct Chaos {
-        state: u64,
+        rng: SplitMix64,
         clones_left: u32,
     }
 
     impl AgentProgram for Chaos {
         type Board = CounterBoard;
         fn step(&mut self, ctx: &mut Ctx<'_, CounterBoard>) -> Action {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+            let z = self.rng.next_u64();
             let port = 1 + (z >> 8) as u32 % ctx.cube().dim();
             match z % 10 {
                 0..=2 => Action::Wait,
@@ -1342,8 +1337,9 @@ mod tests {
             }
         }
         fn clone_program(&self) -> Self {
+            // Seeded by the parent's next output, salted to diverge from it.
             Chaos {
-                state: self.state ^ 0x5851_F42D_4C95_7F2D,
+                rng: SplitMix64::new(self.rng.clone().next_u64() ^ 0x5851_F42D_4C95_7F2D),
                 clones_left: self.clones_left / 2,
             }
         }
@@ -1377,7 +1373,7 @@ mod tests {
 
     #[test]
     fn runnable_hooks_match_a_status_scan_under_random_steps() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0x5CA7);
+        let mut rng = ChaCha8::new(0x5CA7);
         for seed in 0..24u64 {
             let mut eng = Engine::new(
                 Hypercube::new(3),
@@ -1391,7 +1387,7 @@ mod tests {
             let team = [1, 5, 63, 64, 65, 150, 511, 600][seed as usize % 8];
             for i in 0..team {
                 let program = Chaos {
-                    state: seed << 32 | i,
+                    rng: SplitMix64::new(seed << 32 | i),
                     clones_left: 4,
                 };
                 eng.spawn(program, Node::ROOT, Role::Worker);
@@ -1401,7 +1397,7 @@ mod tests {
                 if eng.runnable_count() == 0 {
                     break;
                 }
-                let idx = rng.random_range(0..eng.runnable_count());
+                let idx = rng.below(eng.runnable_count() as u64) as usize;
                 eng.step_agent(eng.runnable_nth(idx)).expect("valid step");
             }
             assert_hooks_match_status_scan(&eng);
@@ -1420,7 +1416,7 @@ mod tests {
             );
             for i in 0..1 + seed * 23 % 90 {
                 let program = Chaos {
-                    state: seed << 32 | i,
+                    rng: SplitMix64::new(seed << 32 | i),
                     clones_left: 2,
                 };
                 eng.spawn(program, Node::ROOT, Role::Worker);

@@ -16,7 +16,7 @@
 //!   lock-step rounds and yields the paper's *ideal time* (one unit per
 //!   edge traversal).
 //! * [`threaded::ThreadedExecutor`] — the same agent programs running on
-//!   real OS threads with `parking_lot` whiteboard locks; true hardware
+//!   real OS threads with `std::sync` whiteboard locks; true hardware
 //!   asynchrony as a fidelity cross-check.
 //!
 //! Both emit the same linearized [`event::Event`] stream, which the
@@ -31,6 +31,7 @@ pub mod event;
 pub mod metrics;
 pub mod policy;
 pub mod program;
+mod rng;
 pub mod sink;
 pub mod state;
 pub mod threaded;

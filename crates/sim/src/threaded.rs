@@ -2,7 +2,7 @@
 //!
 //! The discrete-event engine *models* asynchrony; this executor *is*
 //! asynchronous: each agent runs on its own thread, whiteboards are
-//! `parking_lot` mutexes (the paper's "access to a whiteboard is gained
+//! `std::sync` mutexes (the paper's "access to a whiteboard is gained
 //! fairly in mutual exclusion"), waiting agents block on per-node condition
 //! variables, and moves are atomic slides performed under both endpoint
 //! locks (taken in address order to avoid deadlock). The OS scheduler plays
@@ -16,9 +16,8 @@
 //! the scalable path.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use hypersweep_topology::{Hypercube, Node};
 
@@ -61,6 +60,13 @@ struct Shared<B> {
     deadline: Instant,
 }
 
+/// Lock that ignores poisoning: an agent thread that panics (a buggy
+/// program) must not wedge the others, which then time out or finish.
+/// The scope re-raises the panic, so no report reads a half-updated cell.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl<B: Board> Shared<B> {
     fn state_of(&self, node: Node) -> NodeState {
         if self.occupancy[node.index()].load(Ordering::Acquire) > 0 {
@@ -87,7 +93,7 @@ impl<B: Board> Shared<B> {
     /// its reaction ahead of this event, and the log would no longer be a
     /// linearization.
     fn emit(&self, kind: EventKind, away_delta: i64, publish: impl FnOnce()) {
-        let mut log = self.log.lock();
+        let mut log = lock(&self.log);
         publish();
         log.clock += 1;
         let time = log.clock;
@@ -174,7 +180,7 @@ pub fn run_threaded<P: AgentProgram>(
             let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
             shared.team_size.fetch_add(1, Ordering::Relaxed);
             {
-                let mut cell = shared.cells[Node::ROOT.index()].lock();
+                let mut cell = lock(&shared.cells[Node::ROOT.index()]);
                 cell.active += 1;
             }
             shared.emit(
@@ -197,7 +203,7 @@ pub fn run_threaded<P: AgentProgram>(
     if shared.failed.load(Ordering::Acquire) {
         return Err(RunError::ActivationLimit);
     }
-    let log = shared.log.into_inner();
+    let log = shared.log.into_inner().unwrap_or_else(|e| e.into_inner());
     let metrics = Metrics {
         worker_moves: shared.worker_moves.load(Ordering::Acquire),
         coordinator_moves: shared.coordinator_moves.load(Ordering::Acquire),
@@ -260,7 +266,7 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
             None
         };
 
-        let mut cell = shared.cells[pos.index()].lock();
+        let mut cell = lock(&shared.cells[pos.index()]);
         let action = {
             let alive_here = cell.active;
             let mut ctx = Ctx {
@@ -286,16 +292,16 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
         match action {
             Action::Wait => {
                 // Timed wait: visibility changes at neighbours do signal us,
-                // but the timeout makes missed wake-ups harmless.
-                shared.signals[pos.index()].wait_for(&mut cell, Duration::from_millis(1));
-                drop(cell);
+                // but the timeout makes missed wake-ups harmless. The guard
+                // comes back, poisoned or not, only to be released.
+                drop(shared.signals[pos.index()].wait_timeout(cell, Duration::from_millis(1)));
             }
             Action::Move(port) => {
                 drop(cell);
                 let to = pos.flip(port);
                 let (first, second) = if pos < to { (pos, to) } else { (to, pos) };
-                let mut a = shared.cells[first.index()].lock();
-                let mut b = shared.cells[second.index()].lock();
+                let mut a = lock(&shared.cells[first.index()]);
+                let mut b = lock(&shared.cells[second.index()]);
                 let (from_cell, to_cell) = if pos < to {
                     (&mut *a, &mut *b)
                 } else {
@@ -338,7 +344,7 @@ fn agent_main<'scope, 'env, P: AgentProgram>(
                 let child_id = shared.next_id.fetch_add(1, Ordering::Relaxed);
                 shared.team_size.fetch_add(1, Ordering::Relaxed);
                 {
-                    let mut to_cell = shared.cells[to.index()].lock();
+                    let mut to_cell = lock(&shared.cells[to.index()]);
                     to_cell.active += 1;
                     shared.emit(
                         EventKind::CloneSpawn {

@@ -9,6 +9,7 @@
 
 use crate::graph::Topology;
 use crate::node::Node;
+use crate::rng::SplitMix64;
 
 /// An induced subgraph of the `rows × cols` grid with compacted node ids.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -80,24 +81,6 @@ impl std::fmt::Display for GridInstance {
     }
 }
 
-/// SplitMix64, private to the generators so instances are reproducible
-/// from `(rows, cols, holes, seed)` alone.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 impl PartialGrid {
     /// Build the induced subgraph on the cells where `live[r * cols + c]`
     /// is true. Panics if `(0, 0)` is dead or the live cells are
@@ -156,7 +139,7 @@ impl PartialGrid {
     /// removal skipped if it would disconnect the remaining live cells
     /// or hit the homebase. Deterministic in `(rows, cols, holes, seed)`.
     pub fn random_holes(rows: usize, cols: usize, holes: usize, seed: u64) -> Self {
-        let mut rng = SplitMix64(seed ^ 0xA076_1D64_78BD_642F);
+        let mut rng = SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F);
         let mut live = vec![true; rows * cols];
         let mut removed = 0;
         let mut attempts = 0;

@@ -20,6 +20,8 @@
 //!   strategies.
 //! * [`render`] — ASCII renderings of the structures shown in the paper's
 //!   Figures 1 and 3.
+//! * [`rng`] — [`rng::SplitMix64`], the seeded generator behind every
+//!   reproducible random choice in the workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +36,7 @@ pub mod node;
 pub mod nodeset;
 pub mod properties;
 pub mod render;
+pub mod rng;
 pub mod wide;
 
 pub use broadcast::BroadcastTree;

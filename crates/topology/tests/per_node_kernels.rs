@@ -3,19 +3,16 @@
 //! per-node membership, and the flood kernels against per-bit truth.
 //! Random universes of up to 2048 nodes reach every tail length.
 
+use hypersweep_topology::rng::SplitMix64;
 use hypersweep_topology::{wide, Hypercube, Node, NodeSet};
 
 use proptest::prelude::*;
 
-/// Deterministic word fill from a seed (SplitMix64 mix).
+/// Deterministic word fill from a seed.
 fn fill(words: &mut [u64], seed: u64) {
-    let mut s = seed;
+    let mut rng = SplitMix64::new(seed);
     for w in words.iter_mut() {
-        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = s;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        *w = z ^ (z >> 31);
+        *w = rng.next_u64();
     }
 }
 

@@ -42,7 +42,7 @@ fn main() {
         );
     }
 
-    // 2. Real threads: one per agent, parking_lot whiteboards, the OS as
+    // 2. Real threads: one per agent, std::sync whiteboards, the OS as
     //    the adversary. Repeat a few times — each run is a different
     //    interleaving.
     for round in 0..3 {
