@@ -232,7 +232,10 @@ pub fn e12_baselines(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentResu
             &cube,
             Node::ROOT,
             &trace,
-            MonitorConfig::monotonicity_only(),
+            MonitorConfig {
+                stride: 0,
+                ..MonitorConfig::default()
+            },
         );
         blind.push_row(vec![
             d.to_string(),

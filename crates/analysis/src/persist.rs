@@ -594,7 +594,11 @@ mod tests {
         let mut bad = execute_run(fast_key);
         bad.verdict
             .violations
-            .push(hypersweep_intruder::Violation::ContiguityBroken { at_event: 1 });
+            .push(hypersweep_intruder::ViolationReport {
+                step: 0,
+                event: 1,
+                kind: hypersweep_intruder::ViolationKind::ContiguityBroken,
+            });
         assert!(record_of(&fast_key, &bad).is_none());
         assert!(record_of(&fast_key, &execute_run(fast_key)).is_some());
     }

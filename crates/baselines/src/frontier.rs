@@ -165,7 +165,7 @@ impl FrontierStrategy {
         if audit {
             streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
         } else {
-            synthesized_outcome(self.cube, self.synthesize_into(&mut NullSink), None)
+            synthesized_outcome(self.synthesize_into(&mut NullSink))
         }
     }
 }

@@ -144,13 +144,6 @@ impl CheckConfig {
         // or parks an agent; 200·n·d dominates both with a wide margin.
         200 * n * u64::from(self.dim) + 10_000
     }
-
-    fn effective_stride(&self) -> u64 {
-        if self.stride > 0 {
-            return self.stride;
-        }
-        1
-    }
 }
 
 /// The outcome of one explored schedule.
@@ -310,12 +303,7 @@ fn drive_async<P: AgentProgram>(
     mut source: Source<'_>,
     arena: &mut CheckArena,
 ) -> ScheduleRun {
-    let mut oracle = StepOracle::new_in(
-        &cube,
-        Node::ROOT,
-        cfg.effective_stride(),
-        arena.take_field(),
-    );
+    let mut oracle = StepOracle::new_in(&cube, Node::ROOT, cfg.stride.max(1), arena.take_field());
     let max_steps = cfg.effective_max_steps();
     let mut decisions: Vec<u32> = Vec::new();
     let mut seen = 0usize;
@@ -326,20 +314,15 @@ fn drive_async<P: AgentProgram>(
         }
         let runnable = engine.runnable_count();
         if runnable == 0 {
-            break Some(ViolationReport {
+            break Some(oracle.report(
                 step,
-                event: oracle.events_applied(),
-                kind: ViolationKind::Deadlock {
+                ViolationKind::Deadlock {
                     waiting: engine.live_agents() as u64,
                 },
-            });
+            ));
         }
         if step >= max_steps {
-            break Some(ViolationReport {
-                step,
-                event: oracle.events_applied(),
-                kind: ViolationKind::StepLimit,
-            });
+            break Some(oracle.report(step, ViolationKind::StepLimit));
         }
         let raw = match &mut source {
             Source::Adversary(a) => a.choose_from(&engine, step),
@@ -348,13 +331,12 @@ fn drive_async<P: AgentProgram>(
         let idx = (raw as usize) % runnable;
         decisions.push(idx as u32);
         if let Err(e) = engine.step_agent(engine.runnable_nth(idx)) {
-            break Some(ViolationReport {
+            break Some(oracle.report(
                 step,
-                event: oracle.events_applied(),
-                kind: ViolationKind::EngineError {
+                ViolationKind::EngineError {
                     message: e.to_string(),
                 },
-            });
+            ));
         }
         match feed_oracle(&engine, &mut oracle, &mut seen, step) {
             Some(v) => break Some(v),
@@ -380,33 +362,23 @@ fn drive_sync<P: AgentProgram>(
     cfg: &CheckConfig,
     arena: &mut CheckArena,
 ) -> ScheduleRun {
-    let mut oracle = StepOracle::new_in(
-        &cube,
-        Node::ROOT,
-        cfg.effective_stride(),
-        arena.take_field(),
-    );
+    let mut oracle = StepOracle::new_in(&cube, Node::ROOT, cfg.stride.max(1), arena.take_field());
     let max_steps = cfg.effective_max_steps();
     let mut seen = 0usize;
     let mut step: u64 = 0;
     let violation = loop {
         if step >= max_steps {
-            break Some(ViolationReport {
-                step,
-                event: oracle.events_applied(),
-                kind: ViolationKind::StepLimit,
-            });
+            break Some(oracle.report(step, ViolationKind::StepLimit));
         }
         let outcome = match engine.step_round() {
             Ok(o) => o,
             Err(e) => {
-                break Some(ViolationReport {
+                break Some(oracle.report(
                     step,
-                    event: oracle.events_applied(),
-                    kind: ViolationKind::EngineError {
+                    ViolationKind::EngineError {
                         message: e.to_string(),
                     },
-                });
+                ));
             }
         };
         if let Some(v) = feed_oracle(&engine, &mut oracle, &mut seen, step) {
@@ -416,13 +388,12 @@ fn drive_sync<P: AgentProgram>(
             break oracle.finish(step).err();
         }
         if !outcome.acted && !outcome.wrote {
-            break Some(ViolationReport {
+            break Some(oracle.report(
                 step,
-                event: oracle.events_applied(),
-                kind: ViolationKind::Deadlock {
+                ViolationKind::Deadlock {
                     waiting: engine.live_agents() as u64,
                 },
-            });
+            ));
         }
         step += 1;
     };

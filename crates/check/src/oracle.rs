@@ -1,216 +1,5 @@
-//! Per-step invariant oracles over the ground-truth contamination state.
+//! The per-step invariant oracles: the one run verifier of
+//! `hypersweep-intruder`, under the name the checker's drivers and the
+//! scenario sweeps use.
 
-use hypersweep_intruder::{ContaminationField, FieldScratch};
-use hypersweep_sim::Event;
-use hypersweep_topology::{Hypercube, Node, Topology};
-use serde::{Deserialize, Serialize};
-
-/// What went wrong, exactly. Serialized into replay files, so variants
-/// carry plain integers rather than domain types.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ViolationKind {
-    /// A clean node was recontaminated — monotonicity broken.
-    Recontamination {
-        /// The recontaminated node (first of the flood).
-        node: u32,
-    },
-    /// The decontaminated region split or lost the homebase.
-    ContiguityBroken,
-    /// A clean, unguarded node borders contamination — the frontier guard
-    /// coverage failed.
-    UnguardedFrontier {
-        /// The exposed node.
-        node: u32,
-    },
-    /// All agents terminated but the reachability intruder still has
-    /// somewhere to hide.
-    CaptureEscaped {
-        /// Contaminated nodes remaining at termination.
-        contaminated: u64,
-    },
-    /// No agent was runnable while some had not terminated.
-    Deadlock {
-        /// Agents still alive.
-        waiting: u64,
-    },
-    /// The engine rejected an action (bad port, activation cap, …).
-    EngineError {
-        /// The engine's message.
-        message: String,
-    },
-    /// The schedule exceeded the step budget without completing.
-    StepLimit,
-}
-
-/// A violation pinned to the decision step and event index where the
-/// oracle first saw it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ViolationReport {
-    /// Decision step (index into the decision trace) at which the
-    /// violating state was produced.
-    pub step: u64,
-    /// Events applied to the contamination field when the oracle fired.
-    pub event: u64,
-    /// What the oracle saw.
-    pub kind: ViolationKind,
-}
-
-impl std::fmt::Display for ViolationReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "step {} event {}: ", self.step, self.event)?;
-        match &self.kind {
-            ViolationKind::Recontamination { node } => {
-                write!(f, "recontamination at node {node}")
-            }
-            ViolationKind::ContiguityBroken => write!(f, "clean region no longer contiguous"),
-            ViolationKind::UnguardedFrontier { node } => {
-                write!(f, "unguarded frontier node {node}")
-            }
-            ViolationKind::CaptureEscaped { contaminated } => {
-                write!(
-                    f,
-                    "intruder escaped: {contaminated} nodes still contaminated"
-                )
-            }
-            ViolationKind::Deadlock { waiting } => {
-                write!(f, "deadlock with {waiting} agents alive")
-            }
-            ViolationKind::EngineError { message } => write!(f, "engine error: {message}"),
-            ViolationKind::StepLimit => write!(f, "step budget exhausted"),
-        }
-    }
-}
-
-/// The invariant oracles, folded over the event stream as the scheduler
-/// produces it. Wraps the adversarial-semantics [`ContaminationField`]
-/// (contamination spreads the instant a guard lifts), so the checked
-/// invariants are exactly the paper's.
-///
-/// Generic over the topology so scenario checkers (partial grids,
-/// dynamic graphs) run the same oracles; the default keeps every
-/// hypercube call site spelling `StepOracle<'a>`.
-pub struct StepOracle<'a, T: Topology + ?Sized = Hypercube> {
-    field: ContaminationField<'a, T>,
-    /// Check the (word-parallel but linear-ish) contiguity and frontier
-    /// oracles every `stride` events; the monotonicity oracle is O(1) and
-    /// always on.
-    stride: u64,
-    recontaminations_seen: usize,
-}
-
-impl<'a, T: Topology + ?Sized> StepOracle<'a, T> {
-    /// A fresh oracle for a search of `topo` starting at `homebase`.
-    /// `stride` ≥ 1 samples the region oracles (1 = after every event —
-    /// the default everywhere, since the incremental connectivity kernel
-    /// makes them `O(1)` per query).
-    pub fn new(topo: &'a T, homebase: Node, stride: u64) -> Self {
-        Self::new_in(topo, homebase, stride, FieldScratch::default())
-    }
-
-    /// Like [`StepOracle::new`], but reusing the allocations of a previous
-    /// oracle's field (see [`StepOracle::into_scratch`]). Campaign drivers
-    /// exploring thousands of schedules recycle one scratch per worker
-    /// instead of reallocating `O(n)` buffers per schedule.
-    pub fn new_in(topo: &'a T, homebase: Node, stride: u64, scratch: FieldScratch) -> Self {
-        StepOracle {
-            field: ContaminationField::new_in(topo, homebase, scratch),
-            stride: stride.max(1),
-            recontaminations_seen: 0,
-        }
-    }
-
-    /// Wrap an already-built field — the dynamic-graph scenario restores
-    /// a mid-search snapshot onto a mutated topology (see
-    /// [`ContaminationField::with_state`]) and then re-verifies the
-    /// region invariants across the mutation via [`StepOracle::verify_region`].
-    pub fn from_field(field: ContaminationField<'a, T>, stride: u64) -> Self {
-        let recontaminations_seen = field.recontaminations().len();
-        StepOracle {
-            field,
-            stride: stride.max(1),
-            recontaminations_seen,
-        }
-    }
-
-    /// Dismantle the oracle into its field's reusable allocations.
-    pub fn into_scratch(self) -> FieldScratch {
-        self.field.into_scratch()
-    }
-
-    /// Events applied so far.
-    pub fn events_applied(&self) -> u64 {
-        self.field.events_applied()
-    }
-
-    /// Apply one engine event and check the per-step invariants. `step` is
-    /// the current decision step, recorded into any violation.
-    pub fn observe(&mut self, event: &Event, step: u64) -> Result<(), ViolationReport> {
-        self.field.apply(event);
-        let at_event = self.field.events_applied();
-        let recon = self.field.recontaminations();
-        if recon.len() > self.recontaminations_seen {
-            let node = recon[self.recontaminations_seen].1;
-            self.recontaminations_seen = recon.len();
-            return Err(ViolationReport {
-                step,
-                event: at_event,
-                kind: ViolationKind::Recontamination { node: node.0 },
-            });
-        }
-        if at_event % self.stride == 0 {
-            self.check_region(step)?;
-        }
-        Ok(())
-    }
-
-    /// Run the region oracles right now, regardless of stride. The
-    /// dynamic-graph scenario calls this immediately after a topology
-    /// mutation: the clean region must stay contiguous and guarded under
-    /// the new adjacency even before any agent moves.
-    pub fn verify_region(&mut self, step: u64) -> Result<(), ViolationReport> {
-        self.check_region(step)
-    }
-
-    /// The sampled region oracles: contiguity and frontier guard coverage.
-    fn check_region(&mut self, step: u64) -> Result<(), ViolationReport> {
-        let at_event = self.field.events_applied();
-        if !self.field.is_contiguous() {
-            return Err(ViolationReport {
-                step,
-                event: at_event,
-                kind: ViolationKind::ContiguityBroken,
-            });
-        }
-        if let Some(node) = self.field.unguarded_frontier() {
-            return Err(ViolationReport {
-                step,
-                event: at_event,
-                kind: ViolationKind::UnguardedFrontier { node: node.0 },
-            });
-        }
-        Ok(())
-    }
-
-    /// Final oracles once every agent has terminated: the region checks
-    /// regardless of stride, then capture — the worst-case reachability
-    /// intruder can be anywhere still contaminated, so capture is exactly
-    /// "nothing is".
-    pub fn finish(&mut self, step: u64) -> Result<(), ViolationReport> {
-        self.check_region(step)?;
-        if !self.field.all_clean() {
-            return Err(ViolationReport {
-                step,
-                event: self.field.events_applied(),
-                kind: ViolationKind::CaptureEscaped {
-                    contaminated: self.field.contaminated_count() as u64,
-                },
-            });
-        }
-        Ok(())
-    }
-
-    /// Read access to the wrapped field (tests inspect it).
-    pub fn field(&self) -> &ContaminationField<'a, T> {
-        &self.field
-    }
-}
+pub use hypersweep_intruder::{Verifier as StepOracle, ViolationKind, ViolationReport};

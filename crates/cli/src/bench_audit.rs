@@ -1,14 +1,14 @@
 //! `hypersweep bench-audit`: events/sec streamed through the online
-//! monitor.
+//! verifier.
 //!
 //! Replays Algorithm CLEAN's canonical trace for `d ∈ {10, 14, 16, 18}`
 //! (override with `BENCH_AUDIT_DIMS=15,16,20`) through three auditor
 //! configurations with identical semantics:
 //!
-//! * **packed stride 1** — the real [`Monitor`] at the harness's default
+//! * **packed stride 1** — the real [`Verifier`] at the harness's default
 //!   configuration: per-event contiguity and frontier checks, served by
 //!   the incremental clean-region connectivity kernel (`O(1)` per query);
-//! * **packed stride 64** — the same monitor sampling the region oracles
+//! * **packed stride 64** — the same verifier sampling the region checks
 //!   every 64 events, kept comparable to the pre-incremental baselines;
 //! * **vecbool** — a per-node `Vec<bool>` reference auditor (the layout
 //!   the field used before the packed kernel landed), with per-node BFS
@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use hypersweep_core::CleanStrategy;
-use hypersweep_intruder::{Monitor, MonitorConfig};
+use hypersweep_intruder::Verifier;
 use hypersweep_sim::{Event, EventKind};
 use hypersweep_topology::{Hypercube, Node, Topology};
 use serde::{Deserialize, Serialize};
@@ -191,17 +191,12 @@ fn bench_dim(d: u32, budget: Duration, packed_only: bool) -> BenchEntry {
     let (_, events) = CleanStrategy::new(cube).synthesize(true);
     let events = events.expect("recorded");
     let n_events = events.len() as u64;
-    let monitor_cfg = |stride: u64| MonitorConfig {
-        contiguity_every: stride,
-        intruder_start: None,
-        greedy_evader: false,
-    };
     let run_packed = |stride: u64| {
         measure(
             || {
-                let mut monitor = Monitor::new(&cube, Node::ROOT, monitor_cfg(stride));
-                monitor.observe_all(&events);
-                monitor.verdict().monotone
+                let mut verifier = Verifier::new(&cube, Node::ROOT, stride);
+                verifier.observe_all(&events);
+                verifier.verdict().monotone
             },
             budget,
         )

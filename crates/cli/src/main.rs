@@ -22,10 +22,10 @@ use hypersweep_check::{CheckConfig, CheckStrategy, ReplayFile};
 use hypersweep_core::{
     CleanStrategy, CloningStrategy, SearchStrategy, SynchronousStrategy, VisibilityStrategy,
 };
-use hypersweep_intruder::{render_film, verify_trace, MonitorConfig};
+use hypersweep_intruder::{render_film, MonitorConfig, Verifier};
 use hypersweep_scenario::{GridStrategy, ScenarioId};
-use hypersweep_server::{run_bench, BenchConfig, Server, ServerLimits};
-use hypersweep_sim::{Event, Policy};
+use hypersweep_server::{run_bench, BenchConfig, Response, Server, ServerLimits};
+use hypersweep_sim::{Event, EventKind, Policy};
 use hypersweep_topology::{GridInstance, Hypercube, Node};
 use serde::Deserialize as _;
 
@@ -258,12 +258,17 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let events: Vec<Event> = serde_json::from_str(&text).map_err(|e| e.to_string())?;
     let far = Node(cube.node_count() as u32 - 1);
-    let verdict = verify_trace(
-        &cube,
-        Node::ROOT,
-        &events,
-        MonitorConfig::with_intruder(far),
-    );
+    let mut verifier = Verifier::with_config(&cube, Node::ROOT, MonitorConfig::with_intruder(far));
+    for (i, e) in events.iter().enumerate() {
+        if let Some(why) = illegal_event(cube, verifier.field().occupancy(), e) {
+            return Err(format!(
+                "{path}: event {i} ({:?}) is illegal on H_{d}: {why}",
+                e.kind
+            ));
+        }
+        let _ = verifier.observe(e, e.time);
+    }
+    let verdict = verifier.verdict();
     println!(
         "audit of {path} on H_{d}: monotone={} contiguous={} all_clean={} capture={:?}          ({} events, {} violations)",
         verdict.monotone,
@@ -274,13 +279,40 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
         verdict.violations.len()
     );
     for v in verdict.violations.iter().take(10) {
-        println!("  violation: {v:?}");
+        println!("  violation: {v}");
     }
     if verdict.is_complete() {
         Ok(())
     } else {
         Err("trace is not a correct complete search".into())
     }
+}
+
+/// Why `event` cannot happen on `cube` with agents standing as in
+/// `occupancy`, if it cannot: a node id outside `0..n`, or a move or clone
+/// that leaves a node holding no agent or lands off its neighbours.
+fn illegal_event(cube: Hypercube, occupancy: &[u32], event: &Event) -> Option<String> {
+    let (from, to) = match event.kind {
+        EventKind::Spawn { node, .. } | EventKind::Terminate { node, .. } => (None, node),
+        EventKind::Move { from, to, .. } | EventKind::CloneSpawn { from, to, .. } => {
+            (Some(from), to)
+        }
+    };
+    let n = cube.node_count();
+    if let Some(x) = from.into_iter().chain([to]).find(|x| x.index() >= n) {
+        return Some(format!("node {} is outside 0..{n}", x.0));
+    }
+    let from = from?;
+    if occupancy[from.index()] == 0 {
+        return Some(format!("no agent stands on node {} to leave it", from.0));
+    }
+    if (from.0 ^ to.0).count_ones() != 1 {
+        return Some(format!(
+            "node {} is not a neighbour of node {}",
+            to.0, from.0
+        ));
+    }
+    None
 }
 
 /// Campaign knobs for `hypersweep check` beyond the checking problem
@@ -672,6 +704,9 @@ fn cmd_serve(
     }
     hypersweep_server::daemon::install_sigint_handler();
     let outcome = server.run().map_err(|e| e.to_string());
+    if let Ok(stats) = &outcome {
+        println!("{}", Response::Status(stats.clone()).to_line());
+    }
     // A graceful drain (even one that errored) retires this process's
     // claim; crashes leave the file behind for stale-state cleanup.
     if let Some(path) = &state_file {

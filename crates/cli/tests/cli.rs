@@ -358,6 +358,62 @@ fn audit_flags_a_corrupt_trace() {
     std::fs::remove_file(path).ok();
 }
 
+#[test]
+fn audit_refuses_malformed_traces_and_names_recontaminated_nodes() {
+    let dir = std::env::temp_dir().join("hypersweep-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spawn = r#"{"time":0,"kind":{"Spawn":{"agent":0,"node":0,"role":"Worker"}}}"#;
+    let audit = |name: &str, second: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, format!("[{spawn},{second}]")).unwrap();
+        let out = bin()
+            .args(["audit", "3", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        std::fs::remove_file(path).ok();
+        let text = String::from_utf8_lossy(&out.stdout).into_owned()
+            + &String::from_utf8_lossy(&out.stderr);
+        (out.status.code(), text)
+    };
+    // Each malformed move exits 1 with a message naming event 1, where it
+    // used to index out of bounds (exit 101) or wrap an occupancy count.
+    for (name, second, why) in [
+        (
+            "oob.json",
+            r#"{"time":1,"kind":{"Move":{"agent":0,"from":0,"to":99,"role":"Worker"}}}"#,
+            "node 99 is outside 0..8",
+        ),
+        (
+            "vacant.json",
+            r#"{"time":1,"kind":{"Move":{"agent":1,"from":2,"to":3,"role":"Worker"}}}"#,
+            "no agent stands on node 2",
+        ),
+        (
+            "jump.json",
+            r#"{"time":1,"kind":{"CloneSpawn":{"parent":0,"child":1,"from":0,"to":3}}}"#,
+            "node 3 is not a neighbour of node 0",
+        ),
+    ] {
+        let (code, text) = audit(name, second);
+        assert_eq!(code, Some(1), "{name}: {text}");
+        assert!(
+            text.contains("event 1") && text.contains(why),
+            "{name}: {text}"
+        );
+    }
+    // A legal but recontaminating walk is audited and its violation names
+    // the node.
+    let (code, text) = audit(
+        "walk.json",
+        r#"{"time":1,"kind":{"Move":{"agent":0,"from":0,"to":1,"role":"Worker"}}}"#,
+    );
+    assert_eq!(code, Some(1), "{text}");
+    assert!(
+        text.contains("violation: step 1 event 2: recontamination at node 0"),
+        "{text}"
+    );
+}
+
 // --- campaign-scale check knobs -----------------------------------------
 
 #[test]

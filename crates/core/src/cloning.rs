@@ -298,7 +298,7 @@ impl SearchStrategy for CloningStrategy {
         if audit {
             streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
         } else {
-            synthesized_outcome(self.cube, self.synthesize_into(&mut NullSink), None)
+            synthesized_outcome(self.synthesize_into(&mut NullSink))
         }
     }
 }

@@ -1,6 +1,6 @@
 //! Common strategy interface and verified outcomes.
 
-use hypersweep_intruder::{verify_trace, Monitor, MonitorConfig, Verdict};
+use hypersweep_intruder::{verify_trace, MonitorConfig, Verdict, Verifier};
 use hypersweep_sim::{
     EventSink, MeteredSink, Metrics, Policy, RunError, RunReport, SummarizingSink, TraceSummary,
 };
@@ -49,7 +49,8 @@ impl std::error::Error for StrategyError {}
 pub struct SearchOutcome {
     /// Move/team/time counters.
     pub metrics: Metrics,
-    /// The monitors' verdict (monotonicity, contiguity, coverage, capture).
+    /// The verifier's verdict (monotonicity, contiguity, frontier guards,
+    /// coverage, capture).
     pub verdict: Verdict,
     /// Per-kind event counts of the trace, collected while streaming it
     /// through the auditor. `None` when the run was not streamed (engine
@@ -78,31 +79,31 @@ pub trait SearchStrategy {
     fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError>;
 
     /// Synthesize the canonical run directly (no engine), returning exact
-    /// metrics; with `audit` the synthesized trace is also run through the
-    /// monitors (costs memory proportional to the number of moves).
+    /// metrics; with `audit` the synthesized trace is also streamed through
+    /// the verifier.
     fn fast(&self, audit: bool) -> SearchOutcome;
 }
 
-/// Default monitor configuration for a cube: full per-event checks at
+/// Default verifier configuration for a cube: full per-event checks at
 /// every dimension, with a greedy evader starting at the far corner `11…1`
 /// on small cubes and a lazy evader on large ones (greedy reactions walk
 /// the whole contaminated set).
 ///
 /// Contiguity and frontier coverage are checked after *every* event —
-/// since the incremental clean-region connectivity kernel both oracles are
+/// since the incremental clean-region connectivity kernel both checks are
 /// `O(1)` per query, so there is nothing left to stride-sample.
 pub fn default_monitor_config(cube: Hypercube) -> MonitorConfig {
     let n = cube.node_count();
     let far = Node(n as u32 - 1);
     if n <= 1 {
         return MonitorConfig {
-            contiguity_every: 1,
+            stride: 1,
             intruder_start: None,
             greedy_evader: false,
         };
     }
     MonitorConfig {
-        contiguity_every: 1,
+        stride: 1,
         intruder_start: Some(far),
         greedy_evader: n <= 1024,
     }
@@ -123,58 +124,46 @@ pub fn audited_outcome(cube: Hypercube, report: &RunReport) -> SearchOutcome {
     }
 }
 
-/// Synthesize a run *through* an online monitor: the generator streams
-/// each event into the auditor as it is produced, so the full trace is
-/// never materialized — run memory is `O(n)` state instead of `O(moves)`.
-/// The verdict is identical to buffering the trace and calling
-/// [`verify_trace`], because feeding a [`Monitor`] sink *is* the observe
+/// Synthesize a run *through* the online verifier: the generator streams
+/// each event into it as it is produced, so the full trace is never
+/// materialized — run memory is `O(n)` state instead of `O(moves)`. The
+/// verdict is identical to buffering the trace and calling
+/// [`verify_trace`], because feeding a [`Verifier`] sink *is* the observe
 /// loop.
 pub fn streamed_outcome<F>(cube: Hypercube, synthesize: F) -> SearchOutcome
 where
     F: FnOnce(&mut dyn EventSink) -> Metrics,
 {
-    let mut monitor = Monitor::new(&cube, Node::ROOT, default_monitor_config(cube));
+    let mut verifier = Verifier::with_config(&cube, Node::ROOT, default_monitor_config(cube));
     // Meter the stream into the `sink.events` counter of the process
     // telemetry registry (no-op unless one is installed), so a daemon can
     // watch a multi-million-event audit advance while it runs.
-    let mut tee = MeteredSink::new(SummarizingSink::new(&mut monitor));
+    let mut tee = MeteredSink::new(SummarizingSink::new(&mut verifier));
     let metrics = synthesize(&mut tee);
     let summary = tee.inner().summary();
-    // Flush the metered tail and release the monitor borrow.
+    // Flush the metered tail and release the verifier borrow.
     drop(tee);
     SearchOutcome {
         metrics,
-        verdict: monitor.verdict(),
+        verdict: verifier.verdict(),
         trace_summary: Some(summary),
     }
 }
 
-/// Bundle synthesized metrics and (optionally) an audited trace.
-pub fn synthesized_outcome(
-    cube: Hypercube,
-    metrics: Metrics,
-    events: Option<&[hypersweep_sim::Event]>,
-) -> SearchOutcome {
-    let verdict = match events {
-        Some(ev) => verify_trace(&cube, Node::ROOT, ev, default_monitor_config(cube)),
-        None => {
-            // No trace to audit: report the structural facts we know
-            // (metrics only); verdict fields reflect "not checked" as
-            // vacuous truths except coverage, which the caller guarantees
-            // by construction of the generator.
-            Verdict {
-                monotone: true,
-                contiguous: true,
-                all_clean: true,
-                capture: None,
-                violations: Vec::new(),
-                events: 0,
-            }
-        }
-    };
+/// Bundle the metrics of an unaudited synthesized run. No trace was
+/// checked, so the verdict's checks hold vacuously; coverage is the
+/// generator's guarantee by construction.
+pub fn synthesized_outcome(metrics: Metrics) -> SearchOutcome {
     SearchOutcome {
         metrics,
-        verdict,
+        verdict: Verdict {
+            monotone: true,
+            contiguous: true,
+            all_clean: true,
+            capture: None,
+            violations: Vec::new(),
+            events: 0,
+        },
         trace_summary: None,
     }
 }
@@ -186,13 +175,13 @@ mod tests {
     #[test]
     fn monitor_config_checks_contiguity_per_event_at_every_dimension() {
         let small = default_monitor_config(Hypercube::new(6));
-        assert_eq!(small.contiguity_every, 1);
+        assert_eq!(small.stride, 1);
         assert!(small.greedy_evader);
         assert_eq!(small.intruder_start, Some(Node(63)));
 
         let large = default_monitor_config(Hypercube::new(14));
         assert_eq!(
-            large.contiguity_every, 1,
+            large.stride, 1,
             "incremental connectivity makes per-event contiguity affordable at scale"
         );
         assert!(!large.greedy_evader);

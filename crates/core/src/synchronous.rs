@@ -121,7 +121,7 @@ impl SearchStrategy for SynchronousStrategy {
         if audit {
             streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
         } else {
-            synthesized_outcome(self.cube, self.synthesize_into(&mut NullSink), None)
+            synthesized_outcome(self.synthesize_into(&mut NullSink))
         }
     }
 }

@@ -261,6 +261,11 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         }
     }
 
+    /// The topology being searched.
+    pub(crate) fn topology(&self) -> &'a T {
+        self.topo
+    }
+
     /// The homebase node.
     pub fn homebase(&self) -> Node {
         self.homebase

@@ -1,6 +1,6 @@
 //! Frame-by-frame visualization of a search.
 //!
-//! Replays a trace through the ground-truth contamination field and renders
+//! Replays a trace through the run verifier's contamination field and renders
 //! the state after selected events as compact text frames — the nodes of a
 //! hypercube grouped by level, one status glyph each:
 //!
@@ -16,7 +16,8 @@ use hypersweep_sim::Event;
 use hypersweep_topology::{Hypercube, Node};
 
 use crate::contamination::ContaminationField;
-use crate::evader::{CaptureStatus, EvaderPolicy, Intruder};
+use crate::evader::{CaptureStatus, Intruder};
+use crate::verifier::{MonitorConfig, Verifier};
 
 /// One rendered frame plus bookkeeping.
 #[derive(Clone, Debug)]
@@ -39,20 +40,23 @@ pub fn render_film(
     intruder_start: Option<Node>,
 ) -> Vec<Frame> {
     assert!(stride >= 1);
-    let mut field = ContaminationField::new(&cube, Node::ROOT);
-    let mut evader = intruder_start.map(|s| Intruder::new(s, EvaderPolicy::Greedy));
+    // The film shows states, not verdicts: region checks off.
+    let cfg = MonitorConfig {
+        stride: 0,
+        intruder_start,
+        greedy_evader: true,
+    };
+    let mut verifier = Verifier::with_config(&cube, Node::ROOT, cfg);
     let mut frames = Vec::new();
     for (i, e) in events.iter().enumerate() {
-        field.apply(e);
-        if let Some(ev) = evader.as_mut() {
-            ev.react(&cube, &field, field.events_applied());
-        }
+        let _ = verifier.observe(e, e.time);
         let last = i + 1 == events.len();
         if (i + 1) % stride == 0 || last {
+            let field = verifier.field();
             frames.push(Frame {
                 events_applied: field.events_applied(),
                 contaminated: field.contaminated_count(),
-                text: render_state(cube, &field, evader.as_ref()),
+                text: render_state(cube, field, verifier.intruder()),
             });
         }
     }

@@ -1,4 +1,4 @@
-//! Contamination semantics, monitors, and the evading intruder.
+//! Contamination semantics, the run verifier, and the evading intruder.
 //!
 //! The paper argues correctness (Theorems 1 and 6) on paper; this crate
 //! *checks* it mechanically on every run. It consumes the linearized event
@@ -26,10 +26,12 @@ pub mod connectivity;
 pub mod contamination;
 pub mod evader;
 pub mod film;
-pub mod monitor;
+pub mod verifier;
 
 pub use connectivity::SafeForest;
 pub use contamination::{ContaminationField, FieldScratch};
 pub use evader::{CaptureStatus, EvaderPolicy, Intruder};
 pub use film::{render_film, render_state, Frame};
-pub use monitor::{verify_trace, Monitor, MonitorConfig, Verdict, Violation};
+pub use verifier::{
+    verify_trace, MonitorConfig, Verdict, Verifier, ViolationKind, ViolationReport,
+};

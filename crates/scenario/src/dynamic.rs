@@ -19,7 +19,7 @@
 //! else — including insertions that suddenly turn interior nodes back
 //! into frontier — is fair game the strategy must absorb.
 
-use hypersweep_check::{Adversary, StepOracle, ViolationKind, ViolationReport};
+use hypersweep_check::{Adversary, StepOracle, ViolationKind};
 use hypersweep_intruder::ContaminationField;
 use hypersweep_topology::graph::AdjGraph;
 use hypersweep_topology::rng::SplitMix64;
@@ -154,11 +154,7 @@ pub(crate) fn run_dynamic(
             let mut done = false;
             for _ in 0..ROUND_LEN {
                 if step >= max_steps {
-                    break 'outer Some(ViolationReport {
-                        step,
-                        event: oracle.events_applied(),
-                        kind: ViolationKind::StepLimit,
-                    });
+                    break 'outer Some(oracle.report(step, ViolationKind::StepLimit));
                 }
                 match sweep.step(&graph, &mut oracle, &mut adversary, step) {
                     Ok(Progress::Done) => {

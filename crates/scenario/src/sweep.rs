@@ -370,13 +370,12 @@ impl Sweep {
             };
             let start = self.positions[mover as usize];
             let Some(path) = self.plan_path(topo, oracle.field(), start, parent, target) else {
-                return Err(ViolationReport {
+                return Err(oracle.report(
                     step,
-                    event: oracle.events_applied(),
-                    kind: ViolationKind::EngineError {
+                    ViolationKind::EngineError {
                         message: format!("no safe path from {start:?} to {parent:?}"),
                     },
-                });
+                ));
             };
             self.targeted[target.index()] = true;
             self.tasks.push(Task {
@@ -432,13 +431,12 @@ impl Sweep {
                 oracle.finish(step)?;
                 return Ok(Progress::Done);
             }
-            return Err(ViolationReport {
+            return Err(oracle.report(
                 step,
-                event: oracle.events_applied(),
-                kind: ViolationKind::Deadlock {
+                ViolationKind::Deadlock {
                     waiting: self.positions.len() as u64,
                 },
-            });
+            ));
         }
         let raw = adversary.choose_from(&TaskAgents(&self.tasks), step);
         let idx = (raw as usize) % self.tasks.len();
@@ -523,11 +521,7 @@ pub(crate) fn run_static<T: Topology + ?Sized>(
     let mut step = 0u64;
     let violation = loop {
         if step >= max_steps {
-            break Some(ViolationReport {
-                step,
-                event: oracle.events_applied(),
-                kind: ViolationKind::StepLimit,
-            });
+            break Some(oracle.report(step, ViolationKind::StepLimit));
         }
         match sweep.step(topo, &mut oracle, adversary, step) {
             Ok(Progress::Done) => break None,

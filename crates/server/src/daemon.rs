@@ -276,8 +276,7 @@ impl Server {
     }
 
     /// Serve until SIGINT or a `shutdown` request, then drain in-flight
-    /// work, join every thread, emit a final status line on stdout, and
-    /// return the final stats.
+    /// work, join every thread, and return the final stats.
     pub fn run(self) -> io::Result<ServerStats> {
         let Server {
             listener,
@@ -323,11 +322,7 @@ impl Server {
             let _ = handle.join();
         }
         served?;
-        let stats = shared.status();
-        let mut stdout = io::stdout().lock();
-        let _ = writeln!(stdout, "{}", Response::Status(stats.clone()).to_line());
-        let _ = stdout.flush();
-        Ok(stats)
+        Ok(shared.status())
     }
 }
 

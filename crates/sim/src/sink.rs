@@ -5,7 +5,7 @@
 //! ~20M events held live just so an auditor could iterate them once. An
 //! [`EventSink`] inverts the flow: generators push each event into a sink
 //! as it is produced, and the sink decides whether to buffer (a
-//! `Vec<Event>`), audit online (the intruder crate's `Monitor`), or drop
+//! `Vec<Event>`), audit online (the intruder crate's `Verifier`), or drop
 //! ([`NullSink`]). Run memory becomes O(state), not O(moves).
 
 use serde::{Deserialize, Serialize};

@@ -78,7 +78,7 @@ pub fn standard_workload() -> Vec<Request> {
     w
 }
 
-/// Audit a trace against the full monitor stack with the worst-case
+/// Audit a trace with the full verifier and the worst-case
 /// intruder seeded at the far corner (the node furthest from the
 /// homebase).
 pub fn audit_far_corner(cube: Hypercube, events: &[Event]) -> Verdict {

@@ -2,7 +2,7 @@
 //! through a hypercube interconnect; a team of software agents deployed
 //! from one host must corner it without ever reopening cleaned territory.
 //!
-//! This example drives the monitors directly so the virus's flight is
+//! This example drives the verifier directly so the virus's flight is
 //! visible: we replay Algorithm CLEAN's trace event by event against a
 //! greedy evader and print where it runs.
 //!
@@ -31,18 +31,20 @@ fn main() {
         metrics.team_size - 1
     );
 
-    // Replay through a monitor with a greedy evader and narrate its moves.
+    // Replay through the verifier with a greedy evader and narrate its moves.
     let far = Node(cube.node_count() as u32 - 1);
-    let mut monitor = Monitor::new(&cube, Node::ROOT, MonitorConfig::with_intruder(far));
+    let mut verifier = Verifier::with_config(&cube, Node::ROOT, MonitorConfig::with_intruder(far));
     let mut last_pos = far;
     let mut hops = 0u32;
     for event in &events {
-        monitor.observe(event);
-        let status = monitor.intruder().expect("tracked").status();
+        verifier
+            .observe(event, event.time)
+            .expect("CLEAN keeps every invariant");
+        let status = verifier.intruder().expect("tracked").status();
         match status {
             CaptureStatus::Free(pos) if pos != last_pos => {
                 hops += 1;
-                let contaminated = monitor.field().contaminated_count();
+                let contaminated = verifier.field().contaminated_count();
                 println!(
                     "virus flees {} -> {}   ({} hosts still contaminated)",
                     last_pos.bitstring(d),
@@ -63,7 +65,7 @@ fn main() {
             _ => {}
         }
     }
-    let verdict = monitor.verdict();
+    let verdict = verifier.verdict();
     assert!(
         verdict.is_complete(),
         "violations: {:?}",

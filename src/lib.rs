@@ -50,7 +50,7 @@ pub mod prelude {
         SynchronousStrategy, VisibilityStrategy,
     };
     pub use hypersweep_intruder::{
-        verify_trace, CaptureStatus, EvaderPolicy, Intruder, Monitor, MonitorConfig, Verdict,
+        verify_trace, CaptureStatus, EvaderPolicy, Intruder, MonitorConfig, Verdict, Verifier,
     };
     pub use hypersweep_sim::{Metrics, Policy};
     pub use hypersweep_topology::{BroadcastTree, Hypercube, Node};
