@@ -211,6 +211,8 @@ mod tests {
     use super::*;
     use crate::explore::CheckStrategy;
     use crate::find_counterexample;
+    use crate::oracle::ViolationKind;
+    use hypersweep_intruder::IllegalEvent;
 
     #[test]
     fn counterexample_roundtrips_and_verifies() {
@@ -256,6 +258,19 @@ mod tests {
         let parsed = ReplayFile::from_json(&stripped).expect("legacy file parses");
         assert_eq!(parsed.max_steps, None);
         parsed.verify().expect("legacy replay still reproduces");
+    }
+
+    #[test]
+    fn illegal_event_violations_roundtrip() {
+        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
+        let (replay, _, _) = find_counterexample(&cfg, 2, 400);
+        let mut replay = replay.expect("mutant caught");
+        replay.violation.kind =
+            ViolationKind::IllegalEvent(IllegalEvent::NotAdjacent { from: 0, to: 3 });
+        let json = replay.to_json();
+        let parsed = ReplayFile::from_json(&json).expect("parses");
+        assert_eq!(parsed, replay);
+        assert_eq!(parsed.to_json(), json);
     }
 
     #[test]

@@ -22,10 +22,10 @@ use hypersweep_check::{CheckConfig, CheckStrategy, ReplayFile};
 use hypersweep_core::{
     CleanStrategy, CloningStrategy, SearchStrategy, SynchronousStrategy, VisibilityStrategy,
 };
-use hypersweep_intruder::{render_film, MonitorConfig, Verifier};
+use hypersweep_intruder::{render_film, MonitorConfig, Verifier, ViolationKind, ViolationReport};
 use hypersweep_scenario::{GridStrategy, ScenarioId};
 use hypersweep_server::{run_bench, BenchConfig, Response, Server, ServerLimits};
-use hypersweep_sim::{Event, EventKind, Policy};
+use hypersweep_sim::{Event, Policy};
 use hypersweep_topology::{GridInstance, Hypercube, Node};
 use serde::Deserialize as _;
 
@@ -260,13 +260,16 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
     let far = Node(cube.node_count() as u32 - 1);
     let mut verifier = Verifier::with_config(&cube, Node::ROOT, MonitorConfig::with_intruder(far));
     for (i, e) in events.iter().enumerate() {
-        if let Some(why) = illegal_event(cube, verifier.field().occupancy(), e) {
+        if let Err(ViolationReport {
+            kind: ViolationKind::IllegalEvent(why),
+            ..
+        }) = verifier.observe(e, e.time)
+        {
             return Err(format!(
                 "{path}: event {i} ({:?}) is illegal on H_{d}: {why}",
                 e.kind
             ));
         }
-        let _ = verifier.observe(e, e.time);
     }
     let verdict = verifier.verdict();
     println!(
@@ -286,33 +289,6 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
     } else {
         Err("trace is not a correct complete search".into())
     }
-}
-
-/// Why `event` cannot happen on `cube` with agents standing as in
-/// `occupancy`, if it cannot: a node id outside `0..n`, or a move or clone
-/// that leaves a node holding no agent or lands off its neighbours.
-fn illegal_event(cube: Hypercube, occupancy: &[u32], event: &Event) -> Option<String> {
-    let (from, to) = match event.kind {
-        EventKind::Spawn { node, .. } | EventKind::Terminate { node, .. } => (None, node),
-        EventKind::Move { from, to, .. } | EventKind::CloneSpawn { from, to, .. } => {
-            (Some(from), to)
-        }
-    };
-    let n = cube.node_count();
-    if let Some(x) = from.into_iter().chain([to]).find(|x| x.index() >= n) {
-        return Some(format!("node {} is outside 0..{n}", x.0));
-    }
-    let from = from?;
-    if occupancy[from.index()] == 0 {
-        return Some(format!("no agent stands on node {} to leave it", from.0));
-    }
-    if (from.0 ^ to.0).count_ones() != 1 {
-        return Some(format!(
-            "node {} is not a neighbour of node {}",
-            to.0, from.0
-        ));
-    }
-    None
 }
 
 /// Campaign knobs for `hypersweep check` beyond the checking problem

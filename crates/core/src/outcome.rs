@@ -86,8 +86,18 @@ pub trait SearchStrategy {
 
 /// Default verifier configuration for a cube: full per-event checks at
 /// every dimension, with a greedy evader starting at the far corner `11…1`
-/// on small cubes and a lazy evader on large ones (greedy reactions walk
-/// the whole contaminated set).
+/// on cubes of up to 1024 nodes and a lazy evader on larger ones.
+///
+/// A greedy reaction floods the intruder's contaminated component and
+/// grows distance balls around the guards, word-parallel: `O(waves · d ·
+/// n/64)` words after every event, where a wave is one flood pass or one
+/// ball step (see `hypersweep_intruder::evader`; EXPERIMENTS.md gives the
+/// audited run times). The lazy evader moves only when its node is cleaned, at
+/// `O(d)`. The switch stays at 1024 for two reasons. Per event, the greedy
+/// cost still grows with `n`, and large cubes run millions of events. And
+/// the switch decides which evader every audit's capture event comes from,
+/// so moving it would change the capture events that `report`, `run` and
+/// served audits print.
 ///
 /// Contiguity and frontier coverage are checked after *every* event —
 /// since the incremental clean-region connectivity kernel both checks are

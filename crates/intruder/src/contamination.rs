@@ -5,8 +5,51 @@ use std::collections::VecDeque;
 use hypersweep_topology::{wide, Node, NodeSet, Topology};
 
 use hypersweep_sim::{Event, EventKind};
+use serde::{Deserialize, Serialize};
 
 use crate::connectivity::SafeForest;
+
+/// Why an event cannot happen. Only a hand-written or corrupted trace
+/// holds one: the executors and the synthesized paths never emit them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum IllegalEvent {
+    /// The event names a node outside `0..nodes`.
+    OutOfRange {
+        /// The offending node id.
+        node: u32,
+        /// The topology's node count.
+        nodes: u64,
+    },
+    /// A move or clone leaves a node where no agent stands.
+    Vacant {
+        /// The empty node.
+        node: u32,
+    },
+    /// A move or clone on `H_d` lands on a node that is not a neighbour of
+    /// the one it leaves.
+    NotAdjacent {
+        /// The node left.
+        from: u32,
+        /// The node reached.
+        to: u32,
+    },
+}
+
+impl std::fmt::Display for IllegalEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            IllegalEvent::OutOfRange { node, nodes } => {
+                write!(f, "node {node} is outside 0..{nodes}")
+            }
+            IllegalEvent::Vacant { node } => {
+                write!(f, "no agent stands on node {node} to leave it")
+            }
+            IllegalEvent::NotAdjacent { from, to } => {
+                write!(f, "node {to} is not a neighbour of node {from}")
+            }
+        }
+    }
+}
 
 /// The reusable allocations of a [`ContaminationField`]: every per-node
 /// buffer, traversal scratch, and the incremental connectivity forest.
@@ -264,6 +307,16 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     /// The topology being searched.
     pub(crate) fn topology(&self) -> &'a T {
         self.topo
+    }
+
+    /// `Some(d)` when the topology is `H_d`.
+    pub(crate) fn hyper_dim(&self) -> Option<u32> {
+        self.hyper_dim
+    }
+
+    /// The currently guarded nodes, as a packed set.
+    pub(crate) fn guarded_set(&self) -> &NodeSet {
+        &self.guarded
     }
 
     /// The homebase node.
@@ -752,13 +805,30 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     }
 
     /// Apply one event.
+    ///
+    /// # Panics
+    ///
+    /// If the event cannot happen where the agents stand (see
+    /// [`IllegalEvent`]). [`Verifier::observe`](crate::Verifier::observe)
+    /// refuses such an event instead.
     pub fn apply(&mut self, event: &Event) {
-        self.events_applied += 1;
+        if let Err(why) = self.try_apply(event) {
+            panic!("illegal event {:?}: {why}", event.kind);
+        }
+    }
+
+    /// Apply one event, or leave the field untouched and say why the event
+    /// cannot happen where the agents stand.
+    pub(crate) fn try_apply(&mut self, event: &Event) -> Result<(), IllegalEvent> {
         match event.kind {
             EventKind::Spawn { node, .. } => {
+                self.check_node(node)?;
+                self.events_applied += 1;
                 self.occupy(node);
             }
             EventKind::Move { from, to, .. } => {
+                self.check_leave(from, to)?;
+                self.events_applied += 1;
                 self.occupy(to);
                 self.occupancy[from.index()] -= 1;
                 if self.occupancy[from.index()] == 0 {
@@ -767,11 +837,64 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                     self.maybe_recontaminate(from);
                 }
             }
-            EventKind::CloneSpawn { to, .. } => {
+            EventKind::CloneSpawn { from, to, .. } => {
+                self.check_leave(from, to)?;
+                self.events_applied += 1;
                 self.occupy(to);
             }
-            EventKind::Terminate { .. } => {
+            EventKind::Terminate { node, .. } => {
+                self.check_node(node)?;
                 // The agent remains as a guard; nothing changes.
+                self.events_applied += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// `x` must be a node of the topology.
+    #[inline]
+    fn check_node(&self, x: Node) -> Result<(), IllegalEvent> {
+        let nodes = self.occupancy.len();
+        if x.index() < nodes {
+            Ok(())
+        } else {
+            Err(IllegalEvent::OutOfRange {
+                node: x.0,
+                nodes: nodes as u64,
+            })
+        }
+    }
+
+    /// A move or clone from `from` to `to` must name two nodes of the
+    /// topology, leave a node where an agent stands and, on `H_d`, cross
+    /// one edge. Other topologies get no neighbour check, so the grid and
+    /// dynamic-graph checkers pay no adjacency scan per event.
+    #[inline]
+    fn check_leave(&self, from: Node, to: Node) -> Result<(), IllegalEvent> {
+        let legal = to.index() < self.occupancy.len()
+            && self.occupancy.get(from.index()).is_some_and(|&k| k > 0)
+            && (self.hyper_dim.is_none() || (from.0 ^ to.0).count_ones() == 1);
+        if legal {
+            Ok(())
+        } else {
+            Err(self.leave_illegality(from, to))
+        }
+    }
+
+    /// Which rule an illegal move or clone breaks, in the order
+    /// [`ContaminationField::check_leave`] lists them (`from` before `to`
+    /// when both are out of range).
+    #[cold]
+    fn leave_illegality(&self, from: Node, to: Node) -> IllegalEvent {
+        if let Err(out_of_range) = self.check_node(from).and(self.check_node(to)) {
+            return out_of_range;
+        }
+        if self.occupancy[from.index()] == 0 {
+            IllegalEvent::Vacant { node: from.0 }
+        } else {
+            IllegalEvent::NotAdjacent {
+                from: from.0,
+                to: to.0,
             }
         }
     }
@@ -1003,6 +1126,17 @@ mod tests {
         f.apply(&spawn(3, 0b011));
         assert!(f.is_contiguous(), "bridge 000-001-011-111 reconnects");
         assert_eq!(f.clean_components(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "no agent stands on node 2 to leave it")]
+    fn apply_panics_on_an_illegal_event() {
+        // The verifier refuses illegal events; a direct caller gets a
+        // panic, not an occupancy count wrapped below zero.
+        let h = Hypercube::new(3);
+        let mut f = ContaminationField::new(&h, Node::ROOT);
+        f.apply(&spawn(0, 0));
+        f.apply(&mv(1, 2, 3));
     }
 
     #[test]

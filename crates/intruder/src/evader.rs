@@ -6,10 +6,22 @@
 //! intruder relocate *after every atomic event* anywhere within its current
 //! contaminated component. It is detected (captured) exactly when that
 //! component is extinguished.
+//!
+//! The greedy evader's move is a farthest-node query: flood the
+//! contaminated component, then find its node farthest from every guard.
+//! On `H_d` both steps run word-parallel on [`NodeSet`]s, 64 nodes per
+//! word operation: the component is a flood masked by the contaminated
+//! set ([`NodeSet::hypercube_flood_within`]), and the distances are balls
+//! grown around the guards until they cover the component
+//! ([`NodeSet::hypercube_ball_step`]). A reaction costs `O(waves · d ·
+//! n/64)` words, where a wave is one flood pass or one ball step. Every
+//! other topology runs the per-node BFS reference, `O(n · Δ)` per
+//! reaction. Either way the buffers live in the intruder, so after the
+//! first reaction the query allocates nothing (only the trail grows).
 
 use std::collections::VecDeque;
 
-use hypersweep_topology::{Node, Topology};
+use hypersweep_topology::{Node, NodeSet, Topology};
 
 use crate::contamination::ContaminationField;
 
@@ -42,7 +54,9 @@ pub enum EvaderPolicy {
     Lazy,
     /// After every event, relocate within the contaminated component to a
     /// node maximizing the BFS distance from the nearest agent —
-    /// the strongest heuristic evader (ties broken by lowest id).
+    /// the strongest heuristic evader (ties broken by lowest id). On `H_d`
+    /// one reaction costs `O(waves · d · n/64)` words (see the module
+    /// docs); elsewhere a per-node BFS, `O(n · Δ)`.
     Greedy,
 }
 
@@ -53,6 +67,30 @@ pub struct Intruder {
     policy: EvaderPolicy,
     /// Nodes visited while fleeing (for demos and tests).
     trail: Vec<Node>,
+    scratch: Scratch,
+}
+
+/// The buffers of the farthest-node query, kept across reactions.
+#[derive(Clone, Debug, Default)]
+struct Scratch {
+    /// The contaminated component being searched.
+    component: NodeSet,
+    /// The ball around the guards grown so far (word-parallel path).
+    reached: NodeSet,
+    /// The next ball (word-parallel path).
+    next: NodeSet,
+    /// Distance from the nearest guard (per-node path).
+    dist: Vec<u32>,
+    queue: VecDeque<Node>,
+    nbrs: Vec<Node>,
+}
+
+/// Make `set` a set over `0..n`, keeping its words when the universe
+/// already matches (their contents are then left as they were).
+fn fit(set: &mut NodeSet, n: usize) {
+    if set.universe() != n {
+        *set = NodeSet::new(n);
+    }
 }
 
 impl Intruder {
@@ -63,6 +101,7 @@ impl Intruder {
             status: CaptureStatus::Free(start),
             policy,
             trail: vec![start],
+            scratch: Scratch::default(),
         }
     }
 
@@ -89,11 +128,10 @@ impl Intruder {
         };
         if field.is_contaminated(pos) {
             if self.policy == EvaderPolicy::Greedy {
-                if let Some(best) = self.best_in_component(topo, field, pos) {
-                    if best != pos {
-                        self.status = CaptureStatus::Free(best);
-                        self.trail.push(best);
-                    }
+                let best = self.best_in_component(topo, field, pos);
+                if best != pos {
+                    self.status = CaptureStatus::Free(best);
+                    self.trail.push(best);
                 }
             }
             return;
@@ -101,16 +139,19 @@ impl Intruder {
         // The node was just decontaminated. Being arbitrarily fast, the
         // intruder slips to a contaminated neighbour "just before" the
         // agent arrives — if one exists.
-        let mut nbrs = Vec::new();
-        topo.neighbors_into(pos, &mut nbrs);
+        topo.neighbors_into(pos, &mut self.scratch.nbrs);
+        let mut contaminated = self
+            .scratch
+            .nbrs
+            .iter()
+            .copied()
+            .filter(|&y| field.is_contaminated(y));
         let escape = match self.policy {
-            EvaderPolicy::Lazy => nbrs.iter().copied().find(|&y| field.is_contaminated(y)),
-            EvaderPolicy::Greedy => nbrs
-                .iter()
-                .copied()
-                .filter(|&y| field.is_contaminated(y))
-                .min() // enter the component, then optimize inside it
-                .map(|entry| self.best_in_component(topo, field, entry).unwrap_or(entry)),
+            EvaderPolicy::Lazy => contaminated.next(),
+            // Enter the component, then optimize inside it.
+            EvaderPolicy::Greedy => contaminated
+                .min()
+                .map(|entry| self.best_in_component(topo, field, entry)),
         };
         match escape {
             Some(to) => {
@@ -126,62 +167,106 @@ impl Intruder {
         }
     }
 
-    /// Within the contaminated component of `from`, find the node
-    /// maximizing the distance from the nearest guarded node (multi-source
-    /// BFS over the whole graph), ties broken by lowest id.
+    /// Within the contaminated component of `from` (which must be
+    /// contaminated), the node farthest from the nearest guarded node,
+    /// ties broken by lowest id; with no guard at all, the component's
+    /// lowest id.
     fn best_in_component<T: Topology + ?Sized>(
-        &self,
+        &mut self,
         topo: &T,
         field: &ContaminationField<'_, T>,
         from: Node,
-    ) -> Option<Node> {
+    ) -> Node {
+        match field.hyper_dim() {
+            Some(d) => self.best_in_component_hyper(d, field, from),
+            None => self.best_in_component_bfs(topo, field, from),
+        }
+    }
+
+    /// The word-parallel query on `H_d`.
+    fn best_in_component_hyper<T: Topology + ?Sized>(
+        &mut self,
+        d: u32,
+        field: &ContaminationField<'_, T>,
+        from: Node,
+    ) -> Node {
+        let n = 1usize << d;
+        let s = &mut self.scratch;
+        for set in [&mut s.component, &mut s.reached, &mut s.next] {
+            fit(set, n);
+        }
+        s.component.clear();
+        s.component.insert(from);
+        s.component
+            .hypercube_flood_within(d, field.contaminated_set());
+        let guarded = field.guarded_set();
+        if guarded.is_empty() {
+            return s.component.iter().next().unwrap_or(from);
+        }
+        // Grow balls around the guards. The farthest nodes are the ones
+        // the last ball that misses part of the component still misses.
+        s.reached.words_mut().copy_from_slice(guarded.words());
+        while s.reached.hypercube_ball_step(d, &mut s.next, &s.component) {
+            std::mem::swap(&mut s.reached, &mut s.next);
+        }
+        let (wi, w) = s
+            .component
+            .words()
+            .iter()
+            .zip(s.reached.words())
+            .map(|(&c, &r)| c & !r)
+            .enumerate()
+            .find(|&(_, w)| w != 0)
+            .expect("the component holds no guard, so the first ball misses it");
+        Node((wi as u32) << 6 | w.trailing_zeros())
+    }
+
+    /// The per-node reference: a multi-source BFS from the guards over the
+    /// whole graph, then a BFS of the component.
+    fn best_in_component_bfs<T: Topology + ?Sized>(
+        &mut self,
+        topo: &T,
+        field: &ContaminationField<'_, T>,
+        from: Node,
+    ) -> Node {
         let n = topo.node_count();
-        // Multi-source BFS from guards over all nodes.
-        let mut dist = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        for (i, slot) in dist.iter_mut().enumerate() {
+        let s = &mut self.scratch;
+        s.dist.clear();
+        s.dist.resize(n, u32::MAX);
+        s.queue.clear();
+        for (i, slot) in s.dist.iter_mut().enumerate() {
             if field.is_guarded(Node(i as u32)) {
                 *slot = 0;
-                queue.push_back(Node(i as u32));
+                s.queue.push_back(Node(i as u32));
             }
         }
-        let mut nbrs = Vec::new();
-        while let Some(x) = queue.pop_front() {
-            topo.neighbors_into(x, &mut nbrs);
-            for &y in &nbrs {
-                if dist[y.index()] == u32::MAX {
-                    dist[y.index()] = dist[x.index()] + 1;
-                    queue.push_back(y);
+        while let Some(x) = s.queue.pop_front() {
+            topo.neighbors_into(x, &mut s.nbrs);
+            for &y in &s.nbrs {
+                if s.dist[y.index()] == u32::MAX {
+                    s.dist[y.index()] = s.dist[x.index()] + 1;
+                    s.queue.push_back(y);
                 }
             }
         }
-        // BFS of the contaminated component of `from`.
-        let mut best: Option<(u32, Node)> = None;
-        let mut seen = vec![false; n];
-        let mut comp = VecDeque::new();
-        seen[from.index()] = true;
-        comp.push_back(from);
-        while let Some(x) = comp.pop_front() {
-            let dx = dist[x.index()];
-            best = match best {
-                None => Some((dx, x)),
-                Some((bd, bn)) => {
-                    if dx > bd || (dx == bd && x < bn) {
-                        Some((dx, x))
-                    } else {
-                        Some((bd, bn))
-                    }
-                }
-            };
-            topo.neighbors_into(x, &mut nbrs);
-            for &y in &nbrs {
-                if !seen[y.index()] && field.is_contaminated(y) {
-                    seen[y.index()] = true;
-                    comp.push_back(y);
+        let mut best = (s.dist[from.index()], from);
+        fit(&mut s.component, n);
+        s.component.clear();
+        s.component.insert(from);
+        s.queue.push_back(from);
+        while let Some(x) = s.queue.pop_front() {
+            let dx = s.dist[x.index()];
+            if dx > best.0 || (dx == best.0 && x < best.1) {
+                best = (dx, x);
+            }
+            topo.neighbors_into(x, &mut s.nbrs);
+            for &y in &s.nbrs {
+                if field.is_contaminated(y) && s.component.insert(y) {
+                    s.queue.push_back(y);
                 }
             }
         }
-        best.map(|(_, n)| n)
+        best.1
     }
 }
 

@@ -29,7 +29,7 @@ pub mod film;
 pub mod verifier;
 
 pub use connectivity::SafeForest;
-pub use contamination::{ContaminationField, FieldScratch};
+pub use contamination::{ContaminationField, FieldScratch, IllegalEvent};
 pub use evader::{CaptureStatus, EvaderPolicy, Intruder};
 pub use film::{render_film, render_state, Frame};
 pub use verifier::{

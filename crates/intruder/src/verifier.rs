@@ -12,19 +12,23 @@
 //! * **Coverage and capture**: the run ends with every node clean, and the
 //!   optional explicit evader ends captured.
 //!
-//! Every event passes the same four stages in order: apply it, record
-//! every new recontamination, on stride events check contiguity and then
-//! frontier coverage, and let the evader react. [`Verifier::observe`]
-//! returns the first violation recorded for the event, which is where the
-//! checker stops; audits keep feeding events and read the [`Verdict`],
-//! which lists every violation recorded.
+//! Every event first passes a legality check: an event that names a node
+//! outside the topology, leaves a node where no agent stands, or (on
+//! `H_d`) crosses a non-edge is recorded as [`ViolationKind::IllegalEvent`]
+//! and not applied, so no input can index out of bounds or wrap an
+//! occupancy count. A legal event passes the same four stages in order:
+//! apply it, record every new recontamination, on stride events check
+//! contiguity and then frontier coverage, and let the evader react.
+//! [`Verifier::observe`] returns the first violation recorded for the
+//! event, which is where the checker stops; audits keep feeding events and
+//! read the [`Verdict`], which lists every violation recorded.
 
 use hypersweep_topology::{Hypercube, Node, Topology};
 use serde::{Deserialize, Serialize};
 
 use hypersweep_sim::{Event, EventSink};
 
-use crate::contamination::{ContaminationField, FieldScratch};
+use crate::contamination::{ContaminationField, FieldScratch, IllegalEvent};
 use crate::evader::{CaptureStatus, EvaderPolicy, Intruder};
 
 /// What went wrong, exactly. Serialized into replay files, so variants
@@ -62,6 +66,8 @@ pub enum ViolationKind {
     },
     /// The schedule exceeded the step budget without completing.
     StepLimit,
+    /// The event cannot happen where the agents stand; it was not applied.
+    IllegalEvent(IllegalEvent),
 }
 
 /// A violation pinned to the step and event index where the verifier
@@ -99,6 +105,7 @@ impl std::fmt::Display for ViolationReport {
             }
             ViolationKind::EngineError { message } => write!(f, "engine error: {message}"),
             ViolationKind::StepLimit => write!(f, "step budget exhausted"),
+            ViolationKind::IllegalEvent(why) => write!(f, "illegal event: {why}"),
         }
     }
 }
@@ -241,23 +248,28 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
 
     /// Apply one event and run the checks; `step` is the caller's clock,
     /// recorded into any violation. Returns the first violation recorded
-    /// for this event.
+    /// for this event. An illegal event is recorded as
+    /// [`ViolationKind::IllegalEvent`] and not applied.
     // The checker calls this once per event, with no evader and almost
     // never a violation: the cold recorders and the out-of-line evader
     // keep the body small enough to inline into its loop.
     #[inline]
     pub fn observe(&mut self, event: &Event, step: u64) -> Result<(), ViolationReport> {
         let first = self.violations.len();
-        self.field.apply(event);
-        let at_event = self.field.events_applied();
-        if self.field.recontaminations().len() > self.recontaminations_seen {
-            self.record_recontaminations(step);
-        }
-        if self.stride > 0 && at_event % self.stride == 0 {
-            self.check_region(step);
-        }
-        if self.intruder.is_some() {
-            self.react(at_event);
+        match self.field.try_apply(event) {
+            Ok(()) => {
+                let at_event = self.field.events_applied();
+                if self.field.recontaminations().len() > self.recontaminations_seen {
+                    self.record_recontaminations(step);
+                }
+                if self.stride > 0 && at_event % self.stride == 0 {
+                    self.check_region(step);
+                }
+                if self.intruder.is_some() {
+                    self.react(at_event);
+                }
+            }
+            Err(why) => self.record(step, ViolationKind::IllegalEvent(why)),
         }
         self.first_since(first)
     }
@@ -527,6 +539,79 @@ mod tests {
         let verdict = verify_trace(&h, Node::ROOT, &trace, cfg);
         assert!(verdict.violations.is_empty());
         assert!(!verdict.contiguous, "…but the final check still fires");
+    }
+
+    #[test]
+    fn illegal_events_are_refused_and_not_applied() {
+        let h = Hypercube::new(3);
+        // A move off the cube: it used to index out of bounds.
+        let verdict = verify_trace(
+            &h,
+            Node::ROOT,
+            &[spawn(0, 0), mv(0, 0, 99)],
+            MonitorConfig::with_intruder(Node(7)),
+        );
+        assert_eq!(
+            verdict.violations,
+            vec![ViolationReport {
+                step: 0,
+                event: 1,
+                kind: ViolationKind::IllegalEvent(IllegalEvent::OutOfRange { node: 99, nodes: 8 }),
+            }]
+        );
+        assert_eq!(verdict.events, 1, "the illegal move was not applied");
+        assert!(!verdict.is_complete());
+        // A move from an empty node: it used to wrap the occupancy count.
+        let verdict = verify_trace(
+            &h,
+            Node::ROOT,
+            &[spawn(0, 0), mv(1, 2, 3)],
+            MonitorConfig::default(),
+        );
+        assert_eq!(
+            verdict.violations[0].kind,
+            ViolationKind::IllegalEvent(IllegalEvent::Vacant { node: 2 })
+        );
+        assert_eq!(verdict.violations.len(), 1);
+        let mut verifier = Verifier::new(&h, Node::ROOT, 1);
+        assert_eq!(verifier.observe(&spawn(0, 0), 0), Ok(()));
+        let refused = verifier.observe(&mv(1, 2, 3), 1).unwrap_err();
+        assert_eq!(
+            refused.to_string(),
+            "step 1 event 1: illegal event: no agent stands on node 2 to leave it"
+        );
+        assert_eq!(verifier.field().occupancy(), &[1, 0, 0, 0, 0, 0, 0, 0]);
+        // A jump across a non-edge of the cube, then a legal move.
+        let refused = verifier.observe(&mv(0, 0, 3), 2).unwrap_err();
+        assert_eq!(
+            refused.kind,
+            ViolationKind::IllegalEvent(IllegalEvent::NotAdjacent { from: 0, to: 3 })
+        );
+        assert_eq!(verifier.observe(&spawn(1, 0), 3), Ok(()));
+        assert_eq!(verifier.observe(&mv(1, 0, 1), 4), Ok(()));
+        assert_eq!(verifier.events_applied(), 3);
+    }
+
+    #[test]
+    fn other_topologies_get_the_range_and_occupancy_checks_only() {
+        use hypersweep_topology::graph::Ring;
+        let ring = Ring::new(6);
+        let mut verifier = Verifier::new(&ring, Node(0), 1);
+        assert_eq!(verifier.observe(&spawn(0, 0), 0), Ok(()));
+        assert_eq!(
+            verifier.observe(&mv(0, 0, 6), 1).unwrap_err().kind,
+            ViolationKind::IllegalEvent(IllegalEvent::OutOfRange { node: 6, nodes: 6 })
+        );
+        assert_eq!(
+            verifier.observe(&mv(0, 1, 2), 2).unwrap_err().kind,
+            ViolationKind::IllegalEvent(IllegalEvent::Vacant { node: 1 })
+        );
+        // No neighbour check off the cube: the jump 0 → 3 is applied (and
+        // recontaminates 0).
+        assert_eq!(
+            verifier.observe(&mv(0, 0, 3), 3).unwrap_err().kind,
+            ViolationKind::Recontamination { node: 0 }
+        );
     }
 
     #[test]

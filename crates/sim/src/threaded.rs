@@ -175,8 +175,12 @@ pub fn run_threaded<P: AgentProgram>(
         deadline: Instant::now() + cfg.timeout,
     };
 
-    std::thread::scope(|scope| {
-        for (program, role) in programs {
+    // The whole team stands on the homebase before any agent runs, as in
+    // the engine: an agent started early could leave the homebase before
+    // the next spawn is logged, and the log would show it vacated.
+    let team: Vec<(P, Role, AgentId)> = programs
+        .into_iter()
+        .map(|(program, role)| {
             let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
             shared.team_size.fetch_add(1, Ordering::Relaxed);
             {
@@ -195,6 +199,11 @@ pub fn run_threaded<P: AgentProgram>(
                     shared.visited[Node::ROOT.index()].store(true, Ordering::Release);
                 },
             );
+            (program, role, id)
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for (program, role, id) in team {
             let shared_ref = &shared;
             scope.spawn(move || agent_main(shared_ref, scope, program, id, role, Node::ROOT));
         }

@@ -166,6 +166,76 @@ impl NodeSet {
             }
         }
     }
+
+    /// Flood the set through `within` on `H_dim` until it stops growing:
+    /// afterwards it also holds every member of `within` joined to one of
+    /// its members by a path inside `within`.
+    ///
+    /// Words are updated in place: a pass closes each word under its
+    /// in-word ports and carries the flood on to words later in the scan,
+    /// and passes repeat until one adds nothing. So a flood costs a few
+    /// passes of `O(d · n/64)`, not one pass per BFS layer.
+    pub fn hypercube_flood_within(&mut self, dim: u32, within: &NodeSet) {
+        debug_assert_eq!(self.len, 1usize << dim);
+        debug_assert_eq!(within.len, self.len);
+        loop {
+            let mut grew = false;
+            for i in 0..self.words.len() {
+                let allowed = within.words[i];
+                let mut w = self.words[i];
+                for p in 7..=dim {
+                    w |= self.words[i ^ (1usize << (p - 7))] & allowed;
+                }
+                loop {
+                    let wider = w | (in_word_neighbours(w, dim) & allowed);
+                    if wider == w {
+                        break;
+                    }
+                    w = wider;
+                }
+                if w != self.words[i] {
+                    self.words[i] = w;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+    }
+
+    /// One ball step on `H_dim`: `out` (overwritten) becomes the set plus
+    /// every neighbour of a member. Returns whether `target` still has a
+    /// member outside `out`.
+    pub fn hypercube_ball_step(&self, dim: u32, out: &mut NodeSet, target: &NodeSet) -> bool {
+        debug_assert_eq!(self.len, 1usize << dim);
+        debug_assert_eq!(out.len, self.len);
+        debug_assert_eq!(target.len, self.len);
+        let mut outside = false;
+        for i in 0..self.words.len() {
+            let w = self.words[i];
+            let mut ball = w | in_word_neighbours(w, dim);
+            for p in 7..=dim {
+                ball |= self.words[i ^ (1usize << (p - 7))];
+            }
+            out.words[i] = ball;
+            outside |= target.words[i] & !ball != 0;
+        }
+        outside
+    }
+}
+
+/// The neighbours of the members of word `w` over the in-word ports
+/// `1..=min(dim, 6)`.
+#[inline]
+fn in_word_neighbours(w: u64, dim: u32) -> u64 {
+    let mut out = 0;
+    for k in 0..dim.min(6) {
+        let s = 1u32 << k;
+        let m = SHUFFLE_MASKS[k as usize];
+        out |= ((w & m) << s) | ((w >> s) & m);
+    }
+    out
 }
 
 /// Iterator over the set bit positions of a single word.

@@ -1,7 +1,8 @@
-//! Per-node checks for the word kernels: whole-set hypercube expansion
-//! against per-node neighbour enumeration, population counts against
-//! per-node membership, and the flood kernels against per-bit truth.
-//! Random universes of up to 2048 nodes reach every tail length.
+//! Per-node checks for the word kernels: whole-set hypercube expansion,
+//! ball steps and masked floods against per-node neighbour enumeration
+//! and BFS, population counts against per-node membership, and the flood
+//! kernels against per-bit truth. Random universes of up to 2048 nodes
+//! reach every tail length.
 
 use hypersweep_topology::rng::SplitMix64;
 use hypersweep_topology::{wide, Hypercube, Node, NodeSet};
@@ -64,6 +65,56 @@ proptest! {
         for x in s.iter() {
             for y in cube.neighbors(x) {
                 slow.insert(y);
+            }
+        }
+        prop_assert_eq!(&fast, &slow, "d = {}", d);
+    }
+
+    /// A ball step is the set plus every neighbour of a member, and its
+    /// flag says whether the target has a member outside the ball.
+    #[test]
+    fn hypercube_ball_step_matches_per_node_neighbours(
+        d in 1u32..=12,
+        seed in 0u64..u64::MAX,
+        thin in 0u32..5,
+    ) {
+        let cube = Hypercube::new(d);
+        let n = cube.node_count();
+        let s = thinned_set(n, seed, thin);
+        let target = thinned_set(n, seed ^ 0x7A26, 1);
+        let mut fast = NodeSet::new(n);
+        let outside = s.hypercube_ball_step(d, &mut fast, &target);
+        let mut slow = s.clone();
+        for x in s.iter() {
+            for y in cube.neighbors(x) {
+                slow.insert(y);
+            }
+        }
+        prop_assert_eq!(&fast, &slow, "d = {}", d);
+        prop_assert_eq!(outside, target.iter().any(|x| !slow.contains(x)), "d = {}", d);
+    }
+
+    /// A masked flood reaches exactly what a per-node BFS from the seeds
+    /// through `within` reaches, seeds included.
+    #[test]
+    fn hypercube_flood_within_matches_per_node_bfs(
+        d in 1u32..=12,
+        seed in 0u64..u64::MAX,
+        density in 0u32..3,
+    ) {
+        let cube = Hypercube::new(d);
+        let n = cube.node_count();
+        let seeds = thinned_set(n, seed, 6);
+        let within = thinned_set(n, seed ^ 0x5107, density);
+        let mut fast = seeds.clone();
+        fast.hypercube_flood_within(d, &within);
+        let mut slow = seeds.clone();
+        let mut stack: Vec<Node> = seeds.iter().collect();
+        while let Some(x) = stack.pop() {
+            for y in cube.neighbors(x) {
+                if within.contains(y) && slow.insert(y) {
+                    stack.push(y);
+                }
             }
         }
         prop_assert_eq!(&fast, &slow, "d = {}", d);
