@@ -89,10 +89,30 @@ impl StrategyKind {
         }
     }
 
-    /// Inverse of [`StrategyKind::label`], used when warm-loading persisted
-    /// cache records.
+    /// Inverse of [`StrategyKind::label`]: the wire's, the CLI's and
+    /// persisted cache records' strategy names.
     pub fn from_label(label: &str) -> Option<StrategyKind> {
         StrategyKind::ALL.into_iter().find(|k| k.label() == label)
+    }
+
+    /// The strategy this kind names, on `cube`.
+    pub fn strategy(self, cube: Hypercube) -> Box<dyn SearchStrategy> {
+        match self {
+            StrategyKind::Clean => Box::new(CleanStrategy::new(cube)),
+            StrategyKind::CleanThroughRoot => Box::new(CleanStrategy::with_navigation(
+                cube,
+                NavigationMode::ThroughRoot,
+            )),
+            StrategyKind::Visibility => Box::new(VisibilityStrategy::new(cube)),
+            StrategyKind::Cloning => Box::new(CloningStrategy::new(cube)),
+            StrategyKind::CloningSmallestFirst => Box::new(CloningStrategy::with_dispatch_order(
+                cube,
+                DispatchOrder::SmallestSubtreeFirst,
+            )),
+            StrategyKind::Synchronous => Box::new(SynchronousStrategy::new(cube)),
+            StrategyKind::Flood => Box::new(FloodStrategy::new(cube)),
+            StrategyKind::Frontier => Box::new(FrontierStrategy::new(cube)),
+        }
     }
 }
 
@@ -163,32 +183,7 @@ impl RunKey {
 /// Execute `key` from scratch. This is the cache's default runner; tests
 /// inject their own via [`RunCache::with_runner`].
 pub fn execute_run(key: RunKey) -> SearchOutcome {
-    let cube = Hypercube::new(key.dim);
-    if key.strategy == StrategyKind::Frontier {
-        // The frontier baseline has no engine embedding; only its
-        // procedural trace is meaningful.
-        match key.exec {
-            Exec::Fast => return FrontierStrategy::new(cube).outcome(false),
-            Exec::Audited => return FrontierStrategy::new(cube).outcome(true),
-            Exec::Engine(_) => panic!("the frontier baseline has no engine run ({key:?})"),
-        }
-    }
-    let strategy: Box<dyn SearchStrategy> = match key.strategy {
-        StrategyKind::Clean => Box::new(CleanStrategy::new(cube)),
-        StrategyKind::CleanThroughRoot => Box::new(CleanStrategy::with_navigation(
-            cube,
-            NavigationMode::ThroughRoot,
-        )),
-        StrategyKind::Visibility => Box::new(VisibilityStrategy::new(cube)),
-        StrategyKind::Cloning => Box::new(CloningStrategy::new(cube)),
-        StrategyKind::CloningSmallestFirst => Box::new(CloningStrategy::with_dispatch_order(
-            cube,
-            DispatchOrder::SmallestSubtreeFirst,
-        )),
-        StrategyKind::Synchronous => Box::new(SynchronousStrategy::new(cube)),
-        StrategyKind::Flood => Box::new(FloodStrategy::new(cube)),
-        StrategyKind::Frontier => unreachable!("handled above"),
-    };
+    let strategy = key.strategy.strategy(Hypercube::new(key.dim));
     match key.exec {
         Exec::Fast => strategy.fast(false),
         Exec::Audited => strategy.fast(true),

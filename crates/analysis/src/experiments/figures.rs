@@ -110,8 +110,9 @@ pub fn f2_clean_order(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentRes
     let strategy = CleanStrategy::new(Hypercube::new(d));
     let outcome = strategy.fast(true);
     assert!(outcome.is_complete(), "CLEAN must complete for the figure");
-    let (_, events) = strategy.synthesize(true);
-    let order = first_visit_order(&events.expect("events recorded"));
+    let mut events = Vec::new();
+    strategy.synthesize_into(&mut events);
+    let order = first_visit_order(&events);
     let mut artifact = format!("first-visit order of H_{d} under CLEAN:\n");
     for (rank, (_, node)) in order.iter().enumerate() {
         artifact.push_str(&format!(
@@ -178,8 +179,8 @@ pub fn f4_visibility_wavefront(cfg: &ExperimentConfig, _runs: &RunCache) -> Expe
          (Theorem 7's wavefront)",
     );
     let strategy = VisibilityStrategy::new(Hypercube::new(d));
-    let (_, events) = strategy.synthesize(true);
-    let events = events.expect("events recorded");
+    let mut events = Vec::new();
+    strategy.synthesize_into(&mut events);
     let tree = BroadcastTree::new(Hypercube::new(d));
     // A node becomes *clean* when its agents depart (its dispatch round);
     // the leaves C_d become clean at the final time d, when the whole top

@@ -7,14 +7,11 @@
 //! wall-clock (`log n`), and `(n/2)·log n` moves. It anchors the
 //! team-size axis of the comparison experiments from above.
 
-use hypersweep_core::outcome::{
-    audited_outcome, streamed_outcome, synthesized_outcome, SearchOutcome, SearchStrategy,
-    StrategyError,
-};
+use hypersweep_core::outcome::{audited_run, SearchOutcome, SearchStrategy, StrategyError};
 use hypersweep_core::visibility::VisBoard;
 use hypersweep_sim::{
-    Action, AgentProgram, Ctx, Engine, EngineConfig, Event, EventKind, EventSink, Metrics,
-    NullSink, Policy, Role,
+    Action, AgentProgram, Ctx, Engine, EngineConfig, Event, EventKind, EventSink, Metrics, Policy,
+    Role,
 };
 use hypersweep_topology::{BroadcastTree, Hypercube, Node};
 
@@ -80,22 +77,41 @@ impl FloodStrategy {
         self.cube.node_count() as u64
     }
 
-    /// Canonical trace, buffered into a `Vec` when `record_events` is set.
-    /// Thin wrapper over [`FloodStrategy::synthesize_into`].
-    pub fn synthesize(&self, record_events: bool) -> (Metrics, Option<Vec<Event>>) {
-        if record_events {
-            let mut events = Vec::new();
-            let metrics = self.synthesize_into(&mut events);
-            (metrics, Some(events))
-        } else {
-            (self.synthesize_into(&mut NullSink), None)
+    /// The engine, with visibility, and the team of
+    /// [`FloodStrategy::team_size`] agents spawned at the homebase.
+    pub fn engine(&self, policy: Policy) -> Engine<FloodAgent> {
+        let mut engine = Engine::new(
+            self.cube,
+            EngineConfig {
+                policy,
+                visibility: true,
+                ..EngineConfig::default()
+            },
+        );
+        for _ in 0..self.team_size() {
+            engine.spawn(FloodAgent, Node::ROOT, Role::Worker);
         }
+        engine
+    }
+}
+
+impl SearchStrategy for FloodStrategy {
+    fn name(&self) -> &'static str {
+        "flood"
+    }
+
+    fn cube(&self) -> Hypercube {
+        self.cube
+    }
+
+    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
+        audited_run(self.engine(policy))
     }
 
     /// Canonical trace streamed into `sink`: class `C_i` dispatches at
     /// round `i + 1`, exactly as the visibility wave, but with
     /// subtree-sized squads.
-    pub fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
+    fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
         let cube = self.cube;
         let d = cube.dim();
         let tree = BroadcastTree::new(cube);
@@ -164,40 +180,6 @@ impl FloodStrategy {
     }
 }
 
-impl SearchStrategy for FloodStrategy {
-    fn name(&self) -> &'static str {
-        "flood"
-    }
-
-    fn cube(&self) -> Hypercube {
-        self.cube
-    }
-
-    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
-        let mut engine = Engine::new(
-            self.cube,
-            EngineConfig {
-                policy,
-                visibility: true,
-                ..EngineConfig::default()
-            },
-        );
-        for _ in 0..self.team_size() {
-            engine.spawn(FloodAgent, Node::ROOT, Role::Worker);
-        }
-        let report = engine.run()?;
-        Ok(audited_outcome(self.cube, &report))
-    }
-
-    fn fast(&self, audit: bool) -> SearchOutcome {
-        if audit {
-            streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
-        } else {
-            synthesized_outcome(self.synthesize_into(&mut NullSink))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,18 +235,7 @@ mod tests {
     #[test]
     fn every_node_ends_guarded() {
         let cube = Hypercube::new(6);
-        let s = FloodStrategy::new(cube);
-        let mut engine = Engine::new(
-            cube,
-            EngineConfig {
-                policy: Policy::RoundRobin,
-                visibility: true,
-                ..EngineConfig::default()
-            },
-        );
-        for _ in 0..s.team_size() {
-            engine.spawn(FloodAgent, Node::ROOT, Role::Worker);
-        }
+        let engine = FloodStrategy::new(cube).engine(Policy::RoundRobin);
         let report = engine.run().unwrap();
         assert!(report.occupancy.iter().all(|&o| o == 1));
     }

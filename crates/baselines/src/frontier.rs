@@ -11,8 +11,8 @@
 //! dedicated round-trip journey, so moves total `Σ_v 2·level(v) = n·log n`
 //! — versus CLEAN's `(n/2)(log n + 1)`.
 
-use hypersweep_core::outcome::{streamed_outcome, synthesized_outcome, SearchOutcome};
-use hypersweep_sim::{Event, EventKind, EventSink, Metrics, NullSink, Role};
+use hypersweep_core::outcome::{SearchOutcome, SearchStrategy, StrategyError};
+use hypersweep_sim::{Event, EventKind, EventSink, Metrics, Policy, Role};
 use hypersweep_topology::combinatorics as comb;
 use hypersweep_topology::{BroadcastTree, Hypercube, Node};
 
@@ -46,22 +46,28 @@ impl FrontierStrategy {
         let d = self.cube.dim();
         comb::pow2(d) * u128::from(d)
     }
+}
 
-    /// Synthesize the plan, buffering the events into a `Vec` when
-    /// `record_events` is set. Thin wrapper over
-    /// [`FrontierStrategy::synthesize_into`].
-    pub fn synthesize(&self, record_events: bool) -> (Metrics, Option<Vec<Event>>) {
-        if record_events {
-            let mut events = Vec::new();
-            let metrics = self.synthesize_into(&mut events);
-            (metrics, Some(events))
-        } else {
-            (self.synthesize_into(&mut NullSink), None)
-        }
+impl SearchStrategy for FrontierStrategy {
+    fn name(&self) -> &'static str {
+        "frontier"
+    }
+
+    fn cube(&self) -> Hypercube {
+        self.cube
+    }
+
+    /// The plan is centralized: there is no agent program to run on the
+    /// engine, so every schedule is refused.
+    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
+        Err(StrategyError::UnsupportedPolicy {
+            strategy: self.name(),
+            policy,
+        })
     }
 
     /// Synthesize the plan, streaming every event into `sink`.
-    pub fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
+    fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
         let cube = self.cube;
         let d = cube.dim();
         let tree = BroadcastTree::new(cube);
@@ -159,15 +165,6 @@ impl FrontierStrategy {
             peak_local_bits: 0,
         }
     }
-
-    /// Synthesize and audit.
-    pub fn outcome(&self, audit: bool) -> SearchOutcome {
-        if audit {
-            streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
-        } else {
-            synthesized_outcome(self.synthesize_into(&mut NullSink))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -178,8 +175,20 @@ mod tests {
     fn frontier_sweep_is_a_correct_search() {
         for d in 1..=8 {
             let s = FrontierStrategy::new(Hypercube::new(d));
-            let o = s.outcome(true);
+            let o = s.fast(true);
             assert!(o.is_complete(), "d={d}: {:?}", o.verdict.violations);
+        }
+    }
+
+    #[test]
+    fn every_schedule_is_refused_without_an_engine() {
+        let s = FrontierStrategy::new(Hypercube::new(4));
+        for policy in [Policy::Fifo, Policy::Synchronous, Policy::Random(7)] {
+            let err = s.run(policy).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("frontier does not support the {} schedule", policy.name())
+            );
         }
     }
 
@@ -187,7 +196,7 @@ mod tests {
     fn moves_equal_one_round_trip_per_node() {
         for d in 1..=10 {
             let s = FrontierStrategy::new(Hypercube::new(d));
-            let (metrics, _) = s.synthesize(false);
+            let metrics = s.fast(false).metrics;
             // Σ_v 2·level(v) = d·n, but level-d guards never walk back:
             // subtract their return legs Σ_{v: level d} level(v) = d.
             let expect = s.predicted_moves() - u128::from(d);
@@ -218,7 +227,7 @@ mod tests {
     fn peak_away_stays_within_team() {
         for d in 2..=8 {
             let s = FrontierStrategy::new(Hypercube::new(d));
-            let (m, _) = s.synthesize(false);
+            let m = s.fast(false).metrics;
             assert!(m.peak_away <= m.team_size);
         }
     }

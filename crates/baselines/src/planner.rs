@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use hypersweep_sim::{Event, EventKind, Metrics, Role};
+use hypersweep_sim::{Event, EventKind, Role};
 use hypersweep_topology::{Node, Topology};
 
 /// A generated generic plan.
@@ -337,20 +337,6 @@ pub fn greedy_plan<T: Topology + ?Sized>(topo: &T, homebase: Node) -> GreedyPlan
         events: st.events,
         order,
         peak_boundary,
-    }
-}
-
-/// Metrics view of a plan, for comparison tables.
-pub fn greedy_metrics(plan: &GreedyPlan) -> Metrics {
-    Metrics {
-        worker_moves: plan.moves,
-        coordinator_moves: 0,
-        team_size: u64::from(plan.team),
-        peak_away: u64::from(plan.team),
-        ideal_time: None,
-        activations: plan.moves,
-        peak_board_bits: 0,
-        peak_local_bits: 0,
     }
 }
 

@@ -2,11 +2,7 @@
 //! source pick every activation, and folds the oracles over the resulting
 //! event stream under a virtual clock (the decision step counter).
 
-use hypersweep_core::clean::CleanAgent;
-use hypersweep_core::cloning::CloningAgent;
-use hypersweep_core::synchronous::SynchronousAgent;
-use hypersweep_core::visibility::VisibilityAgent;
-use hypersweep_core::CleanStrategy;
+use hypersweep_core::{CleanStrategy, CloningStrategy, SynchronousStrategy, VisibilityStrategy};
 use hypersweep_intruder::FieldScratch;
 use hypersweep_sim::{AgentProgram, Engine, EngineConfig, Policy, Role};
 use hypersweep_topology::{Hypercube, Node};
@@ -195,12 +191,8 @@ impl CheckArena {
     }
 }
 
-/// Explore one schedule with `adversary` inventing the decisions.
-pub fn run_with_adversary(cfg: &CheckConfig, adversary: &mut Adversary) -> ScheduleRun {
-    run_with_adversary_in(cfg, adversary, &mut CheckArena::new())
-}
-
-/// [`run_with_adversary`] with arena reuse.
+/// Explore one schedule with `adversary` inventing the decisions, reusing
+/// `arena`'s allocations.
 pub fn run_with_adversary_in(
     cfg: &CheckConfig,
     adversary: &mut Adversary,
@@ -239,58 +231,47 @@ pub fn explore_schedule_in(
     run_with_adversary_in(cfg, &mut adversary, arena)
 }
 
+/// Build the engine for `cfg` and drive it. The paper's strategies run the
+/// very engine their `run` executes (their `engine(policy)`); only the
+/// mutants set up their own.
 fn run_impl(cfg: &CheckConfig, source: Source<'_>, arena: &mut CheckArena) -> ScheduleRun {
     let cube = Hypercube::new(cfg.dim);
-    let engine_cfg = |visibility: bool, policy: Policy| EngineConfig {
-        policy,
-        visibility,
-        record_events: true,
+    let mutant_cfg = EngineConfig {
+        visibility: true,
         ..EngineConfig::default()
     };
     if let Some(mutant) = cfg.mutant {
         return match mutant {
             Mutant::WakeupClone => {
-                let mut engine = Engine::new(cube, engine_cfg(true, Policy::Fifo));
+                let mut engine = Engine::new(cube, mutant_cfg);
                 engine.spawn(WakeupCloningAgent::default(), Node::ROOT, Role::Worker);
-                drive_async(engine, cube, cfg, source, arena)
+                drive_async(engine, cfg, source, arena)
             }
         };
     }
     match cfg.strategy {
         CheckStrategy::Clean => {
-            let mut engine = Engine::new(cube, engine_cfg(false, Policy::Fifo));
-            let team = CleanStrategy::new(cube).team_size();
-            engine.spawn(CleanAgent::synchronizer(), Node::ROOT, Role::Coordinator);
-            for _ in 1..team {
-                engine.spawn(CleanAgent::worker(), Node::ROOT, Role::Worker);
-            }
-            drive_async(engine, cube, cfg, source, arena)
+            let engine = CleanStrategy::new(cube).engine(Policy::Fifo);
+            drive_async(engine, cfg, source, arena)
         }
         CheckStrategy::Visibility => {
-            let mut engine = Engine::new(cube, engine_cfg(true, Policy::Fifo));
-            for _ in 0..1u64 << (cfg.dim - 1) {
-                engine.spawn(VisibilityAgent, Node::ROOT, Role::Worker);
-            }
-            drive_async(engine, cube, cfg, source, arena)
+            let engine = VisibilityStrategy::new(cube).engine(Policy::Fifo);
+            drive_async(engine, cfg, source, arena)
         }
         CheckStrategy::Cloning => {
-            let mut engine = Engine::new(cube, engine_cfg(true, Policy::Fifo));
-            engine.spawn(CloningAgent::new(), Node::ROOT, Role::Worker);
-            drive_async(engine, cube, cfg, source, arena)
+            let engine = CloningStrategy::new(cube).engine(Policy::Fifo);
+            drive_async(engine, cfg, source, arena)
         }
         CheckStrategy::MutantEagerGuard => {
-            let mut engine = Engine::new(cube, engine_cfg(true, Policy::Fifo));
+            let mut engine = Engine::new(cube, mutant_cfg);
             for _ in 0..1u64 << (cfg.dim - 1) {
                 engine.spawn(EagerVisibilityAgent, Node::ROOT, Role::Worker);
             }
-            drive_async(engine, cube, cfg, source, arena)
+            drive_async(engine, cfg, source, arena)
         }
         CheckStrategy::Synchronous => {
-            let mut engine = Engine::new(cube, engine_cfg(false, Policy::Synchronous));
-            for _ in 0..1u64 << (cfg.dim - 1) {
-                engine.spawn(SynchronousAgent, Node::ROOT, Role::Worker);
-            }
-            drive_sync(engine, cube, cfg, arena)
+            let engine = SynchronousStrategy::new(cube).engine(Policy::Synchronous);
+            drive_sync(engine, cfg, arena)
         }
     }
 }
@@ -298,11 +279,11 @@ fn run_impl(cfg: &CheckConfig, source: Source<'_>, arena: &mut CheckArena) -> Sc
 /// Asynchronous driver: one decision per activation.
 fn drive_async<P: AgentProgram>(
     mut engine: Engine<P>,
-    cube: Hypercube,
     cfg: &CheckConfig,
     mut source: Source<'_>,
     arena: &mut CheckArena,
 ) -> ScheduleRun {
+    let cube = engine.cube();
     let mut oracle = StepOracle::new_in(&cube, Node::ROOT, cfg.stride.max(1), arena.take_field());
     let max_steps = cfg.effective_max_steps();
     let mut decisions: Vec<u32> = Vec::new();
@@ -358,10 +339,10 @@ fn drive_async<P: AgentProgram>(
 /// but every round still passes through the oracles.
 fn drive_sync<P: AgentProgram>(
     mut engine: Engine<P>,
-    cube: Hypercube,
     cfg: &CheckConfig,
     arena: &mut CheckArena,
 ) -> ScheduleRun {
+    let cube = engine.cube();
     let mut oracle = StepOracle::new_in(&cube, Node::ROOT, cfg.stride.max(1), arena.take_field());
     let max_steps = cfg.effective_max_steps();
     let mut seen = 0usize;
@@ -498,21 +479,10 @@ mod tests {
             }
         }
         let cube = Hypercube::new(5);
-        let cfg = |visibility| EngineConfig {
-            visibility,
-            ..EngineConfig::default()
-        };
         for schedule in 0..AdversaryKind::ALL.len() as u64 {
-            let mut engine = Engine::new(cube, cfg(false));
-            engine.spawn(CleanAgent::synchronizer(), Node::ROOT, Role::Coordinator);
-            for _ in 1..CleanStrategy::new(cube).team_size() {
-                engine.spawn(CleanAgent::worker(), Node::ROOT, Role::Worker);
-            }
+            let engine = CleanStrategy::new(cube).engine(Policy::Fifo);
             lockstep(engine, Adversary::for_schedule(11, schedule));
-            let mut engine = Engine::new(cube, cfg(true));
-            for _ in 0..16 {
-                engine.spawn(VisibilityAgent, Node::ROOT, Role::Worker);
-            }
+            let engine = VisibilityStrategy::new(cube).engine(Policy::Fifo);
             lockstep(engine, Adversary::for_schedule(11, schedule));
         }
     }

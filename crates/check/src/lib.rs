@@ -49,8 +49,8 @@ mod shrink;
 
 pub use adversary::{Adversary, AdversaryKind, RunnableView};
 pub use explore::{
-    explore_schedule, explore_schedule_in, run_with_adversary, run_with_adversary_in,
-    run_with_trace, run_with_trace_in, CheckArena, CheckConfig, CheckStrategy, ScheduleRun,
+    explore_schedule, explore_schedule_in, run_with_adversary_in, run_with_trace,
+    run_with_trace_in, CheckArena, CheckConfig, CheckStrategy, ScheduleRun,
 };
 pub use mutant::{EagerVisibilityAgent, Mutant, WakeupCloningAgent};
 pub use oracle::{StepOracle, ViolationKind, ViolationReport};
@@ -58,31 +58,3 @@ pub use replay::{
     shrunk_replay, shrunk_replay_with_budget, ReplayError, ReplayFile, REPLAY_VERSION,
 };
 pub use shrink::{shrink, ShrinkStats};
-
-/// Explore schedules `0..schedules` serially and return the first
-/// counterexample as a *shrunk* replay file, plus aggregate statistics.
-/// The parallel campaign lives in `hypersweep-analysis`, which fans the
-/// schedule range out on its worker pool and calls [`explore_schedule`] /
-/// [`shrink`] per range.
-pub fn find_counterexample(
-    cfg: &CheckConfig,
-    seed: u64,
-    schedules: u64,
-) -> (Option<ReplayFile>, u64, u64) {
-    let mut steps = 0;
-    let mut events = 0;
-    let mut arena = CheckArena::new();
-    for schedule in 0..schedules {
-        let run = explore_schedule_in(cfg, seed, schedule, &mut arena);
-        steps += run.steps;
-        events += run.events;
-        if run.violation.is_some() {
-            return (
-                Some(replay::shrunk_replay(cfg, seed, schedule, run)),
-                steps,
-                events,
-            );
-        }
-    }
-    (None, steps, events)
-}

@@ -209,16 +209,27 @@ pub(crate) fn replay_file(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::CheckStrategy;
-    use crate::find_counterexample;
+    use crate::explore::{explore_schedule_in, CheckArena, CheckStrategy};
     use crate::oracle::ViolationKind;
     use hypersweep_intruder::IllegalEvent;
 
+    /// The eager-guard mutant's first counterexample on `H_4` under
+    /// campaign seed 2, shrunk.
+    fn caught() -> ReplayFile {
+        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
+        let mut arena = CheckArena::new();
+        (0..400)
+            .find_map(|schedule| {
+                let run = explore_schedule_in(&cfg, 2, schedule, &mut arena);
+                let caught = run.violation.is_some();
+                caught.then(|| shrunk_replay(&cfg, 2, schedule, run))
+            })
+            .expect("mutant caught")
+    }
+
     #[test]
     fn counterexample_roundtrips_and_verifies() {
-        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
-        let (replay, _, _) = find_counterexample(&cfg, 2, 400);
-        let replay = replay.expect("mutant caught");
+        let replay = caught();
         let json = replay.to_json();
         let parsed = ReplayFile::from_json(&json).expect("parses");
         assert_eq!(parsed, replay);
@@ -246,9 +257,7 @@ mod tests {
     fn replays_without_a_recorded_budget_still_parse() {
         // Files written before `max_steps` existed omit the key entirely;
         // they must keep parsing (as the strategy-default budget).
-        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
-        let (replay, _, _) = find_counterexample(&cfg, 2, 400);
-        let replay = replay.expect("mutant caught");
+        let replay = caught();
         let json = replay.to_json();
         let stripped: String = json
             .lines()
@@ -262,9 +271,7 @@ mod tests {
 
     #[test]
     fn illegal_event_violations_roundtrip() {
-        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
-        let (replay, _, _) = find_counterexample(&cfg, 2, 400);
-        let mut replay = replay.expect("mutant caught");
+        let mut replay = caught();
         replay.violation.kind =
             ViolationKind::IllegalEvent(IllegalEvent::NotAdjacent { from: 0, to: 3 });
         let json = replay.to_json();
@@ -275,18 +282,14 @@ mod tests {
 
     #[test]
     fn tampered_violation_is_flagged_as_divergence() {
-        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
-        let (replay, _, _) = find_counterexample(&cfg, 2, 400);
-        let mut replay = replay.expect("mutant caught");
+        let mut replay = caught();
         replay.violation.step += 1;
         assert!(matches!(replay.verify(), Err(ReplayError::Diverged { .. })));
     }
 
     #[test]
     fn version_and_strategy_are_validated() {
-        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
-        let (replay, _, _) = find_counterexample(&cfg, 2, 400);
-        let replay = replay.expect("mutant caught");
+        let replay = caught();
 
         let mut bad_version = replay.clone();
         bad_version.version = 99;
@@ -305,8 +308,7 @@ mod tests {
 
     #[test]
     fn dimensions_outside_the_checked_range_are_refused() {
-        let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, 4);
-        let mut replay = find_counterexample(&cfg, 2, 400).0.expect("mutant caught");
+        let mut replay = caught();
         for dim in [0, 17, 29, u32::MAX] {
             replay.dim = dim;
             let errors = [

@@ -13,6 +13,7 @@ use std::time::Duration;
 use hypersweep_analysis::{
     default_jobs, validate_cache_cap, validate_cache_shards,
     validate_campaign_size as campaign_size, validate_max_dim, validate_stride as stride,
+    StrategyKind,
 };
 use hypersweep_scenario::ScenarioId;
 use hypersweep_server::{BenchConfig, ServerLimits};
@@ -455,9 +456,12 @@ fn usage_of(command: &Command) -> String {
 
 pub(crate) fn usage() -> String {
     let rows: String = COMMANDS.iter().map(usage_of).collect();
+    let strategies: Vec<&str> = StrategyKind::ALL.iter().map(|k| k.label()).collect();
+    let strategies = strategies.join(", ");
     format!(
         "usage:\n{rows}\n\
          daemon start|restart passes its serve flags to the managed daemon\n\
+         strategies (run, watch, trace): {strategies}\n\
          policies: fifo, lifo, round-robin, random:<seed>, synchronous\n\
          check strategies: clean, visibility, cloning, synchronous, mutant-eager-guard, mutant-wakeup-clone, all\n\
          scenario strategies (--scenario grid|dynamic): sweep, mutant-grid-leaky-guard, all\n\

@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use hypersweep_core::CleanStrategy;
+use hypersweep_core::{CleanStrategy, SearchStrategy};
 use hypersweep_intruder::Verifier;
 use hypersweep_sim::{Event, EventKind};
 use hypersweep_topology::{Hypercube, Node, Topology};
@@ -188,8 +188,8 @@ fn measure<F: FnMut() -> bool>(mut f: F, budget: Duration) -> Duration {
 
 fn bench_dim(d: u32, budget: Duration, packed_only: bool) -> BenchEntry {
     let cube = Hypercube::new(d);
-    let (_, events) = CleanStrategy::new(cube).synthesize(true);
-    let events = events.expect("recorded");
+    let mut events = Vec::new();
+    CleanStrategy::new(cube).synthesize_into(&mut events);
     let n_events = events.len() as u64;
     let run_packed = |stride: u64| {
         measure(

@@ -17,11 +17,9 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use hypersweep_analysis::experiments::ALL_IDS;
-use hypersweep_analysis::{run_ids_pooled_with, runner, ExperimentConfig};
+use hypersweep_analysis::{run_ids_pooled_with, runner, ExperimentConfig, StrategyKind};
 use hypersweep_check::{CheckConfig, CheckStrategy, ReplayFile};
-use hypersweep_core::{
-    CleanStrategy, CloningStrategy, SearchStrategy, SynchronousStrategy, VisibilityStrategy,
-};
+use hypersweep_core::SearchStrategy;
 use hypersweep_intruder::{render_film, MonitorConfig, Verifier, ViolationKind, ViolationReport};
 use hypersweep_scenario::{GridStrategy, ScenarioId};
 use hypersweep_server::{run_bench, BenchConfig, Response, Server, ServerLimits};
@@ -171,7 +169,7 @@ fn render_timings(
 
 fn cmd_run(strategy: &str, d: u32, policy: Policy, fast: bool) -> Result<(), String> {
     let cube = Hypercube::new(d);
-    let s = make_strategy(strategy, cube)?;
+    let s = strategy_named(strategy, cube)?;
     let outcome = if fast {
         s.fast(d <= ExperimentConfig::quick().audit_max_dim)
     } else {
@@ -208,29 +206,17 @@ fn cmd_run(strategy: &str, d: u32, policy: Policy, fast: bool) -> Result<(), Str
     Ok(())
 }
 
-fn make_strategy(name: &str, cube: Hypercube) -> Result<Box<dyn SearchStrategy>, String> {
-    Ok(match name {
-        "clean" => Box::new(CleanStrategy::new(cube)),
-        "visibility" => Box::new(VisibilityStrategy::new(cube)),
-        "cloning" => Box::new(CloningStrategy::new(cube)),
-        "synchronous" => Box::new(SynchronousStrategy::new(cube)),
-        other => return Err(format!("unknown strategy '{other}'")),
-    })
-}
-
-fn strategy_trace(name: &str, cube: Hypercube) -> Result<Vec<Event>, String> {
-    let events = match name {
-        "clean" => CleanStrategy::new(cube).synthesize(true).1,
-        "visibility" | "synchronous" => VisibilityStrategy::new(cube).synthesize(true).1,
-        "cloning" => CloningStrategy::new(cube).synthesize(true).1,
-        other => return Err(format!("unknown strategy '{other}'")),
-    };
-    events.ok_or_else(|| "trace recording disabled".into())
+/// The strategy a `run`/`watch`/`trace` label names: any wire label.
+fn strategy_named(name: &str, cube: Hypercube) -> Result<Box<dyn SearchStrategy>, String> {
+    let kind =
+        StrategyKind::from_label(name).ok_or_else(|| format!("unknown strategy '{name}'"))?;
+    Ok(kind.strategy(cube))
 }
 
 fn cmd_watch(strategy: &str, d: u32, stride: usize) -> Result<(), String> {
     let cube = Hypercube::new(d);
-    let events = strategy_trace(strategy, cube)?;
+    let mut events = Vec::new();
+    strategy_named(strategy, cube)?.synthesize_into(&mut events);
     let far = Node(cube.node_count() as u32 - 1);
     let frames = render_film(cube, &events, stride, Some(far));
     for frame in &frames {
@@ -246,7 +232,8 @@ fn cmd_watch(strategy: &str, d: u32, stride: usize) -> Result<(), String> {
 
 fn cmd_trace(strategy: &str, d: u32, path: &str) -> Result<(), String> {
     let cube = Hypercube::new(d);
-    let events = strategy_trace(strategy, cube)?;
+    let mut events = Vec::new();
+    strategy_named(strategy, cube)?.synthesize_into(&mut events);
     let json = serde_json::to_string(&events).map_err(|e| e.to_string())?;
     std::fs::write(path, json).map_err(|e| e.to_string())?;
     eprintln!("wrote {} events to {path}", events.len());
@@ -462,9 +449,8 @@ fn cmd_check_scenario(
             format!("bad --instance '{text}': expected full|holes:<seed>|corridor")
         })?),
     };
-    let scenario =
-        hypersweep_scenario::validate_scenario(id, side, instance.unwrap_or(GridInstance::Full))?
-            .expect("hypercube is routed to cmd_check");
+    let scenario = hypersweep_scenario::validate_scenario(id, side)?
+        .expect("hypercube is routed to cmd_check");
     let instance = instance.unwrap_or_else(|| scenario.default_instance());
     let strategies: Vec<GridStrategy> = match strategy {
         // "all" is the hypercube default; for scenarios it means the

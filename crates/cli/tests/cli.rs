@@ -33,9 +33,65 @@ fn run_prints_metrics_and_succeeds() {
 #[test]
 fn run_rejects_unknown_strategy_and_bad_dimension() {
     let out = bin().args(["run", "nonsense", "4"]).output().unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown strategy 'nonsense'"), "{err}");
     let out = bin().args(["run", "clean", "99"]).output().unwrap();
     assert!(!out.status.success());
+}
+
+/// `run`, `trace` and `watch` take every strategy label the wire takes;
+/// the frontier baseline has no engine run and says so, without a panic.
+#[test]
+fn run_trace_and_watch_accept_every_wire_label() {
+    let out = bin().args(["run", "frontier", "4"]).output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("frontier does not support the fifo schedule"),
+        "{err}"
+    );
+    assert!(!err.contains("panicked"), "{err}");
+
+    for args in [
+        &["run", "flood", "4"][..],
+        &["run", "clean-through-root", "4", "--fast"],
+        &["run", "frontier", "4", "--fast"],
+        &["watch", "cloning-smallest-first", "3"],
+    ] {
+        let out = bin().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        let text = String::from_utf8(out.stdout).unwrap();
+        assert!(
+            text.contains("captured") || text.contains("capture=Some"),
+            "{args:?}: {text}"
+        );
+    }
+
+    let dir = std::env::temp_dir().join("hypersweep-cli-labels");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cloning-smallest-first-4.json");
+    let path = path.to_str().unwrap();
+    let out = bin()
+        .args(["trace", "cloning-smallest-first", "4", path])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = bin().args(["audit", "4", path]).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8(out.stdout)
+        .unwrap()
+        .contains("all_clean=true"));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -37,10 +37,7 @@ use hypersweep_sim::{
 use hypersweep_topology::combinatorics as comb;
 use hypersweep_topology::{BroadcastTree, Hypercube, Node};
 
-use crate::outcome::{
-    audited_outcome, streamed_outcome, synthesized_outcome, SearchOutcome, SearchStrategy,
-    StrategyError,
-};
+use crate::outcome::{audited_run, SearchOutcome, SearchStrategy, StrategyError};
 
 /// Whiteboard of Algorithm CLEAN.
 ///
@@ -569,18 +566,55 @@ impl CleanStrategy {
         u64::try_from(comb::clean_team_size(self.cube.dim())).expect("team fits in u64")
     }
 
-    /// Synthesize the canonical sequential trace procedurally (no engine),
-    /// buffering the events into a `Vec` when `record_events` is set.
-    /// Thin wrapper over [`CleanStrategy::synthesize_into`] for callers
-    /// that need the materialized trace (figures, `trace` export).
-    pub fn synthesize(&self, record_events: bool) -> (Metrics, Option<Vec<Event>>) {
-        if record_events {
-            let mut events = Vec::new();
-            let metrics = self.synthesize_into(&mut events);
-            (metrics, Some(events))
+    /// The engine with the team spawned at the homebase: the synchronizer
+    /// and [`CleanStrategy::team_size`]` − 1` workers, or that many
+    /// identical candidates when the synchronizer is elected.
+    pub fn engine(&self, policy: Policy) -> Engine<CleanAgent> {
+        let mut engine = Engine::new(
+            self.cube,
+            EngineConfig {
+                policy,
+                visibility: false,
+                ..EngineConfig::default()
+            },
+        );
+        if self.elect {
+            for _ in 0..self.team_size() {
+                engine.spawn(CleanAgent::candidate(), Node::ROOT, Role::Worker);
+            }
         } else {
-            (self.synthesize_into(&mut NullSink), None)
+            engine.spawn(CleanAgent::synchronizer(), Node::ROOT, Role::Coordinator);
+            for _ in 1..self.team_size() {
+                engine.spawn(CleanAgent::worker(), Node::ROOT, Role::Worker);
+            }
         }
+        engine
+    }
+
+    /// [`SearchStrategy::synthesize_into`], buffered into a `Vec` when
+    /// `record_events` is set, for callers without the trait in scope.
+    pub fn synthesize(&self, record_events: bool) -> (Metrics, Option<Vec<Event>>) {
+        let mut events = Vec::new();
+        let sink: &mut dyn EventSink = if record_events {
+            &mut events
+        } else {
+            &mut NullSink
+        };
+        (self.synthesize_into(sink), record_events.then_some(events))
+    }
+}
+
+impl SearchStrategy for CleanStrategy {
+    fn name(&self) -> &'static str {
+        "clean"
+    }
+
+    fn cube(&self) -> Hypercube {
+        self.cube
+    }
+
+    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
+        audited_run(self.engine(policy))
     }
 
     /// Synthesize the canonical sequential trace procedurally (no engine),
@@ -590,7 +624,7 @@ impl CleanStrategy {
     /// for a phase walk to their destinations before the sweep visits them,
     /// released guards return to the root immediately, and the synchronizer
     /// acts strictly sequentially.
-    pub fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
+    fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
         let cube = self.cube;
         let d = cube.dim();
         let tree = BroadcastTree::new(cube);
@@ -842,47 +876,6 @@ fn meet_walk(from: Node, to: Node) -> Vec<Node> {
     path
 }
 
-impl SearchStrategy for CleanStrategy {
-    fn name(&self) -> &'static str {
-        "clean"
-    }
-
-    fn cube(&self) -> Hypercube {
-        self.cube
-    }
-
-    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
-        let mut engine = Engine::new(
-            self.cube,
-            EngineConfig {
-                policy,
-                visibility: false,
-                ..EngineConfig::default()
-            },
-        );
-        if self.elect {
-            for _ in 0..self.team_size() {
-                engine.spawn(CleanAgent::candidate(), Node::ROOT, Role::Worker);
-            }
-        } else {
-            engine.spawn(CleanAgent::synchronizer(), Node::ROOT, Role::Coordinator);
-            for _ in 1..self.team_size() {
-                engine.spawn(CleanAgent::worker(), Node::ROOT, Role::Worker);
-            }
-        }
-        let report = engine.run()?;
-        Ok(audited_outcome(self.cube, &report))
-    }
-
-    fn fast(&self, audit: bool) -> SearchOutcome {
-        if audit {
-            streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
-        } else {
-            synthesized_outcome(self.synthesize_into(&mut NullSink))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1072,18 +1065,7 @@ mod tests {
 
     #[test]
     fn whiteboards_and_local_state_stay_logarithmic() {
-        let s = CleanStrategy::new(Hypercube::new(6));
-        let mut engine = Engine::new(
-            Hypercube::new(6),
-            EngineConfig {
-                policy: Policy::Random(11),
-                ..EngineConfig::default()
-            },
-        );
-        engine.spawn(CleanAgent::synchronizer(), Node::ROOT, Role::Coordinator);
-        for _ in 1..s.team_size() {
-            engine.spawn(CleanAgent::worker(), Node::ROOT, Role::Worker);
-        }
+        let engine = CleanStrategy::new(Hypercube::new(6)).engine(Policy::Random(11));
         let report = engine.run().expect("completes");
         assert!(report.metrics.peak_board_bits <= 128);
         assert!(report.metrics.peak_local_bits <= 64);

@@ -16,15 +16,12 @@
 //! to `g(k) = k` only for the decreasing-type order).
 
 use hypersweep_sim::{
-    Action, AgentProgram, Ctx, Engine, EngineConfig, Event, EventKind, EventSink, Metrics,
-    NullSink, Policy, Role,
+    Action, AgentProgram, Ctx, Engine, EngineConfig, Event, EventKind, EventSink, Metrics, Policy,
+    Role,
 };
 use hypersweep_topology::{BroadcastTree, Hypercube, Node};
 
-use crate::outcome::{
-    audited_outcome, streamed_outcome, synthesized_outcome, SearchOutcome, SearchStrategy,
-    StrategyError,
-};
+use crate::outcome::{audited_run, SearchOutcome, SearchStrategy, StrategyError};
 use crate::visibility::VisBoard;
 
 /// Which child a dispatching agent serves first.
@@ -172,23 +169,43 @@ impl CloningStrategy {
         CloningStrategy { cube, order }
     }
 
-    /// Synthesize the canonical trace, buffering the events into a `Vec`
-    /// when `record_events` is set. Thin wrapper over
-    /// [`CloningStrategy::synthesize_into`].
-    pub fn synthesize(&self, record_events: bool) -> (Metrics, Option<Vec<Event>>) {
-        if record_events {
-            let mut events = Vec::new();
-            let metrics = self.synthesize_into(&mut events);
-            (metrics, Some(events))
-        } else {
-            (self.synthesize_into(&mut NullSink), None)
-        }
+    /// The engine, with visibility, and the single seed agent spawned at
+    /// the homebase.
+    pub fn engine(&self, policy: Policy) -> Engine<CloningAgent> {
+        let mut engine = Engine::new(
+            self.cube,
+            EngineConfig {
+                policy,
+                visibility: true,
+                ..EngineConfig::default()
+            },
+        );
+        engine.spawn(
+            CloningAgent::with_order(self.order),
+            Node::ROOT,
+            Role::Worker,
+        );
+        engine
+    }
+}
+
+impl SearchStrategy for CloningStrategy {
+    fn name(&self) -> &'static str {
+        "cloning"
+    }
+
+    fn cube(&self) -> Hypercube {
+        self.cube
+    }
+
+    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
+        audited_run(self.engine(policy))
     }
 
     /// Synthesize the canonical trace, streaming every event into `sink`:
     /// node `x` dispatches at round `m(x) + 1`; clone `j` of the dispatch
     /// materializes in that round.
-    pub fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
+    fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
         let cube = self.cube;
         let d = cube.dim();
         let tree = BroadcastTree::new(cube);
@@ -263,42 +280,6 @@ impl CloningStrategy {
             activations: moves,
             peak_board_bits: 0,
             peak_local_bits: 32 - (d.leading_zeros()),
-        }
-    }
-}
-
-impl SearchStrategy for CloningStrategy {
-    fn name(&self) -> &'static str {
-        "cloning"
-    }
-
-    fn cube(&self) -> Hypercube {
-        self.cube
-    }
-
-    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
-        let mut engine = Engine::new(
-            self.cube,
-            EngineConfig {
-                policy,
-                visibility: true,
-                ..EngineConfig::default()
-            },
-        );
-        engine.spawn(
-            CloningAgent::with_order(self.order),
-            Node::ROOT,
-            Role::Worker,
-        );
-        let report = engine.run()?;
-        Ok(audited_outcome(self.cube, &report))
-    }
-
-    fn fast(&self, audit: bool) -> SearchOutcome {
-        if audit {
-            streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
-        } else {
-            synthesized_outcome(self.synthesize_into(&mut NullSink))
         }
     }
 }
@@ -390,16 +371,10 @@ mod tests {
     #[test]
     fn every_leaf_ends_guarded_by_exactly_one_agent() {
         let cube = Hypercube::new(7);
-        let mut engine = Engine::new(
-            cube,
-            EngineConfig {
-                policy: Policy::RoundRobin,
-                visibility: true,
-                ..EngineConfig::default()
-            },
-        );
-        engine.spawn(CloningAgent::new(), Node::ROOT, Role::Worker);
-        let report = engine.run().unwrap();
+        let report = CloningStrategy::new(cube)
+            .engine(Policy::RoundRobin)
+            .run()
+            .unwrap();
         let tree = BroadcastTree::new(cube);
         for x in cube.nodes() {
             assert_eq!(

@@ -17,9 +17,12 @@
 //! Every strategy runs two ways with identical decision logic: on the
 //! `hypersweep-sim` discrete-event engine under any adversarial schedule
 //! ([`SearchStrategy::run`]), and through a direct trace generator
-//! ([`SearchStrategy::fast`]) used for large dimensions. Both paths feed
-//! the `hypersweep-intruder` monitors, so monotonicity, contiguity,
-//! coverage and capture are *checked*, never assumed.
+//! ([`SearchStrategy::fast`]) used for large dimensions. Each strategy type
+//! defines its team once (an inherent `engine(policy)`) and its trace once
+//! ([`SearchStrategy::synthesize_into`]); `run` and `fast` are derived from
+//! them. Both paths feed the `hypersweep-intruder` verifier, so
+//! monotonicity, contiguity, coverage and capture are *checked*, never
+//! assumed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

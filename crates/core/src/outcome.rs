@@ -2,7 +2,8 @@
 
 use hypersweep_intruder::{verify_trace, MonitorConfig, Verdict, Verifier};
 use hypersweep_sim::{
-    EventSink, MeteredSink, Metrics, Policy, RunError, RunReport, SummarizingSink, TraceSummary,
+    AgentProgram, Engine, EventSink, MeteredSink, Metrics, NullSink, Policy, RunError,
+    SummarizingSink, TraceSummary,
 };
 use hypersweep_topology::{Hypercube, Node};
 
@@ -11,8 +12,9 @@ use hypersweep_topology::{Hypercube, Node};
 pub enum StrategyError {
     /// The underlying executor failed (deadlock, livelock, invalid action).
     Run(RunError),
-    /// The strategy does not support the requested schedule (e.g. the §5
-    /// synchronous variant under an asynchronous adversary).
+    /// The strategy does not support the requested schedule: the §5
+    /// synchronous variant under an asynchronous adversary, or the
+    /// frontier baseline, which has no engine embedding, under any.
     UnsupportedPolicy {
         /// The strategy's name.
         strategy: &'static str,
@@ -67,6 +69,12 @@ impl SearchOutcome {
 }
 
 /// A contiguous-search strategy on a hypercube.
+///
+/// A strategy defines its name, its team on the engine and its canonical
+/// trace; the audited and unaudited fast paths ([`SearchStrategy::fast`])
+/// are derived from the trace. An engine-backed strategy builds its team
+/// in one inherent `engine(policy)` method, which both [`SearchStrategy::run`]
+/// (through [`audited_run`]) and the schedule checker execute.
 pub trait SearchStrategy {
     /// Short stable name for reports.
     fn name(&self) -> &'static str;
@@ -78,10 +86,20 @@ pub trait SearchStrategy {
     /// audit the trace.
     fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError>;
 
-    /// Synthesize the canonical run directly (no engine), returning exact
-    /// metrics; with `audit` the synthesized trace is also streamed through
-    /// the verifier.
-    fn fast(&self, audit: bool) -> SearchOutcome;
+    /// Synthesize the canonical run directly (no engine), streaming every
+    /// event into `sink` as it is produced (a `Vec<Event>` buffers them),
+    /// and return its exact metrics.
+    fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics;
+
+    /// The canonical run's metrics; with `audit` the synthesized trace is
+    /// also streamed through the verifier.
+    fn fast(&self, audit: bool) -> SearchOutcome {
+        if audit {
+            streamed_outcome(self.cube(), |sink| self.synthesize_into(sink))
+        } else {
+            synthesized_outcome(self.synthesize_into(&mut NullSink))
+        }
+    }
 }
 
 /// Default verifier configuration for a cube: full per-event checks at
@@ -119,19 +137,22 @@ pub fn default_monitor_config(cube: Hypercube) -> MonitorConfig {
     }
 }
 
-/// Audit an engine report and bundle it into an outcome.
-pub fn audited_outcome(cube: Hypercube, report: &RunReport) -> SearchOutcome {
+/// Run `engine` to completion and audit its trace: the body of every
+/// engine-backed strategy's [`SearchStrategy::run`].
+pub fn audited_run<P: AgentProgram>(engine: Engine<P>) -> Result<SearchOutcome, StrategyError> {
+    let cube = engine.cube();
+    let report = engine.run()?;
     let verdict = verify_trace(
         &cube,
         Node::ROOT,
         &report.events,
         default_monitor_config(cube),
     );
-    SearchOutcome {
+    Ok(SearchOutcome {
         metrics: report.metrics,
         verdict,
         trace_summary: None,
-    }
+    })
 }
 
 /// Synthesize a run *through* the online verifier: the generator streams
@@ -140,7 +161,7 @@ pub fn audited_outcome(cube: Hypercube, report: &RunReport) -> SearchOutcome {
 /// verdict is identical to buffering the trace and calling
 /// [`verify_trace`], because feeding a [`Verifier`] sink *is* the observe
 /// loop.
-pub fn streamed_outcome<F>(cube: Hypercube, synthesize: F) -> SearchOutcome
+fn streamed_outcome<F>(cube: Hypercube, synthesize: F) -> SearchOutcome
 where
     F: FnOnce(&mut dyn EventSink) -> Metrics,
 {
@@ -163,7 +184,7 @@ where
 /// Bundle the metrics of an unaudited synthesized run. No trace was
 /// checked, so the verdict's checks hold vacuously; coverage is the
 /// generator's guarantee by construction.
-pub fn synthesized_outcome(metrics: Metrics) -> SearchOutcome {
+fn synthesized_outcome(metrics: Metrics) -> SearchOutcome {
     SearchOutcome {
         metrics,
         verdict: Verdict {

@@ -15,16 +15,12 @@
 //! requesting an asynchronous adversary is an error.
 
 use hypersweep_sim::{
-    Action, AgentProgram, Ctx, Engine, EngineConfig, Event, EventSink, Metrics, NullSink, Policy,
-    Role,
+    Action, AgentProgram, Ctx, Engine, EngineConfig, EventSink, Metrics, Policy, Role,
 };
 use hypersweep_topology::Hypercube;
 use hypersweep_topology::Node;
 
-use crate::outcome::{
-    audited_outcome, streamed_outcome, synthesized_outcome, SearchOutcome, SearchStrategy,
-    StrategyError,
-};
+use crate::outcome::{audited_run, SearchOutcome, SearchStrategy, StrategyError};
 use crate::visibility::{slot_child_type, VisBoard, VisibilityStrategy};
 
 /// The synchronous agent: moves exactly at round `m(x) + 1` (the paper's
@@ -74,15 +70,23 @@ impl SynchronousStrategy {
         1 << (self.cube.dim() - 1)
     }
 
-    /// The canonical trace is identical to the visibility strategy's: the
-    /// wavefront `C_t` dispatches at time `t` either way.
-    pub fn synthesize(&self, record_events: bool) -> (Metrics, Option<Vec<Event>>) {
-        VisibilityStrategy::new(self.cube).synthesize(record_events)
-    }
-
-    /// Streaming form of [`SynchronousStrategy::synthesize`].
-    pub fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
-        VisibilityStrategy::new(self.cube).synthesize_into(sink)
+    /// The engine, without visibility, and the team of
+    /// [`SynchronousStrategy::team_size`] agents spawned at the homebase.
+    /// The agents read the round number, so only the synchronous schedule
+    /// can run it.
+    pub fn engine(&self, policy: Policy) -> Engine<SynchronousAgent> {
+        let mut engine = Engine::new(
+            self.cube,
+            EngineConfig {
+                policy,
+                visibility: false, // the whole point: no visibility needed
+                ..EngineConfig::default()
+            },
+        );
+        for _ in 0..self.team_size() {
+            engine.spawn(SynchronousAgent, Node::ROOT, Role::Worker);
+        }
+        engine
     }
 }
 
@@ -102,27 +106,13 @@ impl SearchStrategy for SynchronousStrategy {
                 policy,
             });
         }
-        let mut engine = Engine::new(
-            self.cube,
-            EngineConfig {
-                policy,
-                visibility: false, // the whole point: no visibility needed
-                ..EngineConfig::default()
-            },
-        );
-        for _ in 0..self.team_size() {
-            engine.spawn(SynchronousAgent, Node::ROOT, Role::Worker);
-        }
-        let report = engine.run()?;
-        Ok(audited_outcome(self.cube, &report))
+        audited_run(self.engine(policy))
     }
 
-    fn fast(&self, audit: bool) -> SearchOutcome {
-        if audit {
-            streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
-        } else {
-            synthesized_outcome(self.synthesize_into(&mut NullSink))
-        }
+    /// The canonical trace is identical to the visibility strategy's: the
+    /// wavefront `C_t` dispatches at time `t` either way.
+    fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
+        VisibilityStrategy::new(self.cube).synthesize_into(sink)
     }
 }
 

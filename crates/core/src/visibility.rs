@@ -17,15 +17,12 @@
 
 use hypersweep_sim::{
     Action, AgentProgram, Board, Ctx, Engine, EngineConfig, Event, EventKind, EventSink, Metrics,
-    NullSink, Policy, Role,
+    Policy, Role,
 };
 use hypersweep_topology::combinatorics as comb;
 use hypersweep_topology::{BroadcastTree, Hypercube, Node};
 
-use crate::outcome::{
-    audited_outcome, streamed_outcome, synthesized_outcome, SearchOutcome, SearchStrategy,
-    StrategyError,
-};
+use crate::outcome::{audited_run, SearchOutcome, SearchStrategy, StrategyError};
 
 /// Whiteboard of the visibility strategy: a dispatch-started flag and the
 /// next slot counter — `O(log n)` bits.
@@ -109,22 +106,40 @@ impl VisibilityStrategy {
         1 << (self.cube.dim() - 1)
     }
 
-    /// Synthesize the canonical synchronous trace, buffering the events
-    /// into a `Vec` when `record_events` is set. Thin wrapper over
-    /// [`VisibilityStrategy::synthesize_into`].
-    pub fn synthesize(&self, record_events: bool) -> (Metrics, Option<Vec<Event>>) {
-        if record_events {
-            let mut events = Vec::new();
-            let metrics = self.synthesize_into(&mut events);
-            (metrics, Some(events))
-        } else {
-            (self.synthesize_into(&mut NullSink), None)
+    /// The engine, with visibility, and the team of
+    /// [`VisibilityStrategy::team_size`] agents spawned at the homebase.
+    pub fn engine(&self, policy: Policy) -> Engine<VisibilityAgent> {
+        let mut engine = Engine::new(
+            self.cube,
+            EngineConfig {
+                policy,
+                visibility: true,
+                ..EngineConfig::default()
+            },
+        );
+        for _ in 0..self.team_size() {
+            engine.spawn(VisibilityAgent, Node::ROOT, Role::Worker);
         }
+        engine
+    }
+}
+
+impl SearchStrategy for VisibilityStrategy {
+    fn name(&self) -> &'static str {
+        "clean-with-visibility"
+    }
+
+    fn cube(&self) -> Hypercube {
+        self.cube
+    }
+
+    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
+        audited_run(self.engine(policy))
     }
 
     /// Synthesize the canonical synchronous trace directly, streaming every
     /// event into `sink`: class `C_i` dispatches at round `i + 1`.
-    pub fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
+    fn synthesize_into(&self, sink: &mut dyn EventSink) -> Metrics {
         let cube = self.cube;
         let d = cube.dim();
         let tree = BroadcastTree::new(cube);
@@ -191,40 +206,6 @@ impl VisibilityStrategy {
             activations: worker_moves,
             peak_board_bits: 0,
             peak_local_bits: 0,
-        }
-    }
-}
-
-impl SearchStrategy for VisibilityStrategy {
-    fn name(&self) -> &'static str {
-        "clean-with-visibility"
-    }
-
-    fn cube(&self) -> Hypercube {
-        self.cube
-    }
-
-    fn run(&self, policy: Policy) -> Result<SearchOutcome, StrategyError> {
-        let mut engine = Engine::new(
-            self.cube,
-            EngineConfig {
-                policy,
-                visibility: true,
-                ..EngineConfig::default()
-            },
-        );
-        for _ in 0..self.team_size() {
-            engine.spawn(VisibilityAgent, Node::ROOT, Role::Worker);
-        }
-        let report = engine.run()?;
-        Ok(audited_outcome(self.cube, &report))
-    }
-
-    fn fast(&self, audit: bool) -> SearchOutcome {
-        if audit {
-            streamed_outcome(self.cube, |sink| self.synthesize_into(sink))
-        } else {
-            synthesized_outcome(self.synthesize_into(&mut NullSink))
         }
     }
 }
@@ -322,18 +303,7 @@ mod tests {
     #[test]
     fn final_guards_sit_exactly_on_the_leaves() {
         let cube = Hypercube::new(6);
-        let s = VisibilityStrategy::new(cube);
-        let mut engine = Engine::new(
-            cube,
-            EngineConfig {
-                policy: Policy::Fifo,
-                visibility: true,
-                ..EngineConfig::default()
-            },
-        );
-        for _ in 0..s.team_size() {
-            engine.spawn(VisibilityAgent, Node::ROOT, Role::Worker);
-        }
+        let engine = VisibilityStrategy::new(cube).engine(Policy::Fifo);
         let report = engine.run().unwrap();
         let tree = BroadcastTree::new(cube);
         for x in cube.nodes() {
@@ -345,18 +315,7 @@ mod tests {
     #[test]
     fn whiteboard_stays_logarithmic() {
         let cube = Hypercube::new(8);
-        let s = VisibilityStrategy::new(cube);
-        let mut engine = Engine::new(
-            cube,
-            EngineConfig {
-                policy: Policy::Random(7),
-                visibility: true,
-                ..EngineConfig::default()
-            },
-        );
-        for _ in 0..s.team_size() {
-            engine.spawn(VisibilityAgent, Node::ROOT, Role::Worker);
-        }
+        let engine = VisibilityStrategy::new(cube).engine(Policy::Random(7));
         let report = engine.run().unwrap();
         // next_slot ≤ n/2 → at most 1 + log2(n/2) bits.
         assert!(report.metrics.peak_board_bits <= 1 + 8);

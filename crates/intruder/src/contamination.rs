@@ -141,6 +141,8 @@ pub struct ContaminationField<'a, T: Topology + ?Sized> {
     ever_safe: NodeSet,
     /// Count of contaminated nodes (for O(1) "all clean" checks).
     dirty_count: usize,
+    /// Bumped whenever a node's contaminated or guarded status flips.
+    changes: u64,
     /// Recontamination incidents: (event index, node).
     recontaminations: Vec<(u64, Node)>,
     events_applied: u64,
@@ -220,6 +222,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
             visited: s.visited,
             ever_safe: s.ever_safe,
             dirty_count: n,
+            changes: 0,
             recontaminations: s.recontaminations,
             events_applied: 0,
             homebase,
@@ -274,7 +277,9 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                 let x = Node(i as u32);
                 field.decontaminate(x);
                 field.occupancy[i] = occ;
-                field.guarded.insert(x);
+                if field.guarded.insert(x) {
+                    field.changes += 1;
+                }
                 field.visited.insert(x);
                 field.refresh_frontier(x);
             }
@@ -354,6 +359,14 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     /// monotonicity violation).
     pub fn recontaminations(&self) -> &[(u64, Node)] {
         &self.recontaminations
+    }
+
+    /// A count that moves whenever some node's contaminated or guarded
+    /// status flips, and only then. The greedy evader's answer is a
+    /// function of those two sets, so it skips every reaction after which
+    /// this count stands still.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 
     /// Events applied so far.
@@ -722,6 +735,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     fn decontaminate(&mut self, x: Node) {
         if self.contaminated.remove(x) {
             self.dirty_count -= 1;
+            self.changes += 1;
             self.connect_safe(x);
         }
         self.ever_safe.insert(x);
@@ -729,7 +743,9 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
 
     fn occupy(&mut self, x: Node) {
         self.occupancy[x.index()] += 1;
-        self.guarded.insert(x);
+        if self.guarded.insert(x) {
+            self.changes += 1;
+        }
         self.visited.insert(x);
         self.decontaminate(x);
         self.refresh_frontier(x);
@@ -746,6 +762,8 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         }
         self.contaminated.insert(x);
         self.dirty_count += 1;
+        // The spread that follows flips more nodes; one bump covers them.
+        self.changes += 1;
         self.recontaminations.push((self.events_applied, x));
         self.disconnect_safe(x);
         match self.hyper_dim {
@@ -833,6 +851,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                 self.occupancy[from.index()] -= 1;
                 if self.occupancy[from.index()] == 0 {
                     self.guarded.remove(from);
+                    self.changes += 1;
                     self.refresh_frontier(from);
                     self.maybe_recontaminate(from);
                 }

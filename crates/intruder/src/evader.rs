@@ -17,7 +17,11 @@
 //! n/64)` words, where a wave is one flood pass or one ball step. Every
 //! other topology runs the per-node BFS reference, `O(n · Δ)` per
 //! reaction. Either way the buffers live in the intruder, so after the
-//! first reaction the query allocates nothing (only the trail grows).
+//! first reaction the query allocates nothing (only the trail grows). The
+//! answer depends only on the contaminated set, the guarded set and the
+//! intruder's component, so an event that flips no node's status (a spawn
+//! onto the guarded homebase, a terminate, a move between guarded nodes)
+//! costs no query at all: see [`ContaminationField::changes`].
 
 use std::collections::VecDeque;
 
@@ -67,6 +71,10 @@ pub struct Intruder {
     policy: EvaderPolicy,
     /// Nodes visited while fleeing (for demos and tests).
     trail: Vec<Node>,
+    /// The field's [`ContaminationField::changes`] when the greedy answer
+    /// was last computed. Until the count moves, the contaminated and
+    /// guarded sets are the ones that answer saw, so it still stands.
+    answered_at: Option<u64>,
     scratch: Scratch,
 }
 
@@ -101,6 +109,7 @@ impl Intruder {
             status: CaptureStatus::Free(start),
             policy,
             trail: vec![start],
+            answered_at: None,
             scratch: Scratch::default(),
         }
     }
@@ -116,7 +125,9 @@ impl Intruder {
     }
 
     /// React to the world after one event has been applied to `field`.
-    /// `event_index` is the number of events applied so far.
+    /// `event_index` is the number of events applied so far. An intruder
+    /// follows one field: a greedy one skips the farthest-node query while
+    /// the field's [`ContaminationField::changes`] stands still.
     pub fn react<T: Topology + ?Sized>(
         &mut self,
         topo: &T,
@@ -127,7 +138,8 @@ impl Intruder {
             return;
         };
         if field.is_contaminated(pos) {
-            if self.policy == EvaderPolicy::Greedy {
+            if self.policy == EvaderPolicy::Greedy && self.answered_at != Some(field.changes()) {
+                self.answered_at = Some(field.changes());
                 let best = self.best_in_component(topo, field, pos);
                 if best != pos {
                     self.status = CaptureStatus::Free(best);
@@ -149,9 +161,10 @@ impl Intruder {
         let escape = match self.policy {
             EvaderPolicy::Lazy => contaminated.next(),
             // Enter the component, then optimize inside it.
-            EvaderPolicy::Greedy => contaminated
-                .min()
-                .map(|entry| self.best_in_component(topo, field, entry)),
+            EvaderPolicy::Greedy => contaminated.min().map(|entry| {
+                self.answered_at = Some(field.changes());
+                self.best_in_component(topo, field, entry)
+            }),
         };
         match escape {
             Some(to) => {

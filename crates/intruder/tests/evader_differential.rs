@@ -14,15 +14,14 @@
 //! merge it again.
 
 use hypersweep_baselines::{FloodStrategy, FrontierStrategy};
-use hypersweep_core::clean::{CleanAgent, NavigationMode};
-use hypersweep_core::cloning::{CloningAgent, DispatchOrder};
-use hypersweep_core::synchronous::SynchronousAgent;
-use hypersweep_core::visibility::VisibilityAgent;
-use hypersweep_core::{CleanStrategy, CloningStrategy, SynchronousStrategy, VisibilityStrategy};
-use hypersweep_intruder::{CaptureStatus, MonitorConfig, Verdict, Verifier};
-use hypersweep_sim::{
-    AgentProgram, Engine, EngineConfig, Event, EventKind, EventSink, Policy, Role,
+use hypersweep_core::{
+    CleanStrategy, CloningStrategy, DispatchOrder, NavigationMode, SearchStrategy,
+    SynchronousStrategy, VisibilityStrategy,
 };
+use hypersweep_intruder::{
+    CaptureStatus, EvaderPolicy, Intruder, MonitorConfig, Verdict, Verifier,
+};
+use hypersweep_sim::{AgentProgram, Engine, Event, EventKind, Policy, Role};
 use hypersweep_topology::graph::AdjGraph;
 use hypersweep_topology::rng::SplitMix64;
 use hypersweep_topology::{Hypercube, Node, Topology};
@@ -73,58 +72,40 @@ fn far(cube: Hypercube) -> Node {
 
 /// Every strategy's synthesized trace.
 fn fast_traces(cube: Hypercube) -> Vec<(&'static str, Vec<Event>)> {
-    let mut out: Vec<(&'static str, Vec<Event>)> = Vec::new();
-    let mut trace = |name, synthesize: &dyn Fn(&mut dyn EventSink)| {
-        let mut events = Vec::new();
-        synthesize(&mut events);
-        out.push((name, events));
-    };
-    trace("clean", &|s| {
-        CleanStrategy::new(cube).synthesize_into(s);
-    });
-    trace("clean-through-root", &|s| {
-        CleanStrategy::with_navigation(cube, NavigationMode::ThroughRoot).synthesize_into(s);
-    });
-    trace("visibility", &|s| {
-        VisibilityStrategy::new(cube).synthesize_into(s);
-    });
-    trace("cloning", &|s| {
-        CloningStrategy::new(cube).synthesize_into(s);
-    });
-    trace("cloning-smallest-first", &|s| {
-        CloningStrategy::with_dispatch_order(cube, DispatchOrder::SmallestSubtreeFirst)
-            .synthesize_into(s);
-    });
-    trace("synchronous", &|s| {
-        SynchronousStrategy::new(cube).synthesize_into(s);
-    });
-    trace("flood", &|s| {
-        FloodStrategy::new(cube).synthesize_into(s);
-    });
-    trace("frontier", &|s| {
-        FrontierStrategy::new(cube).synthesize_into(s);
-    });
-    out
+    let strategies: [(&'static str, Box<dyn SearchStrategy>); 8] = [
+        ("clean", Box::new(CleanStrategy::new(cube))),
+        (
+            "clean-through-root",
+            Box::new(CleanStrategy::with_navigation(
+                cube,
+                NavigationMode::ThroughRoot,
+            )),
+        ),
+        ("visibility", Box::new(VisibilityStrategy::new(cube))),
+        ("cloning", Box::new(CloningStrategy::new(cube))),
+        (
+            "cloning-smallest-first",
+            Box::new(CloningStrategy::with_dispatch_order(
+                cube,
+                DispatchOrder::SmallestSubtreeFirst,
+            )),
+        ),
+        ("synchronous", Box::new(SynchronousStrategy::new(cube))),
+        ("flood", Box::new(FloodStrategy::new(cube))),
+        ("frontier", Box::new(FrontierStrategy::new(cube))),
+    ];
+    strategies
+        .into_iter()
+        .map(|(name, s)| {
+            let mut events = Vec::new();
+            s.synthesize_into(&mut events);
+            (name, events)
+        })
+        .collect()
 }
 
-/// The engine's event log of a team spawned at the homebase.
-fn engine_trace<P: AgentProgram>(
-    cube: Hypercube,
-    policy: Policy,
-    visibility: bool,
-    team: impl IntoIterator<Item = (P, Role)>,
-) -> Vec<Event> {
-    let mut engine = Engine::new(
-        cube,
-        EngineConfig {
-            policy,
-            visibility,
-            ..EngineConfig::default()
-        },
-    );
-    for (program, role) in team {
-        engine.spawn(program, Node::ROOT, role);
-    }
+/// The event log of an engine run to completion.
+fn engine_trace<P: AgentProgram>(engine: Engine<P>) -> Vec<Event> {
     engine.run().expect("the engine completes").events
 }
 
@@ -143,42 +124,23 @@ fn synthesized_traces_move_the_evader_like_the_reference() {
 fn engine_traces_move_the_evader_like_the_reference() {
     for d in 1..=6 {
         let cube = Hypercube::new(d);
-        let clean = CleanStrategy::new(cube).team_size();
-        let visibility = VisibilityStrategy::new(cube).team_size();
-        let flood = FloodStrategy::new(cube).team_size();
         for policy in Policy::adversaries(4) {
             let runs = [
                 (
                     "clean",
-                    engine_trace(
-                        cube,
-                        policy,
-                        false,
-                        std::iter::once((CleanAgent::synchronizer(), Role::Coordinator))
-                            .chain((1..clean).map(|_| (CleanAgent::worker(), Role::Worker))),
-                    ),
+                    engine_trace(CleanStrategy::new(cube).engine(policy)),
                 ),
                 (
                     "visibility",
-                    engine_trace(
-                        cube,
-                        policy,
-                        true,
-                        (0..visibility).map(|_| (VisibilityAgent, Role::Worker)),
-                    ),
+                    engine_trace(VisibilityStrategy::new(cube).engine(policy)),
                 ),
                 (
                     "cloning",
-                    engine_trace(cube, policy, true, [(CloningAgent::new(), Role::Worker)]),
+                    engine_trace(CloningStrategy::new(cube).engine(policy)),
                 ),
                 (
                     "flood",
-                    engine_trace(
-                        cube,
-                        policy,
-                        true,
-                        (0..flood).map(|_| (hypersweep_baselines::flood::FloodAgent, Role::Worker)),
-                    ),
+                    engine_trace(FloodStrategy::new(cube).engine(policy)),
                 ),
             ];
             for (name, events) in runs {
@@ -189,13 +151,7 @@ fn engine_traces_move_the_evader_like_the_reference() {
                 );
             }
         }
-        let team = SynchronousStrategy::new(cube).team_size();
-        let events = engine_trace(
-            cube,
-            Policy::Synchronous,
-            false,
-            (0..team).map(|_| (SynchronousAgent, Role::Worker)),
-        );
+        let events = engine_trace(SynchronousStrategy::new(cube).engine(Policy::Synchronous));
         let what = format!("synchronous on H_{d}");
         assert!(
             agree(cube, far(cube), &events, &what).is_complete(),
@@ -338,4 +294,42 @@ fn random_streams_move_the_evader_like_the_reference() {
         "{recontaminating} of {streams}"
     );
     assert!(split * 3 > streams, "{split} of {streams}");
+}
+
+/// The greedy evader skips its query after an event that flips no node's
+/// contaminated or guarded status (`ContaminationField::changes` stands
+/// still). On the random streams, every reaction, skipped or not, lands
+/// where a fresh evader placed on the old node lands, and skips happen.
+#[test]
+fn skipped_reactions_answer_like_fresh_ones() {
+    let mut rng = SplitMix64::new(0x5EED_E7AD);
+    let (mut reactions, mut skipped) = (0, 0);
+    for d in 1..=8 {
+        let cube = Hypercube::new(d);
+        let n = cube.node_count() as u64;
+        for _ in 0..40 {
+            let start = Node(1 + rng.below(n - 1) as u32);
+            let len = 8 + rng.below(4 * n.min(64)) as usize;
+            let events = random_stream(cube, &mut rng, len);
+            let mut verifier =
+                Verifier::with_config(&cube, Node::ROOT, MonitorConfig::with_intruder(start));
+            for (i, e) in events.iter().enumerate() {
+                let CaptureStatus::Free(before) = verifier.intruder().expect("tracked").status()
+                else {
+                    break;
+                };
+                let changes = verifier.field().changes();
+                let _ = verifier.observe(e, e.time);
+                let field = verifier.field();
+                let mut fresh = Intruder::new(before, EvaderPolicy::Greedy);
+                fresh.react(&cube, field, field.events_applied());
+                let after = verifier.intruder().expect("tracked").status();
+                assert_eq!(after, fresh.status(), "H_{d} event {i}: {:?}", e.kind);
+                reactions += 1;
+                let skip = i > 0 && field.changes() == changes && field.is_contaminated(before);
+                skipped += usize::from(skip);
+            }
+        }
+    }
+    assert!(skipped * 10 > reactions, "{skipped} of {reactions}");
 }

@@ -357,13 +357,12 @@ pub fn resolve(id: ScenarioId) -> Option<&'static dyn Scenario> {
     registry().iter().copied().find(|s| s.id() == id)
 }
 
-/// Validate a `(scenario, side, instance)` triple as it arrives off
+/// Validate a `(scenario, side)` pair as it arrives off
 /// the wire or the command line. Returns the resolved scenario for
 /// non-hypercube ids.
 pub fn validate_scenario(
     id: ScenarioId,
     side: u32,
-    _instance: GridInstance,
 ) -> Result<Option<&'static dyn Scenario>, String> {
     match resolve(id) {
         None => Ok(None),
@@ -401,12 +400,12 @@ mod tests {
 
     #[test]
     fn validate_scenario_enforces_side_bounds() {
-        assert!(validate_scenario(ScenarioId::Grid, 0, GridInstance::Full).is_err());
-        assert!(validate_scenario(ScenarioId::Grid, MAX_SIDE + 1, GridInstance::Full).is_err());
-        assert!(validate_scenario(ScenarioId::Grid, 6, GridInstance::Full).is_ok());
+        assert!(validate_scenario(ScenarioId::Grid, 0).is_err());
+        assert!(validate_scenario(ScenarioId::Grid, MAX_SIDE + 1).is_err());
+        assert!(validate_scenario(ScenarioId::Grid, 6).is_ok());
         // The hypercube has its own dim validation; this helper passes it through.
         assert!(matches!(
-            validate_scenario(ScenarioId::Hypercube, 0, GridInstance::Full),
+            validate_scenario(ScenarioId::Hypercube, 0),
             Ok(None)
         ));
     }

@@ -15,7 +15,7 @@
 use hypersweep_analysis::StrategyKind;
 
 use crate::dispatch::{plan_reply, predict_reply};
-use crate::protocol::{Request, Response, WIRE_STRATEGIES};
+use crate::protocol::{Request, Response};
 
 /// One precomputed reply: the wire line plus whether it is a success
 /// (drives which request counter a table hit increments).
@@ -38,7 +38,7 @@ pub(crate) enum AnswerKind {
 /// All `plan`/`predict` answers for every wire strategy at `1..=max_dim`.
 pub struct AnswerTable {
     max_dim: u32,
-    /// `[strategy index in WIRE_STRATEGIES][dim - 1]`.
+    /// `[strategy index in StrategyKind::ALL][dim - 1]`.
     plan: Vec<Vec<Answer>>,
     predict: Vec<Vec<Answer>>,
 }
@@ -48,7 +48,7 @@ impl AnswerTable {
     /// cap, itself bounded by `REPORT_MAX_DIM = 20`).
     pub fn build(max_dim: u32) -> Self {
         let build_rows = |kind: AnswerKind| {
-            WIRE_STRATEGIES
+            StrategyKind::ALL
                 .iter()
                 .map(|&strategy| {
                     (1..=max_dim)
@@ -83,7 +83,7 @@ impl AnswerTable {
 
     /// Number of precomputed answers.
     pub fn len(&self) -> usize {
-        2 * WIRE_STRATEGIES.len() * self.max_dim as usize
+        2 * StrategyKind::ALL.len() * self.max_dim as usize
     }
 
     /// Whether the table holds no answers (a zero `max_dim`; never built
@@ -104,7 +104,7 @@ impl AnswerTable {
         if dim == 0 || dim > self.max_dim {
             return None;
         }
-        let si = WIRE_STRATEGIES.iter().position(|&s| s == strategy)?;
+        let si = StrategyKind::ALL.iter().position(|&s| s == strategy)?;
         let rows = match kind {
             AnswerKind::Plan => &self.plan,
             AnswerKind::Predict => &self.predict,
@@ -132,7 +132,7 @@ mod tests {
         let table = AnswerTable::build(20);
         assert_eq!(table.len(), 2 * 8 * 20);
         assert!(!table.is_empty());
-        for &strategy in &WIRE_STRATEGIES {
+        for strategy in StrategyKind::ALL {
             for dim in 1..=20 {
                 for kind in [AnswerKind::Plan, AnswerKind::Predict] {
                     let answer = table.lookup(kind, strategy, dim).expect("in range");

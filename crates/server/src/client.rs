@@ -222,7 +222,7 @@ pub fn mixed_request(seq: usize, max_dim: u32) -> Request {
         StrategyKind::CleanThroughRoot,
         StrategyKind::CloningSmallestFirst,
     ];
-    const AUDITABLE: [StrategyKind; 8] = crate::protocol::WIRE_STRATEGIES;
+    const AUDITABLE: [StrategyKind; 8] = StrategyKind::ALL;
     let lo = 4u32.min(max_dim.max(1));
     let hi = max_dim.min(8).max(lo);
     let dim = lo + (seq / 4) as u32 % (hi - lo + 1);

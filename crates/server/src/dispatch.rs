@@ -287,7 +287,7 @@ impl Dispatcher {
         instance: GridInstance,
         compute: bool,
     ) -> Option<Result<ScenarioReference, WireError>> {
-        let resolved = match hypersweep_scenario::validate_scenario(scenario, side, instance) {
+        let resolved = match hypersweep_scenario::validate_scenario(scenario, side) {
             Ok(Some(resolved)) => resolved,
             Ok(None) => {
                 return Some(Err(WireError::new(

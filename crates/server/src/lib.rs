@@ -50,7 +50,6 @@ pub use daemon::{Server, ServerStats};
 pub use dispatch::Dispatcher;
 pub use limits::ServerLimits;
 pub use protocol::{
-    parse_strategy, AuditReply, CacheStats, ErrorKind, MetricsReply, PhasePlan, PlanReply,
-    PredictReply, Request, Response, ServedCounts, ShutdownReply, StatusReply, WireError,
-    WIRE_STRATEGIES,
+    AuditReply, CacheStats, ErrorKind, MetricsReply, PhasePlan, PlanReply, PredictReply, Request,
+    Response, ServedCounts, ShutdownReply, StatusReply, WireError,
 };

@@ -31,24 +31,6 @@ use hypersweep_sim::TraceSummary;
 use hypersweep_telemetry::MetricsSnapshot;
 use hypersweep_topology::GridInstance;
 
-/// Every strategy the server can plan, predict, or audit, in wire order.
-pub const WIRE_STRATEGIES: [StrategyKind; 8] = [
-    StrategyKind::Clean,
-    StrategyKind::CleanThroughRoot,
-    StrategyKind::Visibility,
-    StrategyKind::Cloning,
-    StrategyKind::CloningSmallestFirst,
-    StrategyKind::Synchronous,
-    StrategyKind::Flood,
-    StrategyKind::Frontier,
-];
-
-/// Parse a wire strategy label (the same labels `StrategyKind::label`
-/// prints, e.g. `clean`, `visibility`, `cloning-smallest-first`).
-pub fn parse_strategy(label: &str) -> Option<StrategyKind> {
-    WIRE_STRATEGIES.into_iter().find(|s| s.label() == label)
-}
-
 /// Machine-readable error category, stable across releases.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -374,8 +356,8 @@ impl Request {
                 format!("'{tag}' requires a string 'strategy' field"),
             )
         })?;
-        let strategy = parse_strategy(strategy_label).ok_or_else(|| {
-            let known: Vec<&str> = WIRE_STRATEGIES.iter().map(|s| s.label()).collect();
+        let strategy = StrategyKind::from_label(strategy_label).ok_or_else(|| {
+            let known: Vec<&str> = StrategyKind::ALL.iter().map(|s| s.label()).collect();
             WireError::new(
                 ErrorKind::UnknownStrategy,
                 format!(

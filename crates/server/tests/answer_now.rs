@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
-use hypersweep_analysis::{execute_run, RunCache, RunKey};
+use hypersweep_analysis::{execute_run, RunCache, RunKey, StrategyKind};
 use hypersweep_scenario::ScenarioId;
-use hypersweep_server::{Dispatcher, Request, WIRE_STRATEGIES};
+use hypersweep_server::{Dispatcher, Request};
 use hypersweep_telemetry::MetricsRegistry;
 use hypersweep_topology::GridInstance;
 
@@ -32,7 +32,7 @@ fn dispatcher() -> (Dispatcher, MetricsRegistry) {
 /// `plan`/`predict`/`audit` for every wire strategy at every served
 /// dimension.
 fn hypercube_requests() -> Vec<Request> {
-    WIRE_STRATEGIES
+    StrategyKind::ALL
         .iter()
         .flat_map(|&strategy| {
             (1..=MAX_DIM).flat_map(move |dim| {
@@ -79,7 +79,7 @@ fn scenario_requests() -> Vec<Request> {
 /// Requests every dispatcher refuses: out-of-range dimensions and sides,
 /// scenario `predict`, and the hypercube named as a scenario.
 fn refused_requests() -> Vec<Request> {
-    let strategy = WIRE_STRATEGIES[0];
+    let strategy = StrategyKind::ALL[0];
     let mut requests: Vec<Request> = [0, MAX_DIM + 1, 25]
         .into_iter()
         .flat_map(|dim| {

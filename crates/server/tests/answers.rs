@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use hypersweep_analysis::RunCache;
-use hypersweep_server::{Dispatcher, Request, Response, WIRE_STRATEGIES};
+use hypersweep_analysis::{RunCache, StrategyKind};
+use hypersweep_server::{Dispatcher, Request, Response};
 
 const MAX_DIM: u32 = 20;
 
@@ -18,7 +18,7 @@ fn dispatcher() -> Dispatcher {
 }
 
 fn closed_form_requests(dims: impl Iterator<Item = u32> + Clone) -> Vec<Request> {
-    WIRE_STRATEGIES
+    StrategyKind::ALL
         .iter()
         .flat_map(|&strategy| {
             dims.clone().flat_map(move |dim| {
@@ -39,7 +39,10 @@ fn table_lines_match_the_dispatcher_byte_for_byte() {
     let table = dispatcher();
     let direct = dispatcher();
     let requests = closed_form_requests(1..=MAX_DIM);
-    assert_eq!(requests.len(), 2 * WIRE_STRATEGIES.len() * MAX_DIM as usize);
+    assert_eq!(
+        requests.len(),
+        2 * StrategyKind::ALL.len() * MAX_DIM as usize
+    );
     for request in requests {
         let fast = table
             .answer_line(&request)
@@ -48,7 +51,7 @@ fn table_lines_match_the_dispatcher_byte_for_byte() {
         let slow = direct.handle(request).to_line();
         assert_eq!(fast, slow, "table diverges from dispatcher on {request:?}");
     }
-    assert_eq!(table.table_hits(), 2 * WIRE_STRATEGIES.len() as u64 * 20);
+    assert_eq!(table.table_hits(), 2 * StrategyKind::ALL.len() as u64 * 20);
     // Both serving paths must leave identical request accounting behind:
     // a client cannot tell from `status` which tier answered.
     assert_eq!(table.served(), direct.served());
@@ -76,7 +79,7 @@ fn non_closed_form_requests_never_hit_the_table() {
     let d = dispatcher();
     let requests = [
         Request::Audit {
-            strategy: WIRE_STRATEGIES[0],
+            strategy: StrategyKind::ALL[0],
             dim: 4,
         },
         Request::Status,

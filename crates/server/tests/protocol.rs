@@ -8,7 +8,7 @@
 use hypersweep_scenario::ScenarioId;
 use hypersweep_server::{
     AuditReply, CacheStats, ErrorKind, MetricsReply, PhasePlan, PlanReply, PredictReply, Request,
-    Response, ServedCounts, ShutdownReply, StatusReply, WireError, WIRE_STRATEGIES,
+    Response, ServedCounts, ShutdownReply, StatusReply, WireError,
 };
 use hypersweep_sim::TraceSummary;
 use hypersweep_telemetry::MetricsRegistry;
@@ -30,7 +30,7 @@ fn round_trip_response(response: Response) {
 
 #[test]
 fn every_request_variant_round_trips() {
-    for strategy in WIRE_STRATEGIES {
+    for strategy in hypersweep_analysis::StrategyKind::ALL {
         for dim in [1, 6, 20] {
             round_trip_request(Request::Plan { strategy, dim });
             round_trip_request(Request::Predict { strategy, dim });
@@ -335,6 +335,17 @@ fn malformed_inputs_yield_structured_errors() {
         // Every parse error is itself a serializable response.
         round_trip_response(Response::Error(err));
     }
+}
+
+/// An unknown strategy gets the exact reply clients match on, listing the
+/// labels in wire order.
+#[test]
+fn unknown_strategy_reply_lists_every_label_in_wire_order() {
+    let err = Request::parse(r#"{"type":"audit","strategy":"nonsense","dim":4}"#).unwrap_err();
+    assert_eq!(
+        Response::Error(err).to_line(),
+        r#"{"type":"error","kind":"unknown_strategy","message":"unknown strategy 'nonsense' (known: clean, clean-through-root, visibility, cloning, cloning-smallest-first, synchronous, flood, frontier)"}"#
+    );
 }
 
 #[test]

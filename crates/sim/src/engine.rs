@@ -99,14 +99,6 @@ pub struct RunReport {
     pub occupancy: Vec<u32>,
 }
 
-impl RunReport {
-    /// Whether every node of the cube was visited — necessary for a
-    /// successful decontamination.
-    pub fn all_visited(&self) -> bool {
-        self.visited.count_ones() == self.visited.universe()
-    }
-}
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum AgentStatus {
     Runnable,
@@ -869,11 +861,6 @@ impl<P: AgentProgram> Engine<P> {
         out
     }
 
-    /// Total agents spawned so far, terminated guards included.
-    pub fn agent_count(&self) -> usize {
-        self.agents.len()
-    }
-
     /// Agents not yet terminated (runnable or parked).
     pub fn live_agents(&self) -> usize {
         self.live
@@ -893,12 +880,6 @@ impl<P: AgentProgram> Engine<P> {
     /// Aggregate counters so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Finish an externally-driven run: consume the engine into its report
-    /// without requiring termination (the checker reports partial runs).
-    pub fn into_report(self) -> RunReport {
-        self.report()
     }
 }
 

@@ -128,8 +128,9 @@ mod tests {
     #[test]
     fn far_corner_audit_accepts_a_synthesized_clean_trace() {
         let cube = Hypercube::new(4);
-        let (_, ev) = hypersweep_core::CleanStrategy::new(cube).synthesize(true);
-        let verdict = audit_far_corner(cube, &ev.unwrap());
+        let mut ev = Vec::new();
+        StrategyKind::Clean.strategy(cube).synthesize_into(&mut ev);
+        let verdict = audit_far_corner(cube, &ev);
         assert!(verdict.is_complete(), "{:?}", verdict.violations);
     }
 }

@@ -19,7 +19,7 @@ fn main() {
         let clean = CleanStrategy::new(cube).fast(false).metrics;
         let vis = VisibilityStrategy::new(cube).fast(false).metrics;
         let cloning = CloningStrategy::new(cube).fast(false).metrics;
-        let frontier = FrontierStrategy::new(cube).outcome(false).metrics;
+        let frontier = FrontierStrategy::new(cube).fast(false).metrics;
         println!(
             "{:>3} {:>8} | {:>7}/{:>7}/{:>8} | {:>8}/{:>7}/{:>6}/{:>8} | {:>4} / ~{:>9}",
             d,

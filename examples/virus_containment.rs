@@ -23,8 +23,8 @@ fn main() {
 
     // Generate CLEAN's full trace.
     let strategy = CleanStrategy::new(cube);
-    let (metrics, events) = strategy.synthesize(true);
-    let events = events.expect("trace recorded");
+    let mut events = Vec::new();
+    let metrics = strategy.synthesize_into(&mut events);
     println!(
         "team: {} agents (1 synchronizer + {} workers)\n",
         metrics.team_size,

@@ -173,19 +173,22 @@ fn threaded_runs_are_repeatedly_correct() {
 fn synthesized_traces_audit_clean() {
     for d in 1..=8 {
         let cube = Hypercube::new(d);
-        let (_, ev) = CleanStrategy::new(cube).synthesize(true);
-        let verdict = audit(cube, &ev.unwrap());
-        assert!(
-            verdict.is_complete(),
-            "clean d={d}: {:?}",
-            verdict.violations
-        );
-        let (_, ev) = VisibilityStrategy::new(cube).synthesize(true);
-        let verdict = audit(cube, &ev.unwrap());
-        assert!(verdict.is_complete(), "visibility d={d}");
-        let (_, ev) = CloningStrategy::new(cube).synthesize(true);
-        let verdict = audit(cube, &ev.unwrap());
-        assert!(verdict.is_complete(), "cloning d={d}");
+        let strategies: [&dyn SearchStrategy; 3] = [
+            &CleanStrategy::new(cube),
+            &VisibilityStrategy::new(cube),
+            &CloningStrategy::new(cube),
+        ];
+        for s in strategies {
+            let mut ev = Vec::new();
+            s.synthesize_into(&mut ev);
+            let verdict = audit(cube, &ev);
+            let name = s.name();
+            assert!(
+                verdict.is_complete(),
+                "{name} d={d}: {:?}",
+                verdict.violations
+            );
+        }
     }
 }
 

@@ -50,8 +50,8 @@ fn different_seeds_usually_schedule_differently() {
 
 #[test]
 fn events_round_trip_through_json() {
-    let (_, events) = CloningStrategy::new(Hypercube::new(5)).synthesize(true);
-    let events = events.unwrap();
+    let mut events = Vec::new();
+    CloningStrategy::new(Hypercube::new(5)).synthesize_into(&mut events);
     let json = serde_json::to_string(&events).unwrap();
     let back: Vec<Event> = serde_json::from_str(&json).unwrap();
     assert_eq!(events, back);
@@ -105,8 +105,12 @@ fn threaded_clean_with_coordinator_is_correct() {
 
 #[test]
 fn fast_traces_are_reproducible() {
-    let a = CleanStrategy::new(Hypercube::new(6)).synthesize(true);
-    let b = CleanStrategy::new(Hypercube::new(6)).synthesize(true);
+    let trace = || {
+        let mut events = Vec::new();
+        let metrics = CleanStrategy::new(Hypercube::new(6)).synthesize_into(&mut events);
+        (metrics, events)
+    };
+    let (a, b) = (trace(), trace());
     assert_eq!(a.0, b.0);
     assert_eq!(a.1, b.1);
 }
