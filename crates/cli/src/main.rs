@@ -19,8 +19,9 @@ use std::process::ExitCode;
 use hypersweep_analysis::experiments::ALL_IDS;
 use hypersweep_analysis::{run_ids_pooled_with, runner, ExperimentConfig, StrategyKind};
 use hypersweep_check::{CheckConfig, CheckStrategy, ReplayFile};
+use hypersweep_core::outcome::default_monitor_config;
 use hypersweep_core::SearchStrategy;
-use hypersweep_intruder::{render_film, MonitorConfig, Verifier, ViolationKind, ViolationReport};
+use hypersweep_intruder::{render_film, Verifier, ViolationKind, ViolationReport};
 use hypersweep_scenario::{GridStrategy, ScenarioId};
 use hypersweep_server::{run_bench, BenchConfig, Response, Server, ServerLimits};
 use hypersweep_sim::{Event, Policy};
@@ -244,8 +245,7 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
     let cube = Hypercube::new(d);
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let events: Vec<Event> = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-    let far = Node(cube.node_count() as u32 - 1);
-    let mut verifier = Verifier::with_config(&cube, Node::ROOT, MonitorConfig::with_intruder(far));
+    let mut verifier = Verifier::with_config(&cube, Node::ROOT, default_monitor_config(cube));
     for (i, e) in events.iter().enumerate() {
         if let Err(ViolationReport {
             kind: ViolationKind::IllegalEvent(why),

@@ -158,6 +158,46 @@ fn trace_then_audit_roundtrip() {
     std::fs::remove_file(path).ok();
 }
 
+/// The `capture=` field of the first line of `text` that has one.
+fn capture_field(text: &str) -> &str {
+    let line = text
+        .lines()
+        .find_map(|l| l.split_once("capture=").map(|(_, rest)| rest))
+        .unwrap_or_else(|| panic!("no capture= in {text}"));
+    line.split("  ").next().unwrap_or(line).trim()
+}
+
+/// `audit` verifies with the evader `run`, `report` and served audits
+/// use: greedy up to `H_10`, lazy from `H_11` on. For every strategy label
+/// at both sides of that switch, auditing the exported trace captures the
+/// intruder exactly where `run --fast` does.
+#[test]
+fn audit_captures_like_run_on_both_sides_of_the_evader_switch() {
+    let dir = std::env::temp_dir().join("hypersweep-cli-audit-evader");
+    std::fs::create_dir_all(&dir).unwrap();
+    for kind in hypersweep_analysis::StrategyKind::ALL {
+        let label = kind.label();
+        for d in ["10", "11"] {
+            let path = dir.join(format!("{label}-{d}.json"));
+            let path = path.to_str().unwrap();
+            let traced = bin().args(["trace", label, d, path]).output().unwrap();
+            assert!(traced.status.success(), "trace {label} {d}");
+            let audit = bin().args(["audit", d, path]).output().unwrap();
+            let audit = String::from_utf8(audit.stdout).unwrap();
+            let run = bin().args(["run", label, d, "--fast"]).output().unwrap();
+            let run = String::from_utf8(run.stdout).unwrap();
+            assert_eq!(
+                capture_field(&audit),
+                capture_field(&run),
+                "{label} on H_{d}"
+            );
+            assert!(capture_field(&run).contains("Captured"), "{label} on H_{d}");
+            std::fs::remove_file(path).ok();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn report_rejects_out_of_range_max_dim() {
     let out = bin()

@@ -2,9 +2,9 @@
 
 use hypersweep_intruder::{verify_trace, MonitorConfig, Verdict, Verifier};
 use hypersweep_sim::{
-    AgentProgram, Engine, EventSink, MeteredSink, Metrics, NullSink, Policy, RunError,
-    SummarizingSink, TraceSummary,
+    AgentProgram, Engine, Event, EventSink, Metrics, NullSink, Policy, RunError, TraceSummary,
 };
+use hypersweep_telemetry::Counter;
 use hypersweep_topology::{Hypercube, Node};
 
 /// Why a strategy could not run.
@@ -108,18 +108,23 @@ pub trait SearchStrategy {
 ///
 /// A greedy reaction floods the intruder's contaminated component and
 /// grows distance balls around the guards, word-parallel: `O(waves · d ·
-/// n/64)` words after every event, where a wave is one flood pass or one
-/// ball step (see `hypersweep_intruder::evader`; EXPERIMENTS.md gives the
-/// audited run times). The lazy evader moves only when its node is cleaned, at
-/// `O(d)`. The switch stays at 1024 for two reasons. Per event, the greedy
-/// cost still grows with `n`, and large cubes run millions of events. And
-/// the switch decides which evader every audit's capture event comes from,
-/// so moving it would change the capture events that `report`, `run` and
-/// served audits print.
+/// n/64)` words, where a wave is one flood pass or one ball step (see
+/// `hypersweep_intruder::evader`; EXPERIMENTS.md gives the audited run
+/// times). It runs only after an event that flips some node's
+/// contaminated status, which a monotone run does once per cleaned node;
+/// every other event costs the verifier's inline test of whether the
+/// evader can move. The lazy evader moves only when its node is cleaned,
+/// at `O(d)`. The switch stays at 1024 for two reasons. Per cleaned node,
+/// the greedy cost still grows with `n`, and large cubes clean millions of
+/// nodes. And the switch decides which evader every audit's capture event
+/// comes from, so moving it would change the capture events that
+/// `report`, `run`, `audit` and served audits print.
 ///
 /// Contiguity and frontier coverage are checked after *every* event —
 /// since the incremental clean-region connectivity kernel both checks are
-/// `O(1)` per query, so there is nothing left to stride-sample.
+/// `O(1)` per query, so there is nothing left to stride-sample. On `H_d`
+/// each event of a monotone run costs the field `O(d)` updates at most:
+/// see `hypersweep_intruder::ContaminationField`.
 pub fn default_monitor_config(cube: Hypercube) -> MonitorConfig {
     let n = cube.node_count();
     let far = Node(n as u32 - 1);
@@ -155,28 +160,65 @@ pub fn audited_run<P: AgentProgram>(engine: Engine<P>) -> Result<SearchOutcome, 
     })
 }
 
+/// How many events an [`AuditSink`] counts locally before adding them to
+/// the shared `sink.events` counter. Per-event atomic traffic from an
+/// `H_20` synthesis (~20M events) would dominate the stream; batched, the
+/// counter costs one increment per 1024 events plus one at the end.
+const METER_FLUSH_EVERY: u64 = 1024;
+
+/// The sink a streamed audit feeds. For each event it folds the
+/// [`TraceSummary`], meters the `sink.events` counter of the process
+/// telemetry registry (a no-op unless one is installed, so a daemon can
+/// watch a multi-million-event audit advance while it runs) and observes
+/// the event: one dynamic call per event.
+struct AuditSink<'a> {
+    verifier: Verifier<'a>,
+    summary: TraceSummary,
+    counter: Counter,
+    /// Events not yet added to `counter`.
+    pending: u64,
+}
+
+impl AuditSink<'_> {
+    /// The verdict and the trace's digest; adds the metered tail.
+    fn finish(self) -> (Verdict, TraceSummary) {
+        self.counter.add(self.pending);
+        (self.verifier.verdict(), self.summary)
+    }
+}
+
+impl EventSink for AuditSink<'_> {
+    fn emit(&mut self, event: Event) {
+        self.summary.record(&event);
+        self.pending += 1;
+        if self.pending == METER_FLUSH_EVERY {
+            self.counter.add(self.pending);
+            self.pending = 0;
+        }
+        let _ = self.verifier.observe(&event, event.time);
+    }
+}
+
 /// Synthesize a run *through* the online verifier: the generator streams
 /// each event into it as it is produced, so the full trace is never
 /// materialized — run memory is `O(n)` state instead of `O(moves)`. The
 /// verdict is identical to buffering the trace and calling
-/// [`verify_trace`], because feeding a [`Verifier`] sink *is* the observe
-/// loop.
+/// [`verify_trace`], because the sink runs the observe loop.
 fn streamed_outcome<F>(cube: Hypercube, synthesize: F) -> SearchOutcome
 where
     F: FnOnce(&mut dyn EventSink) -> Metrics,
 {
-    let mut verifier = Verifier::with_config(&cube, Node::ROOT, default_monitor_config(cube));
-    // Meter the stream into the `sink.events` counter of the process
-    // telemetry registry (no-op unless one is installed), so a daemon can
-    // watch a multi-million-event audit advance while it runs.
-    let mut tee = MeteredSink::new(SummarizingSink::new(&mut verifier));
-    let metrics = synthesize(&mut tee);
-    let summary = tee.inner().summary();
-    // Flush the metered tail and release the verifier borrow.
-    drop(tee);
+    let mut sink = AuditSink {
+        verifier: Verifier::with_config(&cube, Node::ROOT, default_monitor_config(cube)),
+        summary: TraceSummary::default(),
+        counter: hypersweep_telemetry::global().counter("sink.events"),
+        pending: 0,
+    };
+    let metrics = synthesize(&mut sink);
+    let (verdict, summary) = sink.finish();
     SearchOutcome {
         metrics,
-        verdict: verifier.verdict(),
+        verdict,
         trace_summary: Some(summary),
     }
 }
@@ -237,10 +279,50 @@ mod tests {
             Metrics::default()
         });
         assert_eq!(outcome.trace_summary.map(|s| s.events), Some(3));
-        // The metered tee flushed into `sink.events` on drop. Other tests
+        // The sink added its tail to `sink.events` at the end. Other tests
         // in this process may also stream through the global registry, so
         // assert a floor, not equality.
         assert!(registry.snapshot().counter("sink.events").unwrap_or(0) >= 3);
+    }
+
+    #[test]
+    fn audit_sink_meters_in_batches_and_adds_the_tail_at_the_end() {
+        let registry = hypersweep_telemetry::MetricsRegistry::new();
+        let counter = registry.counter("sink.events");
+        let cube = Hypercube::new(3);
+        let mut sink = AuditSink {
+            verifier: Verifier::with_config(&cube, Node::ROOT, default_monitor_config(cube)),
+            summary: TraceSummary::default(),
+            counter: counter.clone(),
+            pending: 0,
+        };
+        let spawn = |t: u64| hypersweep_sim::Event {
+            time: t,
+            kind: hypersweep_sim::EventKind::Spawn {
+                agent: t as u32,
+                node: Node::ROOT,
+                role: hypersweep_sim::Role::Worker,
+            },
+        };
+        for t in 0..METER_FLUSH_EVERY - 1 {
+            sink.emit(spawn(t));
+        }
+        assert_eq!(counter.get(), 0, "the batch must not be added early");
+        sink.emit(spawn(METER_FLUSH_EVERY));
+        assert_eq!(counter.get(), METER_FLUSH_EVERY);
+        for t in 0..5 {
+            sink.emit(spawn(t));
+        }
+        let (verdict, summary) = sink.finish();
+        assert_eq!(counter.get(), METER_FLUSH_EVERY + 5);
+        assert_eq!(summary.events, METER_FLUSH_EVERY + 5);
+        assert_eq!(summary.spawns, METER_FLUSH_EVERY + 5);
+        assert_eq!(summary.max_time, METER_FLUSH_EVERY);
+        assert_eq!(
+            verdict.events,
+            METER_FLUSH_EVERY + 5,
+            "every event was observed"
+        );
     }
 
     #[test]

@@ -22,6 +22,12 @@
 //!   one byte per node. The attachment ports form a spanning forest of the
 //!   insertion order whose root-ward walks stay inside the safe region, a
 //!   compact certificate that the differential tests cross-validate.
+//!   While the region is one clean component, a hypercube insertion with
+//!   a safe neighbour skips the unions: the node is adopted directly under
+//!   the component's root ([`SafeForest::adopt`]), one find in all. Every
+//!   insertion of a monotone, contiguous run but the first takes this path,
+//!   so such a run pays `O(d)` counter updates and one short find per
+//!   cleaned node.
 //! * **Deletions** (recontamination) can split components, which
 //!   union-find cannot track incrementally; the forest instead marks
 //!   itself *dirty* and is rebuilt from the contamination bitset on the
@@ -196,12 +202,13 @@ impl SafeForest {
         }
     }
 
-    /// Rebuild helper: place `x` directly under component root `root`
-    /// (which must already be added) and record its attachment `port`,
-    /// without touching the component count. Unlike
-    /// [`SafeForest::set_attach_port`], the port is written
-    /// unconditionally — after [`SafeForest::begin_rebuild`] every slot is
-    /// [`PORT_NONE`] and the flood visits each node exactly once.
+    /// Place `x` directly under component root `root` (which must already
+    /// be added) and record its attachment `port`, without touching the
+    /// component count. Unlike [`SafeForest::set_attach_port`], the port is
+    /// written unconditionally. The rebuild adopts each flooded node (after
+    /// [`SafeForest::begin_rebuild`] every slot is [`PORT_NONE`] and the
+    /// flood visits each node exactly once); an insertion into the only
+    /// component adopts the new node under that component's root.
     #[inline]
     pub fn adopt(&mut self, x: Node, root: Node, port: u8) {
         self.parent[x.index()] = root.0;

@@ -64,8 +64,6 @@ pub struct FieldScratch {
     contaminated: NodeSet,
     occupancy: Vec<u32>,
     guarded: NodeSet,
-    visited: NodeSet,
-    ever_safe: NodeSet,
     recontaminations: Vec<(u64, Node)>,
     forest: Option<SafeForest>,
     safe_nbrs: Vec<u32>,
@@ -107,14 +105,18 @@ fn reset_set(set: &mut NodeSet, n: usize) {
 /// * **Contiguity** — a [`SafeForest`] tracks the connected components of
 ///   the decontaminated region as nodes are cleaned (union-find insertion,
 ///   `O(α · Δ)` per event) so [`ContaminationField::is_contiguous`] is two
-///   integer comparisons. Recontamination (a deletion, which only happens
-///   on monotonicity violations) marks the forest dirty; the next query
-///   rebuilds it from the contamination bitset — word-parallel floods on
-///   the hypercube, per-node BFS elsewhere.
+///   integer comparisons. On `H_d`, a node cleaned next to the region
+///   while it is one component is adopted under the component's root with
+///   one find and no union. Recontamination (a deletion, which only
+///   happens on monotonicity violations) marks the forest dirty; the next
+///   query rebuilds it from the contamination bitset — word-parallel
+///   floods on the hypercube, per-node BFS elsewhere.
 /// * **Frontier guard coverage** — per-node counts of safe neighbours feed
 ///   a maintained frontier bitset, so
 ///   [`ContaminationField::unguarded_frontier`] is an `O(1)` counter check
-///   instead of a whole-field expand-and-mask scan.
+///   instead of a whole-field expand-and-mask scan. Cleaning a node only
+///   raises its neighbours' counts, which cannot add them to the frontier,
+///   so their refresh is skipped while the frontier is empty.
 ///
 /// The pre-incremental whole-field oracles are retained as
 /// [`ContaminationField::is_contiguous_bfs`] and
@@ -127,7 +129,9 @@ fn reset_set(set: &mut NodeSet, n: usize) {
 /// `O(d · n/64)` words plus `O(Δ)` per recontaminated node; monotone
 /// strategies never trigger the spread, so auditing a full run of any
 /// correct strategy costs `O(moves · Δ)` where `Δ` is the maximum degree —
-/// *including* per-event contiguity and frontier checks.
+/// *including* per-event contiguity and frontier checks. On `H_d` the `Δ`
+/// of a cleaning event is `d` safe-count increments and one find; events
+/// that clean nothing cost `O(1)` beyond the vacate test.
 pub struct ContaminationField<'a, T: Topology + ?Sized> {
     topo: &'a T,
     /// `Some(d)` when `topo` is `H_d`: enables the word-parallel kernels.
@@ -136,13 +140,10 @@ pub struct ContaminationField<'a, T: Topology + ?Sized> {
     occupancy: Vec<u32>,
     /// Nodes with `occupancy > 0`, as a bitset (mirrors `occupancy`).
     guarded: NodeSet,
-    visited: NodeSet,
-    /// Nodes that have been decontaminated at least once.
-    ever_safe: NodeSet,
     /// Count of contaminated nodes (for O(1) "all clean" checks).
     dirty_count: usize,
-    /// Bumped whenever a node's contaminated or guarded status flips.
-    changes: u64,
+    /// Bumped whenever a node's contaminated status flips.
+    contamination_changes: u64,
     /// Recontamination incidents: (event index, node).
     recontaminations: Vec<(u64, Node)>,
     events_applied: u64,
@@ -191,8 +192,6 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         s.occupancy.clear();
         s.occupancy.resize(n, 0);
         reset_set(&mut s.guarded, n);
-        reset_set(&mut s.visited, n);
-        reset_set(&mut s.ever_safe, n);
         s.recontaminations.clear();
         let mut forest = s.forest.take().unwrap_or_else(|| SafeForest::new(0, false));
         forest.reset(n, hyper_dim.is_some());
@@ -219,10 +218,8 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
             contaminated: s.contaminated,
             occupancy: s.occupancy,
             guarded: s.guarded,
-            visited: s.visited,
-            ever_safe: s.ever_safe,
             dirty_count: n,
-            changes: 0,
+            contamination_changes: 0,
             recontaminations: s.recontaminations,
             events_applied: 0,
             homebase,
@@ -277,10 +274,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                 let x = Node(i as u32);
                 field.decontaminate(x);
                 field.occupancy[i] = occ;
-                if field.guarded.insert(x) {
-                    field.changes += 1;
-                }
-                field.visited.insert(x);
+                field.guarded.insert(x);
                 field.refresh_frontier(x);
             }
         }
@@ -293,8 +287,6 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
             contaminated: self.contaminated,
             occupancy: self.occupancy,
             guarded: self.guarded,
-            visited: self.visited,
-            ever_safe: self.ever_safe,
             recontaminations: self.recontaminations,
             forest: Some(self.forest),
             safe_nbrs: self.safe_nbrs,
@@ -361,12 +353,13 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         &self.recontaminations
     }
 
-    /// A count that moves whenever some node's contaminated or guarded
-    /// status flips, and only then. The greedy evader's answer is a
-    /// function of those two sets, so it skips every reaction after which
-    /// this count stands still.
-    pub fn changes(&self) -> u64 {
-        self.changes
+    /// A count that moves whenever some node's contaminated status flips,
+    /// and only then. While the frontier is empty the greedy evader's
+    /// answer is a function of the contaminated set alone (see
+    /// [`crate::evader`]), so it skips every reaction after which this
+    /// count stands still.
+    pub fn contamination_changes(&self) -> u64 {
+        self.contamination_changes
     }
 
     /// Events applied so far.
@@ -674,23 +667,53 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     }
 
     /// `x` just flipped contaminated → safe: register it with the forest,
-    /// union it with every already-safe neighbour (recording the hypercube
+    /// join it to every already-safe neighbour (recording the hypercube
     /// attachment port), and propagate the safe-neighbour counts.
+    ///
+    /// Raising a neighbour's safe count can only take it out of the
+    /// frontier, so the neighbours' refresh is skipped while the frontier
+    /// is empty — which, under instant spread, is after every event.
     fn connect_safe(&mut self, x: Node) {
-        self.forest.add_node(x);
         match self.hyper_dim {
             Some(d) => {
+                // The smallest port to a safe neighbour (0: none).
+                let mut port = 0;
                 for p in 1..=d {
                     let y = x.flip(p);
                     self.safe_nbrs[y.index()] += 1;
-                    if !self.contaminated.contains(y) {
-                        self.forest.set_attach_port(x, p);
-                        self.forest.union(x, y);
+                    if port == 0 && !self.contaminated.contains(y) {
+                        port = p;
                     }
-                    self.refresh_frontier(y);
+                }
+                if port != 0 && !self.forest.is_dirty() && self.forest.components() == 1 {
+                    // Every safe neighbour is in the one component, so `x`
+                    // joins it under its root: one find instead of d
+                    // unions. Monotone, contiguous runs (Theorems 1 and 6)
+                    // clean every node but the homebase this way.
+                    let root = self.forest.find(x.flip(port));
+                    self.forest.adopt(x, root, port as u8);
+                } else {
+                    // The first spawn, islands and a forest a deletion
+                    // dirtied: union with each safe neighbour.
+                    self.forest.add_node(x);
+                    if port != 0 {
+                        self.forest.set_attach_port(x, port);
+                        for p in port..=d {
+                            let y = x.flip(p);
+                            if !self.contaminated.contains(y) {
+                                self.forest.union(x, y);
+                            }
+                        }
+                    }
+                }
+                if self.frontier_count > 0 {
+                    for p in 1..=d {
+                        self.refresh_frontier(x.flip(p));
+                    }
                 }
             }
             None => {
+                self.forest.add_node(x);
                 let mut adj = std::mem::take(&mut self.scratch_adj);
                 self.topo.neighbors_into(x, &mut adj);
                 for &y in &adj {
@@ -698,7 +721,9 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                     if !self.contaminated.contains(y) {
                         self.forest.union(x, y);
                     }
-                    self.refresh_frontier(y);
+                    if self.frontier_count > 0 {
+                        self.refresh_frontier(y);
+                    }
                 }
                 self.scratch_adj = adj;
             }
@@ -735,18 +760,14 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     fn decontaminate(&mut self, x: Node) {
         if self.contaminated.remove(x) {
             self.dirty_count -= 1;
-            self.changes += 1;
+            self.contamination_changes += 1;
             self.connect_safe(x);
         }
-        self.ever_safe.insert(x);
     }
 
     fn occupy(&mut self, x: Node) {
         self.occupancy[x.index()] += 1;
-        if self.guarded.insert(x) {
-            self.changes += 1;
-        }
-        self.visited.insert(x);
+        self.guarded.insert(x);
         self.decontaminate(x);
         self.refresh_frontier(x);
     }
@@ -763,7 +784,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         self.contaminated.insert(x);
         self.dirty_count += 1;
         // The spread that follows flips more nodes; one bump covers them.
-        self.changes += 1;
+        self.contamination_changes += 1;
         self.recontaminations.push((self.events_applied, x));
         self.disconnect_safe(x);
         match self.hyper_dim {
@@ -851,7 +872,6 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                 self.occupancy[from.index()] -= 1;
                 if self.occupancy[from.index()] == 0 {
                     self.guarded.remove(from);
-                    self.changes += 1;
                     self.refresh_frontier(from);
                     self.maybe_recontaminate(from);
                 }
@@ -1255,6 +1275,35 @@ mod tests {
             Some(Node(1)),
             "the inserted edge 1-3 must expose node 1"
         );
+    }
+
+    #[test]
+    fn with_state_keeps_interior_clean_nodes_off_the_frontier() {
+        // Restoring a snapshot cleans nodes one at a time while the
+        // frontier is not empty, so each cleaning must take its neighbours
+        // off the frontier once they stop bordering contamination. Path
+        // 0-1-2-3 swept to 2: node 1 is clean, unguarded and interior.
+        use hypersweep_topology::graph::AdjGraph;
+        let g = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let mut f = ContaminationField::new(&g, Node(0));
+        f.apply(&spawn(0, 0));
+        f.apply(&spawn(1, 0));
+        f.apply(&mv(1, 0, 1));
+        f.apply(&mv(1, 1, 2));
+        let (safe, occupancy) = snapshot(&f);
+        let mut restored = ContaminationField::with_state(&g, Node(0), &safe, &occupancy);
+        assert_eq!(restored.unguarded_frontier(), None);
+        assert_eq!(restored.unguarded_frontier_scan(), None);
+        // The same on H_2: 00 and 11 guard contaminated 10, 01 is interior.
+        let h = Hypercube::new(2);
+        let mut safe = NodeSet::new(4);
+        for x in [0b00, 0b01, 0b11] {
+            safe.insert(Node(x));
+        }
+        let mut restored = ContaminationField::with_state(&h, Node::ROOT, &safe, &[1, 0, 0, 1]);
+        assert_eq!(restored.unguarded_frontier(), None);
+        assert_eq!(restored.unguarded_frontier_scan(), None);
+        assert!(restored.is_contiguous());
     }
 
     #[test]

@@ -17,11 +17,20 @@
 //! n/64)` words, where a wave is one flood pass or one ball step. Every
 //! other topology runs the per-node BFS reference, `O(n · Δ)` per
 //! reaction. Either way the buffers live in the intruder, so after the
-//! first reaction the query allocates nothing (only the trail grows). The
-//! answer depends only on the contaminated set, the guarded set and the
-//! intruder's component, so an event that flips no node's status (a spawn
-//! onto the guarded homebase, a terminate, a move between guarded nodes)
-//! costs no query at all: see [`ContaminationField::changes`].
+//! first reaction the query allocates nothing (only the trail grows).
+//!
+//! Most events need no query at all. While the frontier is empty (every
+//! safe node that borders contamination is guarded), the answer is a
+//! function of the contaminated set alone: the first safe node on a
+//! shortest path from a contaminated node to the safe region borders
+//! contamination, so it is guarded, and the node's nearest guard is its
+//! nearest safe node. Under the field's instant spread the frontier stays
+//! empty after every event of a field that starts fully contaminated, and
+//! the verifier checks that after every event (frontier coverage). So a
+//! greedy answer given with an empty frontier stands until some node's
+//! contaminated status flips, and an event that only spawns, moves, clones
+//! or terminates agents inside the safe region skips the query (see
+//! [`ContaminationField::contamination_changes`]).
 
 use std::collections::VecDeque;
 
@@ -71,9 +80,10 @@ pub struct Intruder {
     policy: EvaderPolicy,
     /// Nodes visited while fleeing (for demos and tests).
     trail: Vec<Node>,
-    /// The field's [`ContaminationField::changes`] when the greedy answer
-    /// was last computed. Until the count moves, the contaminated and
-    /// guarded sets are the ones that answer saw, so it still stands.
+    /// The field's [`ContaminationField::contamination_changes`] when the
+    /// greedy answer was last computed with an empty frontier (`None`
+    /// otherwise). Until the count moves, the contaminated set is the one
+    /// that answer saw, so it still stands (see the module docs).
     answered_at: Option<u64>,
     scratch: Scratch,
 }
@@ -124,10 +134,42 @@ impl Intruder {
         &self.trail
     }
 
+    /// Whether [`Intruder::react`] can change anything after the event just
+    /// applied to `field`. It cannot once the intruder is captured, nor
+    /// while its node is still contaminated and its last answer stands: the
+    /// lazy evader then stays put, and a greedy one skips its query while
+    /// the field's [`ContaminationField::contamination_changes`] stands
+    /// still. The verifier asks this before it calls the out-of-line
+    /// reaction.
+    #[inline]
+    pub(crate) fn may_move<T: Topology + ?Sized>(&self, field: &ContaminationField<'_, T>) -> bool {
+        match self.status {
+            CaptureStatus::Captured { .. } => false,
+            CaptureStatus::Free(pos) => !field.is_contaminated(pos) || !self.answer_stands(field),
+        }
+    }
+
+    /// Whether the intruder's position is still its answer, given that its
+    /// node is contaminated.
+    #[inline]
+    fn answer_stands<T: Topology + ?Sized>(&self, field: &ContaminationField<'_, T>) -> bool {
+        self.policy == EvaderPolicy::Lazy || self.answered_at == Some(field.contamination_changes())
+    }
+
+    /// Record that a greedy answer was just computed on `field`. Only an
+    /// answer given with an empty frontier depends on the contaminated set
+    /// alone, so only such an answer may be reused.
+    fn note_answer<T: Topology + ?Sized>(&mut self, field: &ContaminationField<'_, T>) {
+        self.answered_at = field
+            .unguarded_frontier()
+            .is_none()
+            .then(|| field.contamination_changes());
+    }
+
     /// React to the world after one event has been applied to `field`.
     /// `event_index` is the number of events applied so far. An intruder
     /// follows one field: a greedy one skips the farthest-node query while
-    /// the field's [`ContaminationField::changes`] stands still.
+    /// its last answer stands (see the module docs).
     pub fn react<T: Topology + ?Sized>(
         &mut self,
         topo: &T,
@@ -138,8 +180,8 @@ impl Intruder {
             return;
         };
         if field.is_contaminated(pos) {
-            if self.policy == EvaderPolicy::Greedy && self.answered_at != Some(field.changes()) {
-                self.answered_at = Some(field.changes());
+            if !self.answer_stands(field) {
+                self.note_answer(field);
                 let best = self.best_in_component(topo, field, pos);
                 if best != pos {
                     self.status = CaptureStatus::Free(best);
@@ -162,7 +204,7 @@ impl Intruder {
             EvaderPolicy::Lazy => contaminated.next(),
             // Enter the component, then optimize inside it.
             EvaderPolicy::Greedy => contaminated.min().map(|entry| {
-                self.answered_at = Some(field.changes());
+                self.note_answer(field);
                 self.best_in_component(topo, field, entry)
             }),
         };
@@ -349,6 +391,32 @@ mod tests {
         evader.react(&h, &field, 1);
         // Guard at 000; farthest contaminated node is 111.
         assert_eq!(evader.status(), CaptureStatus::Free(Node(0b111)));
+    }
+
+    #[test]
+    fn an_answer_given_with_an_exposed_frontier_is_not_reused() {
+        // A 6-cycle 0-1-2-5-4-3-0 restored with {0, 1, 2} safe and a guard
+        // on 2 only: node 0 borders contaminated 3 unguarded. The greedy
+        // answer then counts 2 as the only guard and picks 3. A spawn on 0
+        // flips no contaminated status but makes 0 a guard, which moves
+        // the answer to 4; the first answer must not be reused.
+        use hypersweep_topology::graph::AdjGraph;
+        let g = AdjGraph::from_edges(6, &[(0, 1), (1, 2), (2, 5), (5, 4), (4, 3), (3, 0)]);
+        let mut safe = NodeSet::new(6);
+        for x in 0..3 {
+            safe.insert(Node(x));
+        }
+        let mut field = ContaminationField::with_state(&g, Node(0), &safe, &[0, 0, 1, 0, 0, 0]);
+        assert_eq!(field.unguarded_frontier(), Some(Node(0)));
+        let mut evader = Intruder::new(Node(4), EvaderPolicy::Greedy);
+        evader.react(&g, &field, 0);
+        assert_eq!(evader.status(), CaptureStatus::Free(Node(3)));
+        let changes = field.contamination_changes();
+        field.apply(&spawn(0, 0));
+        assert_eq!(field.contamination_changes(), changes);
+        assert!(evader.may_move(&field));
+        evader.react(&g, &field, 1);
+        assert_eq!(evader.status(), CaptureStatus::Free(Node(4)));
     }
 
     #[test]

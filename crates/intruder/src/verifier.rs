@@ -26,7 +26,7 @@
 use hypersweep_topology::{Hypercube, Node, Topology};
 use serde::{Deserialize, Serialize};
 
-use hypersweep_sim::{Event, EventSink};
+use hypersweep_sim::Event;
 
 use crate::contamination::{ContaminationField, FieldScratch, IllegalEvent};
 use crate::evader::{CaptureStatus, EvaderPolicy, Intruder};
@@ -252,8 +252,11 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
     /// [`ViolationKind::IllegalEvent`] and not applied.
     // The checker calls this once per event, with no evader and almost
     // never a violation: the cold recorders and the out-of-line evader
-    // keep the body small enough to inline into its loop.
-    #[inline]
+    // keep the body small enough to inline into its loop. Audits call it
+    // with an evader that, on most events, cannot move; asking first
+    // saves the call, and tips the inliner's estimate, so the inlining is
+    // forced.
+    #[inline(always)]
     pub fn observe(&mut self, event: &Event, step: u64) -> Result<(), ViolationReport> {
         let first = self.violations.len();
         match self.field.try_apply(event) {
@@ -265,8 +268,10 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
                 if self.stride > 0 && at_event % self.stride == 0 {
                     self.check_region(step);
                 }
-                if self.intruder.is_some() {
-                    self.react(at_event);
+                if let Some(intruder) = &self.intruder {
+                    if intruder.may_move(&self.field) {
+                        self.react(at_event);
+                    }
                 }
             }
             Err(why) => self.record(step, ViolationKind::IllegalEvent(why)),
@@ -391,16 +396,6 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
     }
 }
 
-/// A [`Verifier`] is an [`EventSink`]: strategies can stream their trace
-/// straight into it without ever materializing a `Vec<Event>`. Feeding a
-/// sink is exactly [`Verifier::observe_all`]'s loop, so streamed verdicts
-/// are identical to buffered ones.
-impl<T: Topology + ?Sized> EventSink for Verifier<'_, T> {
-    fn emit(&mut self, event: Event) {
-        let _ = self.observe(&event, event.time);
-    }
-}
-
 /// Audit a complete trace in one call.
 ///
 /// ```
@@ -482,6 +477,38 @@ mod tests {
         assert!(verdict.all_clean);
         assert!(verdict.capture.unwrap().is_captured());
         assert!(verdict.is_complete());
+    }
+
+    /// The lazy evader moves only when its node is cleaned; the verifier
+    /// must still hand it those events.
+    #[test]
+    fn lazy_evader_is_cornered_through_the_verifier() {
+        let h = Hypercube::new(2);
+        let trace = vec![
+            spawn(0, 0),
+            spawn(1, 0),
+            spawn(2, 0),
+            mv(1, 0b00, 0b01),
+            mv(2, 0b00, 0b10),
+            mv(0, 0b00, 0b01),
+            mv(0, 0b01, 0b11),
+        ];
+        let lazy = MonitorConfig {
+            greedy_evader: false,
+            ..MonitorConfig::with_intruder(Node(0b01))
+        };
+        let mut verifier = Verifier::with_config(&h, Node::ROOT, lazy);
+        verifier.observe_all(&trace[..4]);
+        let intruder = verifier.intruder().expect("tracked");
+        assert_eq!(intruder.trail(), &[Node(0b01), Node(0b11)]);
+        let verdict = verify_trace(&h, Node::ROOT, &trace, lazy);
+        assert_eq!(
+            verdict.capture,
+            Some(CaptureStatus::Captured {
+                at_event: 7,
+                node: Node(0b11)
+            })
+        );
     }
 
     #[test]

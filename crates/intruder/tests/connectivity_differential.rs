@@ -12,17 +12,25 @@
 //!   pre-incremental expand-and-mask scan);
 //! * [`ContaminationField::clean_components`] vs. a component count
 //!   re-derived in this test from the contamination bitset by independent
-//!   BFS.
+//!   BFS;
+//! * [`ContaminationField::attachment_port`] of every node vs. ports
+//!   re-derived in this test from the contamination sets before and after
+//!   each event ([`PortReference`]).
 //!
 //! The traces deliberately include island spawns (split safe regions that
 //! later merge) and vacate-triggered recontamination cascades (deletions,
-//! which dirty the forest and exercise the rebuild path).
+//! which dirty the forest and exercise the rebuild path), next to the
+//! cleanings of the one safe component that take the forest's fast path.
+//! Every strategy's synthesized trace at `H_1..H_10` goes through the
+//! contiguity and frontier comparisons too.
 
 use std::collections::VecDeque;
 
+use hypersweep_analysis::StrategyKind;
 use hypersweep_intruder::ContaminationField;
 use hypersweep_sim::{Event, EventKind, Role};
 use hypersweep_topology::graph::{AdjGraph, CubeConnectedCycles, DeBruijn, Ring, Torus};
+use hypersweep_topology::rng::SplitMix64;
 use hypersweep_topology::{GridInstance, Hypercube, Node, NodeSet, Topology};
 
 use proptest::prelude::*;
@@ -101,15 +109,134 @@ fn reference_components<T: Topology + ?Sized>(topo: &T, contaminated: &NodeSet) 
     components
 }
 
+/// The attachment ports a field on `H_d` must report, re-derived from its
+/// contamination sets alone. A node cleaned next to the safe region takes
+/// its smallest port to a node that was safe before it; a node cleaned
+/// alone is a root (port 0). After a recontamination the next query
+/// rebuilds the forest: every safe component, taken from its lowest id,
+/// is flooded in waves, and each node takes its smallest port into the
+/// wave before its own.
+struct PortReference {
+    d: u32,
+    ports: Vec<Option<u32>>,
+    /// A recontamination happened and no rebuild has followed yet.
+    dirty: bool,
+}
+
+impl PortReference {
+    fn new(d: u32) -> Self {
+        PortReference {
+            d,
+            ports: vec![None; 1 << d],
+            dirty: false,
+        }
+    }
+
+    /// Follow one event, given the contaminated sets around it.
+    fn step(&mut self, before: &NodeSet, after: &NodeSet) {
+        for i in 0..self.ports.len() as u32 {
+            let x = Node(i);
+            match (before.contains(x), after.contains(x)) {
+                (true, false) => {
+                    let port = (1..=self.d).find(|&p| !before.contains(x.flip(p)));
+                    self.ports[x.index()] = Some(port.unwrap_or(0));
+                }
+                (false, true) => self.dirty = true,
+                _ => {}
+            }
+        }
+    }
+
+    /// The rebuild a query makes of a dirty forest with any safe node.
+    fn query(&mut self, contaminated: &NodeSet) {
+        if self.dirty && contaminated.count_ones() < self.ports.len() {
+            self.rebuild(contaminated);
+        }
+    }
+
+    fn rebuild(&mut self, contaminated: &NodeSet) {
+        let n = self.ports.len();
+        let mut dist = vec![u32::MAX; n];
+        self.ports.fill(None);
+        for i in 0..n as u32 {
+            let seed = Node(i);
+            if contaminated.contains(seed) || dist[seed.index()] != u32::MAX {
+                continue;
+            }
+            dist[seed.index()] = 0;
+            self.ports[seed.index()] = Some(0);
+            let mut queue = VecDeque::from([seed]);
+            while let Some(x) = queue.pop_front() {
+                for p in 1..=self.d {
+                    let y = x.flip(p);
+                    if !contaminated.contains(y) && dist[y.index()] == u32::MAX {
+                        dist[y.index()] = dist[x.index()] + 1;
+                        queue.push_back(y);
+                        let wave = dist[y.index()] - 1;
+                        let port = (1..=self.d).find(|&q| dist[y.flip(q).index()] == wave);
+                        self.ports[y.index()] = port;
+                    }
+                }
+            }
+        }
+        self.dirty = false;
+    }
+}
+
+/// How the cleanings and deletions of a replayed trace met the forest.
+#[derive(Default)]
+struct Paths {
+    /// Cleanings next to the one safe component: the adopt fast path.
+    one_component: usize,
+    /// Cleanings with a safe neighbour while the region was split or
+    /// empty: the union loop.
+    unions: usize,
+    /// Events after which a dirty forest was rebuilt.
+    rebuilds: usize,
+}
+
 /// Replay `draws` on `topo` and hold the incremental oracles equal to the
 /// retained references after every single event.
-fn assert_incremental_matches_reference<T: Topology + ?Sized>(topo: &T, draws: &[u64]) {
+fn assert_incremental_matches_reference<T: Topology + ?Sized>(topo: &T, draws: &[u64]) -> Paths {
+    replay(topo, draws, 1)
+}
+
+/// Replay `draws` on `topo`, query the field after every `every`-th event
+/// and the last, and hold each answer to its reference. Between sparse
+/// queries a recontamination leaves the forest dirty, so cleanings meet a
+/// dirty forest too. The returned counts assume `every == 1`.
+fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths {
     let events = decode_trace(topo, draws);
     let mut field = ContaminationField::new(topo, Node(0));
-    let mut cascades = 0usize;
+    let mut ports = topo.hypercube_dim().map(PortReference::new);
+    let mut paths = Paths::default();
+    let mut components = 0;
+    let mut nbrs = Vec::new();
     for (i, event) in events.iter().enumerate() {
+        let before = field.contaminated_set().clone();
         field.apply(event);
-        cascades = cascades.max(field.recontaminations().len());
+        let after = field.contaminated_set();
+        for x in before.iter().filter(|&x| !after.contains(x)) {
+            topo.neighbors_into(x, &mut nbrs);
+            if nbrs.iter().any(|&y| !before.contains(y)) {
+                if components == 1 {
+                    paths.one_component += 1;
+                } else {
+                    paths.unions += 1;
+                }
+            }
+        }
+        let deleted = after.iter().any(|x| !before.contains(x));
+        paths.rebuilds += usize::from(deleted && after.count_ones() < topo.node_count());
+        if let Some(ports) = &mut ports {
+            ports.step(&before, after);
+        }
+        if (i + 1) % every != 0 && i + 1 != events.len() {
+            continue;
+        }
+        if let Some(ports) = &mut ports {
+            ports.query(field.contaminated_set());
+        }
         let incremental = field.is_contiguous();
         let reference = field.is_contiguous_bfs();
         assert_eq!(
@@ -121,13 +248,26 @@ fn assert_incremental_matches_reference<T: Topology + ?Sized>(topo: &T, draws: &
             field.unguarded_frontier_scan().is_some(),
             "event {i}: frontier oracles diverged"
         );
-        let components = field.clean_components();
+        components = field.clean_components();
         let expected = reference_components(topo, field.contaminated_set());
         assert_eq!(
             components, expected,
             "event {i}: component count diverged (incremental {components}, reference {expected})"
         );
+        if field.contaminated_count() < topo.node_count() {
+            // With no safe node, a dirty forest is not rebuilt and its
+            // ports mean nothing.
+            for x in (0..topo.node_count() as u32).map(Node) {
+                let expected = ports.as_ref().and_then(|p| p.ports[x.index()]);
+                assert_eq!(
+                    field.attachment_port(x),
+                    expected,
+                    "event {i}: port of {x:?}"
+                );
+            }
+        }
     }
+    paths
 }
 
 proptest! {
@@ -313,4 +453,63 @@ fn split_merge_islands_on_the_hypercube() {
         f.unguarded_frontier().is_some(),
         f.unguarded_frontier_scan().is_some()
     );
+}
+
+/// Seeded streams on `H_1..H_7` drive every insertion path of the forest
+/// (a cleaning next to the one safe component, which adopts the node under
+/// the component's root, and the union loop for islands and merges) and
+/// its rebuild after a recontamination, with every node's attachment port
+/// held to [`PortReference`] after every event. Each stream is replayed
+/// again with a query after every fourth event only, so that cleanings
+/// also meet a forest left dirty.
+#[test]
+fn attachment_ports_match_the_reference_on_every_insertion_path() {
+    let mut rng = SplitMix64::new(0xA77A_C4ED);
+    let mut total = Paths::default();
+    for d in 1..=7 {
+        let cube = Hypercube::new(d);
+        for _ in 0..30 {
+            let draws: Vec<u64> = (0..200).map(|_| rng.next_u64()).collect();
+            replay(&cube, &draws, 4);
+            let paths = assert_incremental_matches_reference(&cube, &draws);
+            total.one_component += paths.one_component;
+            total.unions += paths.unions;
+            total.rebuilds += paths.rebuilds;
+        }
+    }
+    let Paths {
+        one_component,
+        unions,
+        rebuilds,
+    } = total;
+    assert!(
+        one_component > 0 && unions > 0 && rebuilds > 0,
+        "one component {one_component}, unions {unions}, rebuilds {rebuilds}"
+    );
+}
+
+/// Every strategy's synthesized trace at `H_1..H_10`: after every event
+/// the incremental contiguity and frontier answers equal the whole-field
+/// references.
+#[test]
+fn synthesized_traces_match_the_whole_field_references() {
+    for d in 1..=10 {
+        let cube = Hypercube::new(d);
+        for kind in StrategyKind::ALL {
+            let mut events = Vec::new();
+            kind.strategy(cube).synthesize_into(&mut events);
+            let mut field = ContaminationField::new(&cube, Node::ROOT);
+            for (i, event) in events.iter().enumerate() {
+                field.apply(event);
+                let what = format!("{} on H_{d}, event {i}", kind.label());
+                assert_eq!(field.is_contiguous(), field.is_contiguous_bfs(), "{what}");
+                assert_eq!(
+                    field.unguarded_frontier(),
+                    field.unguarded_frontier_scan(),
+                    "{what}"
+                );
+            }
+            assert!(field.all_clean(), "{} on H_{d}", kind.label());
+        }
+    }
 }

@@ -13,11 +13,9 @@
 //! contaminated region; moves off guarded frontiers recontaminate and
 //! merge it again.
 
-use hypersweep_baselines::{FloodStrategy, FrontierStrategy};
-use hypersweep_core::{
-    CleanStrategy, CloningStrategy, DispatchOrder, NavigationMode, SearchStrategy,
-    SynchronousStrategy, VisibilityStrategy,
-};
+use hypersweep_analysis::StrategyKind;
+use hypersweep_baselines::FloodStrategy;
+use hypersweep_core::{CleanStrategy, CloningStrategy, SynchronousStrategy, VisibilityStrategy};
 use hypersweep_intruder::{
     CaptureStatus, EvaderPolicy, Intruder, MonitorConfig, Verdict, Verifier,
 };
@@ -72,34 +70,12 @@ fn far(cube: Hypercube) -> Node {
 
 /// Every strategy's synthesized trace.
 fn fast_traces(cube: Hypercube) -> Vec<(&'static str, Vec<Event>)> {
-    let strategies: [(&'static str, Box<dyn SearchStrategy>); 8] = [
-        ("clean", Box::new(CleanStrategy::new(cube))),
-        (
-            "clean-through-root",
-            Box::new(CleanStrategy::with_navigation(
-                cube,
-                NavigationMode::ThroughRoot,
-            )),
-        ),
-        ("visibility", Box::new(VisibilityStrategy::new(cube))),
-        ("cloning", Box::new(CloningStrategy::new(cube))),
-        (
-            "cloning-smallest-first",
-            Box::new(CloningStrategy::with_dispatch_order(
-                cube,
-                DispatchOrder::SmallestSubtreeFirst,
-            )),
-        ),
-        ("synchronous", Box::new(SynchronousStrategy::new(cube))),
-        ("flood", Box::new(FloodStrategy::new(cube))),
-        ("frontier", Box::new(FrontierStrategy::new(cube))),
-    ];
-    strategies
+    StrategyKind::ALL
         .into_iter()
-        .map(|(name, s)| {
+        .map(|kind| {
             let mut events = Vec::new();
-            s.synthesize_into(&mut events);
-            (name, events)
+            kind.strategy(cube).synthesize_into(&mut events);
+            (kind.label(), events)
         })
         .collect()
 }
@@ -296,14 +272,64 @@ fn random_streams_move_the_evader_like_the_reference() {
     assert!(split * 3 > streams, "{split} of {streams}");
 }
 
+/// Reactions, skips and skips after a guard change, tallied by
+/// [`hold_to_fresh_answers`].
+#[derive(Default)]
+struct Skips {
+    reactions: usize,
+    skipped: usize,
+    guarded_only: usize,
+}
+
+/// Feed `events` to a greedy-evader verifier and hold every reaction to a
+/// fresh evader's answer from the node the intruder stood on before it.
+fn hold_to_fresh_answers(cube: Hypercube, start: Node, events: &[Event], tally: &mut Skips) {
+    let mut verifier =
+        Verifier::with_config(&cube, Node::ROOT, MonitorConfig::with_intruder(start));
+    let mut guarded = vec![false; cube.node_count()];
+    for (i, e) in events.iter().enumerate() {
+        let CaptureStatus::Free(before) = verifier.intruder().expect("tracked").status() else {
+            break;
+        };
+        let changes = verifier.field().contamination_changes();
+        for x in cube.nodes() {
+            guarded[x.index()] = verifier.field().is_guarded(x);
+        }
+        let _ = verifier.observe(e, e.time);
+        let field = verifier.field();
+        let mut fresh = Intruder::new(before, EvaderPolicy::Greedy);
+        fresh.react(&cube, field, field.events_applied());
+        let after = verifier.intruder().expect("tracked").status();
+        assert_eq!(
+            after,
+            fresh.status(),
+            "H_{} event {i}: {:?}",
+            cube.dim(),
+            e.kind
+        );
+        tally.reactions += 1;
+        let skip =
+            i > 0 && field.contamination_changes() == changes && field.is_contaminated(before);
+        tally.skipped += usize::from(skip);
+        let guards_moved = cube
+            .nodes()
+            .any(|x| field.is_guarded(x) != guarded[x.index()]);
+        tally.guarded_only += usize::from(skip && guards_moved);
+    }
+}
+
 /// The greedy evader skips its query after an event that flips no node's
-/// contaminated or guarded status (`ContaminationField::changes` stands
-/// still). On the random streams, every reaction, skipped or not, lands
-/// where a fresh evader placed on the old node lands, and skips happen.
+/// contaminated status (`ContaminationField::contamination_changes`
+/// stands still), even when the event moved, added or lifted a guard. On
+/// the random streams and on every strategy's synthesized trace, every
+/// reaction, skipped or not, lands where a fresh evader placed on the old
+/// node lands; skips happen, and on the synthesized traces most of them
+/// follow an event that changed the guarded set.
 #[test]
 fn skipped_reactions_answer_like_fresh_ones() {
     let mut rng = SplitMix64::new(0x5EED_E7AD);
-    let (mut reactions, mut skipped) = (0, 0);
+    let mut random = Skips::default();
+    let mut synthesized = Skips::default();
     for d in 1..=8 {
         let cube = Hypercube::new(d);
         let n = cube.node_count() as u64;
@@ -311,25 +337,24 @@ fn skipped_reactions_answer_like_fresh_ones() {
             let start = Node(1 + rng.below(n - 1) as u32);
             let len = 8 + rng.below(4 * n.min(64)) as usize;
             let events = random_stream(cube, &mut rng, len);
-            let mut verifier =
-                Verifier::with_config(&cube, Node::ROOT, MonitorConfig::with_intruder(start));
-            for (i, e) in events.iter().enumerate() {
-                let CaptureStatus::Free(before) = verifier.intruder().expect("tracked").status()
-                else {
-                    break;
-                };
-                let changes = verifier.field().changes();
-                let _ = verifier.observe(e, e.time);
-                let field = verifier.field();
-                let mut fresh = Intruder::new(before, EvaderPolicy::Greedy);
-                fresh.react(&cube, field, field.events_applied());
-                let after = verifier.intruder().expect("tracked").status();
-                assert_eq!(after, fresh.status(), "H_{d} event {i}: {:?}", e.kind);
-                reactions += 1;
-                let skip = i > 0 && field.changes() == changes && field.is_contaminated(before);
-                skipped += usize::from(skip);
-            }
+            hold_to_fresh_answers(cube, start, &events, &mut random);
+        }
+        for (_, events) in fast_traces(cube) {
+            hold_to_fresh_answers(cube, far(cube), &events, &mut synthesized);
         }
     }
+    let Skips {
+        reactions,
+        skipped,
+        guarded_only,
+    } = random;
     assert!(skipped * 10 > reactions, "{skipped} of {reactions}");
+    assert!(guarded_only > 0, "{guarded_only} of {reactions}");
+    let Skips {
+        reactions,
+        skipped,
+        guarded_only,
+    } = synthesized;
+    assert!(skipped * 2 > reactions, "{skipped} of {reactions}");
+    assert!(guarded_only * 2 > skipped, "{guarded_only} of {skipped}");
 }

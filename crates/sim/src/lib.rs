@@ -41,5 +41,5 @@ pub use event::{AgentId, Event, EventKind, Role};
 pub use metrics::Metrics;
 pub use policy::Policy;
 pub use program::{Action, AgentProgram, Board, Ctx};
-pub use sink::{EventSink, MeteredSink, NullSink, SummarizingSink, TraceSummary};
+pub use sink::{EventSink, NullSink, TraceSummary};
 pub use state::NodeState;

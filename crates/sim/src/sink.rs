@@ -5,8 +5,9 @@
 //! ~20M events held live just so an auditor could iterate them once. An
 //! [`EventSink`] inverts the flow: generators push each event into a sink
 //! as it is produced, and the sink decides whether to buffer (a
-//! `Vec<Event>`), audit online (the intruder crate's `Verifier`), or drop
-//! ([`NullSink`]). Run memory becomes O(state), not O(moves).
+//! `Vec<Event>`), audit online (the core crate's streamed audit, which
+//! feeds the intruder crate's `Verifier`), or drop ([`NullSink`]). Run
+//! memory becomes O(state), not O(moves).
 
 use serde::{Deserialize, Serialize};
 
@@ -40,6 +41,7 @@ pub struct TraceSummary {
 
 impl TraceSummary {
     /// Fold one event into the digest.
+    #[inline]
     pub fn record(&mut self, event: &Event) {
         self.events += 1;
         self.max_time = self.max_time.max(event.time);
@@ -49,100 +51,6 @@ impl TraceSummary {
             EventKind::CloneSpawn { .. } => self.clones += 1,
             EventKind::Terminate { .. } => self.terminates += 1,
         }
-    }
-}
-
-/// Adapter sink that keeps a [`TraceSummary`] while forwarding every event
-/// to an inner sink — tee a stream through an online auditor *and* collect
-/// the digest in one pass.
-pub struct SummarizingSink<'a> {
-    inner: &'a mut dyn EventSink,
-    summary: TraceSummary,
-}
-
-impl<'a> SummarizingSink<'a> {
-    /// Wrap `inner`, starting from an empty summary.
-    pub fn new(inner: &'a mut dyn EventSink) -> Self {
-        SummarizingSink {
-            inner,
-            summary: TraceSummary::default(),
-        }
-    }
-
-    /// The digest accumulated so far.
-    pub fn summary(&self) -> TraceSummary {
-        self.summary
-    }
-}
-
-impl EventSink for SummarizingSink<'_> {
-    fn emit(&mut self, event: Event) {
-        self.summary.record(&event);
-        self.inner.emit(event);
-    }
-}
-
-/// How many events a [`MeteredSink`] accumulates locally before flushing
-/// them to the shared `sink.events` counter. Per-event atomic traffic from
-/// an `H_20` synthesis (~20M events) would dominate the stream; batched,
-/// the counter costs one increment per 1024 events plus one on drop.
-const METER_FLUSH_EVERY: u64 = 1024;
-
-/// Adapter sink that counts events into a telemetry counter while
-/// forwarding them to the inner sink, so multi-million-event streamed
-/// audits are observable (`sink.events`) while in flight.
-///
-/// The count is batched (see [`METER_FLUSH_EVERY`]) and the remainder is
-/// flushed on drop; readers see the stream advance in coarse steps.
-pub struct MeteredSink<S: EventSink> {
-    inner: S,
-    counter: hypersweep_telemetry::Counter,
-    pending: u64,
-}
-
-impl<S: EventSink> MeteredSink<S> {
-    /// Wrap `inner`, counting into `sink.events` of the process-global
-    /// telemetry registry (a no-op until one is installed).
-    pub fn new(inner: S) -> Self {
-        MeteredSink::with_counter(inner, hypersweep_telemetry::global().counter("sink.events"))
-    }
-
-    /// Wrap `inner`, counting into an explicit counter.
-    pub fn with_counter(inner: S, counter: hypersweep_telemetry::Counter) -> Self {
-        MeteredSink {
-            inner,
-            counter,
-            pending: 0,
-        }
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Push the locally-batched count to the counter.
-    pub fn flush(&mut self) {
-        if self.pending > 0 {
-            self.counter.add(self.pending);
-            self.pending = 0;
-        }
-    }
-}
-
-impl<S: EventSink> EventSink for MeteredSink<S> {
-    fn emit(&mut self, event: Event) {
-        self.pending += 1;
-        if self.pending >= METER_FLUSH_EVERY {
-            self.flush();
-        }
-        self.inner.emit(event);
-    }
-}
-
-impl<S: EventSink> Drop for MeteredSink<S> {
-    fn drop(&mut self) {
-        self.flush();
     }
 }
 
@@ -185,34 +93,36 @@ mod tests {
     }
 
     #[test]
-    fn summarizing_sink_counts_and_forwards() {
-        let mut buffer: Vec<Event> = Vec::new();
-        let mut sink = SummarizingSink::new(&mut buffer);
-        sink.emit(Event {
-            time: 0,
-            kind: EventKind::Spawn {
-                agent: 0,
-                node: Node(0),
-                role: Role::Worker,
+    fn trace_summary_counts_each_kind_and_the_last_time() {
+        let mut summary = TraceSummary::default();
+        for event in [
+            Event {
+                time: 0,
+                kind: EventKind::Spawn {
+                    agent: 0,
+                    node: Node(0),
+                    role: Role::Worker,
+                },
             },
-        });
-        sink.emit(Event {
-            time: 3,
-            kind: EventKind::Move {
-                agent: 0,
-                from: Node(0),
-                to: Node(1),
-                role: Role::Worker,
+            Event {
+                time: 5,
+                kind: EventKind::Move {
+                    agent: 0,
+                    from: Node(0),
+                    to: Node(1),
+                    role: Role::Worker,
+                },
             },
-        });
-        sink.emit(Event {
-            time: 5,
-            kind: EventKind::Terminate {
-                agent: 0,
-                node: Node(1),
+            Event {
+                time: 3,
+                kind: EventKind::Terminate {
+                    agent: 0,
+                    node: Node(1),
+                },
             },
-        });
-        let summary = sink.summary();
+        ] {
+            summary.record(&event);
+        }
         assert_eq!(
             summary,
             TraceSummary {
@@ -224,57 +134,6 @@ mod tests {
                 max_time: 5,
             }
         );
-        assert_eq!(buffer.len(), 3, "events must still reach the inner sink");
-    }
-
-    #[test]
-    fn metered_sink_counts_batched_and_flushes_on_drop() {
-        let registry = hypersweep_telemetry::MetricsRegistry::new();
-        let counter = registry.counter("sink.events");
-        let spawn = |t| Event {
-            time: t,
-            kind: EventKind::Spawn {
-                agent: 0,
-                node: Node(0),
-                role: Role::Worker,
-            },
-        };
-        {
-            let mut sink = MeteredSink::with_counter(Vec::new(), counter.clone());
-            // One short of a batch: nothing flushed yet.
-            for t in 0..(METER_FLUSH_EVERY - 1) {
-                sink.emit(spawn(t));
-            }
-            assert_eq!(counter.get(), 0, "the batch must not flush early");
-            sink.emit(spawn(METER_FLUSH_EVERY));
-            assert_eq!(counter.get(), METER_FLUSH_EVERY);
-            // A partial tail, flushed by drop.
-            for t in 0..5 {
-                sink.emit(spawn(t));
-            }
-            assert_eq!(sink.inner().len() as u64, METER_FLUSH_EVERY + 5);
-        }
-        assert_eq!(counter.get(), METER_FLUSH_EVERY + 5);
-    }
-
-    #[test]
-    fn metered_sink_forwards_through_nested_sinks() {
-        let registry = hypersweep_telemetry::MetricsRegistry::new();
-        let mut buffer: Vec<Event> = Vec::new();
-        {
-            let summarizing = SummarizingSink::new(&mut buffer);
-            let mut sink = MeteredSink::with_counter(summarizing, registry.counter("sink.events"));
-            sink.emit(Event {
-                time: 2,
-                kind: EventKind::Terminate {
-                    agent: 0,
-                    node: Node(1),
-                },
-            });
-            assert_eq!(sink.inner().summary().terminates, 1);
-        }
-        assert_eq!(buffer.len(), 1);
-        assert_eq!(registry.snapshot().counter("sink.events"), Some(1));
     }
 
     #[test]
