@@ -7,7 +7,8 @@
 //! [`RunKey`] and guarantees each unique configuration executes exactly
 //! once per harness invocation, no matter how many experiments request it
 //! or from how many worker threads. The daemon serves its `audit` replies
-//! from one too.
+//! from one too, and keeps each reply's serialized line on the entry it
+//! was rendered from ([`RunCache::line_if_ready`]).
 //!
 //! The cache is hash-partitioned on the full key `(strategy, dim, exec)`:
 //! each shard has its own lock, condvar, LRU clock and slice of the
@@ -205,11 +206,28 @@ pub struct JobTiming {
 enum Entry {
     /// Some thread is computing this key; wait on the condvar.
     InFlight,
-    /// Computed; `last_used` orders entries for LRU eviction.
-    Ready {
-        outcome: Arc<SearchOutcome>,
-        last_used: u64,
-    },
+    /// Computed.
+    Ready(Ready),
+}
+
+/// A computed entry: the outcome, the reply line rendered from it once
+/// someone asked for one ([`RunCache::line_if_ready`]), and its LRU stamp.
+struct Ready {
+    outcome: Arc<SearchOutcome>,
+    line: Option<Arc<str>>,
+    /// Orders entries for LRU eviction.
+    last_used: u64,
+}
+
+impl Entry {
+    /// A freshly computed or loaded entry, with no line rendered yet.
+    fn ready(outcome: Arc<SearchOutcome>, last_used: u64) -> Entry {
+        Entry::Ready(Ready {
+            outcome,
+            line: None,
+            last_used,
+        })
+    }
 }
 
 /// One shard's map plus its LRU bookkeeping, guarded by the shard's mutex.
@@ -222,14 +240,14 @@ struct CacheState {
 }
 
 impl CacheState {
-    /// The outcome for `key` when it is `Ready`, marked most recently used.
-    fn touch(&mut self, key: &RunKey) -> Option<Arc<SearchOutcome>> {
-        let Some(Entry::Ready { outcome, last_used }) = self.entries.get_mut(key) else {
+    /// The entry for `key` when it is `Ready`, marked most recently used.
+    fn touch(&mut self, key: &RunKey) -> Option<&mut Ready> {
+        let Some(Entry::Ready(ready)) = self.entries.get_mut(key) else {
             return None;
         };
         self.tick += 1;
-        *last_used = self.tick;
-        Some(Arc::clone(outcome))
+        ready.last_used = self.tick;
+        Some(ready)
     }
 
     /// Evict least-recently-used `Ready` entries until the bound holds.
@@ -242,7 +260,7 @@ impl CacheState {
             let ready = self
                 .entries
                 .values()
-                .filter(|e| matches!(e, Entry::Ready { .. }))
+                .filter(|e| matches!(e, Entry::Ready(_)))
                 .count();
             if ready <= cap {
                 return evicted;
@@ -251,7 +269,7 @@ impl CacheState {
                 .entries
                 .iter()
                 .filter_map(|(k, e)| match e {
-                    Entry::Ready { last_used, .. } => Some((*last_used, *k)),
+                    Entry::Ready(ready) => Some((ready.last_used, *k)),
                     Entry::InFlight => None,
                 })
                 .min_by_key(|(last_used, _)| *last_used)
@@ -533,9 +551,9 @@ impl RunCache {
         {
             let mut state = recover(&shard.state);
             loop {
-                if let Some(outcome) = state.touch(&key) {
+                if let Some(ready) = state.touch(&key) {
                     self.metrics.hits.inc();
-                    return outcome;
+                    return Arc::clone(&ready.outcome);
                 }
                 if matches!(state.entries.get(&key), Some(Entry::InFlight)) {
                     // Another thread is computing it: wait for its insert.
@@ -566,13 +584,9 @@ impl RunCache {
         let mut state = recover(&shard.state);
         state.tick += 1;
         let tick = state.tick;
-        state.entries.insert(
-            key,
-            Entry::Ready {
-                outcome: Arc::clone(&outcome),
-                last_used: tick,
-            },
-        );
+        state
+            .entries
+            .insert(key, Entry::ready(Arc::clone(&outcome), tick));
         // The insert replaced this key's `InFlight` marker with one `Ready`
         // entry.
         self.metrics.note_ready(1, state.enforce_capacity());
@@ -585,17 +599,33 @@ impl RunCache {
         outcome
     }
 
-    /// The outcome for `key` if it is already computed, without blocking
-    /// or executing anything. A returned outcome counts exactly what a
-    /// [`RunCache::get_or_run`] hit counts (`cache.hits`, the shard's
-    /// `requests` counter and its LRU clock); an absent or in-flight key
-    /// counts nothing and yields `None`.
-    pub fn get_if_ready(&self, key: RunKey) -> Option<Arc<SearchOutcome>> {
+    /// The reply line stored with `key`'s outcome if the outcome is
+    /// already computed, without blocking or executing anything. The
+    /// entry's first call renders the line from the outcome with `render`
+    /// and stores it; later calls return the stored line. Eviction drops
+    /// the line with its outcome, so the capacity bounds lines exactly as
+    /// it bounds outcomes, and a recomputed entry renders afresh. A
+    /// returned line counts exactly what a [`RunCache::get_or_run`] hit
+    /// counts (`cache.hits`, the shard's `requests` counter and its LRU
+    /// clock); an absent or in-flight key counts nothing and yields
+    /// `None`.
+    ///
+    /// The cache keeps one line per entry and does not know what it
+    /// encodes, so a caller must render a key the same way every time.
+    pub fn line_if_ready(
+        &self,
+        key: RunKey,
+        render: impl FnOnce(&SearchOutcome) -> String,
+    ) -> Option<Arc<str>> {
         let shard = self.shard(&key);
-        let outcome = recover(&shard.state).touch(&key)?;
+        let line = {
+            let mut state = recover(&shard.state);
+            let Ready { outcome, line, .. } = state.touch(&key)?;
+            Arc::clone(line.get_or_insert_with(|| render(outcome).into()))
+        };
         shard.requests.inc();
         self.metrics.hits.inc();
-        Some(outcome)
+        Some(line)
     }
 
     /// Observe every computed insert (see [`InsertListener`]). Later
@@ -616,13 +646,9 @@ impl RunCache {
         }
         state.tick += 1;
         let tick = state.tick;
-        state.entries.insert(
-            key,
-            Entry::Ready {
-                outcome: Arc::new(outcome),
-                last_used: tick,
-            },
-        );
+        state
+            .entries
+            .insert(key, Entry::ready(Arc::new(outcome), tick));
         self.metrics.note_ready(1, state.enforce_capacity());
         true
     }
@@ -637,7 +663,7 @@ impl RunCache {
                     .entries
                     .iter()
                     .filter_map(|(k, e)| match e {
-                        Entry::Ready { outcome, .. } => Some((*k, Arc::clone(outcome))),
+                        Entry::Ready(ready) => Some((*k, Arc::clone(&ready.outcome))),
                         Entry::InFlight => None,
                     }),
             );
@@ -714,7 +740,7 @@ fn ready_count(state: &CacheState) -> usize {
     state
         .entries
         .values()
-        .filter(|e| matches!(e, Entry::Ready { .. }))
+        .filter(|e| matches!(e, Entry::Ready(_)))
         .count()
 }
 
@@ -955,10 +981,15 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// `get_if_ready` counts a hit exactly as `get_or_run` does and counts
+    /// The line a test renders for an outcome: its worker-move count.
+    fn moves_line(outcome: &SearchOutcome) -> String {
+        format!("moves={}", outcome.metrics.worker_moves)
+    }
+
+    /// `line_if_ready` counts a hit exactly as `get_or_run` does and counts
     /// nothing on an absent or in-flight key.
     #[test]
-    fn get_if_ready_counts_hits_only() {
+    fn line_if_ready_counts_hits_only() {
         let (release, gate) = std::sync::mpsc::channel::<()>();
         let gate = Mutex::new(gate);
         let registry = MetricsRegistry::new();
@@ -973,7 +1004,7 @@ mod tests {
         ));
         let key = RunKey::audited(StrategyKind::Clean, 4);
         let requests = || registry.snapshot().counter("cache.shard0.requests");
-        assert!(cache.get_if_ready(key).is_none());
+        assert!(cache.line_if_ready(key, moves_line).is_none());
         assert_eq!((cache.hits(), cache.misses(), requests()), (0, 0, Some(0)));
 
         // In flight: still `None`, still uncounted.
@@ -984,24 +1015,77 @@ mod tests {
         while cache.misses() == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(cache.get_if_ready(key).is_none());
+        assert!(cache.line_if_ready(key, moves_line).is_none());
         assert_eq!((cache.hits(), requests()), (0, Some(1)));
         release.send(()).unwrap();
         let computed = runner.join().unwrap();
 
-        // Ready: the same outcome, counted as a hit on the owning shard.
-        let hit = cache.get_if_ready(key).expect("computed");
-        assert!(Arc::ptr_eq(&hit, &computed));
+        // Ready: the line of the computed outcome, counted as a hit on the
+        // owning shard.
+        let hit = cache.line_if_ready(key, moves_line).expect("computed");
+        assert_eq!(*hit, moves_line(&computed));
         assert_eq!((cache.hits(), cache.misses(), requests()), (1, 1, Some(2)));
 
         // The hit refreshed the key's LRU position: filling the 2-entry
         // cache evicts the other key, not this one.
         let other = RunKey::audited(StrategyKind::Clean, 5);
         assert!(cache.insert_ready(other, dummy_outcome()));
-        assert!(cache.get_if_ready(key).is_some());
+        assert!(cache.line_if_ready(key, moves_line).is_some());
         assert!(cache.insert_ready(RunKey::audited(StrategyKind::Clean, 6), dummy_outcome()));
-        assert!(cache.get_if_ready(key).is_some(), "recently used key kept");
-        assert!(cache.get_if_ready(other).is_none(), "LRU key evicted");
+        assert!(
+            cache.line_if_ready(key, moves_line).is_some(),
+            "recently used key kept"
+        );
+        assert!(
+            cache.line_if_ready(other, moves_line).is_none(),
+            "LRU key evicted"
+        );
+    }
+
+    /// A line renders once per entry lifetime: hits after the first return
+    /// the stored line, and an evicted entry renders again once it is
+    /// recomputed (or warm-loaded).
+    #[test]
+    fn lines_render_once_per_entry_lifetime() {
+        static RENDERS: AtomicUsize = AtomicUsize::new(0);
+        let counted = |outcome: &SearchOutcome| {
+            RENDERS.fetch_add(1, Ordering::SeqCst);
+            moves_line(outcome)
+        };
+        let cache = RunCache::with_capacity(Some(1));
+        let a = RunKey::audited(StrategyKind::Visibility, 3);
+        let b = RunKey::audited(StrategyKind::Cloning, 3);
+        let first = cache.get_or_run(a);
+        let line = cache.line_if_ready(a, counted).expect("computed");
+        assert_eq!(*line, moves_line(&first));
+        for _ in 0..3 {
+            let again = cache.line_if_ready(a, counted).expect("resident");
+            assert!(Arc::ptr_eq(&again, &line), "a hit returns the stored line");
+        }
+        // A hit through `get_or_run` neither renders nor drops the line.
+        cache.get_or_run(a);
+        let kept = cache.line_if_ready(a, counted).expect("resident");
+        assert!(Arc::ptr_eq(&kept, &line));
+        assert_eq!(RENDERS.load(Ordering::SeqCst), 1);
+
+        // Evicting `a` drops its line; the recomputed entry renders anew,
+        // to the same bytes.
+        cache.get_or_run(b);
+        assert!(cache.line_if_ready(a, counted).is_none(), "evicted");
+        cache.get_or_run(a);
+        assert_eq!(cache.misses(), 3);
+        let rerendered = cache.line_if_ready(a, counted).expect("recomputed");
+        assert!(!Arc::ptr_eq(&rerendered, &line));
+        assert_eq!(rerendered, line);
+        cache.line_if_ready(a, counted);
+        assert_eq!(RENDERS.load(Ordering::SeqCst), 2);
+
+        // A warm-loaded entry renders on its first hit too.
+        assert!(cache.insert_ready(b, execute_run(b)));
+        cache.line_if_ready(b, counted).expect("warm");
+        cache.line_if_ready(b, counted).expect("warm");
+        assert_eq!(RENDERS.load(Ordering::SeqCst), 3);
+        assert_eq!(cache.evictions(), 3);
     }
 
     #[test]

@@ -515,66 +515,9 @@ fn cmd_check_scenario(
     Ok(())
 }
 
-/// `hypersweep report scenarios`: the registry comparison table —
-/// closed-form team predictions (where the literature gives one) against
-/// the measured reference run for every scenario/instance pair.
+/// `hypersweep report scenarios`: the registry comparison table.
 fn cmd_report_scenarios(side: u32) -> Result<(), String> {
-    let mut table = hypersweep_analysis::Table::new(
-        format!("scenario registry @ side {side}"),
-        &[
-            "scenario",
-            "strategy",
-            "instance",
-            "nodes",
-            "team",
-            "closed-form",
-            "moves",
-            "rounds",
-            "churn",
-            "verdict",
-        ],
-    );
-    for scenario in hypersweep_scenario::registry() {
-        scenario.validate(side)?;
-        let instances = match scenario.id() {
-            ScenarioId::Grid => vec![
-                GridInstance::Full,
-                scenario.default_instance(),
-                GridInstance::Corridor,
-            ],
-            _ => vec![scenario.default_instance()],
-        };
-        for instance in instances {
-            let r = scenario.reference(side, instance);
-            table.push_row(vec![
-                scenario.id().label().to_string(),
-                scenario.strategy_label().to_string(),
-                instance.label(),
-                r.nodes.to_string(),
-                r.team.to_string(),
-                scenario
-                    .closed_form_team(side, instance)
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "-".to_string()),
-                r.moves.to_string(),
-                r.rounds.to_string(),
-                if r.mutations + r.rejected > 0 {
-                    format!("{}/{}", r.mutations, r.mutations + r.rejected)
-                } else {
-                    "-".to_string()
-                },
-                if r.captured && r.violations == 0 {
-                    "ok".to_string()
-                } else {
-                    "FAIL".to_string()
-                },
-            ]);
-        }
-    }
-    println!("{}", table.render());
-    for scenario in hypersweep_scenario::registry() {
-        println!("  {}: {}", scenario.id().label(), scenario.summary());
-    }
+    print!("{}", hypersweep_scenario::registry_report(side)?);
     Ok(())
 }
 

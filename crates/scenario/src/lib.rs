@@ -351,6 +351,76 @@ pub fn registry() -> &'static [&'static dyn Scenario] {
     &REGISTRY
 }
 
+/// `hypersweep report scenarios --dim side` stdout: the registry
+/// comparison table — closed-form team predictions (where the literature
+/// gives one) against the measured reference run for every
+/// scenario/instance pair — then one summary line per scenario. Refuses a
+/// side some scenario does not accept.
+pub fn registry_report(side: u32) -> Result<String, String> {
+    let mut table = hypersweep_analysis::Table::new(
+        format!("scenario registry @ side {side}"),
+        &[
+            "scenario",
+            "strategy",
+            "instance",
+            "nodes",
+            "team",
+            "closed-form",
+            "moves",
+            "rounds",
+            "churn",
+            "verdict",
+        ],
+    );
+    for scenario in registry() {
+        scenario.validate(side)?;
+        let instances = match scenario.id() {
+            ScenarioId::Grid => vec![
+                GridInstance::Full,
+                scenario.default_instance(),
+                GridInstance::Corridor,
+            ],
+            _ => vec![scenario.default_instance()],
+        };
+        for instance in instances {
+            let r = scenario.reference(side, instance);
+            table.push_row(vec![
+                scenario.id().label().to_string(),
+                scenario.strategy_label().to_string(),
+                instance.label(),
+                r.nodes.to_string(),
+                r.team.to_string(),
+                scenario
+                    .closed_form_team(side, instance)
+                    .map(|t| t.to_string())
+                    .unwrap_or_else(|| "-".to_string()),
+                r.moves.to_string(),
+                r.rounds.to_string(),
+                if r.mutations + r.rejected > 0 {
+                    format!("{}/{}", r.mutations, r.mutations + r.rejected)
+                } else {
+                    "-".to_string()
+                },
+                if r.captured && r.violations == 0 {
+                    "ok".to_string()
+                } else {
+                    "FAIL".to_string()
+                },
+            ]);
+        }
+    }
+    let mut out = table.render();
+    out.push('\n');
+    for scenario in registry() {
+        out.push_str(&format!(
+            "  {}: {}\n",
+            scenario.id().label(),
+            scenario.summary()
+        ));
+    }
+    Ok(out)
+}
+
 /// Resolve an id to its registered scenario. `Hypercube` (the classic
 /// pipeline) and only `Hypercube` yields `None`.
 pub fn resolve(id: ScenarioId) -> Option<&'static dyn Scenario> {

@@ -1,27 +1,29 @@
-//! The precomputed answer tier: every `plan`/`predict` line the server can
-//! ever emit, serialized once at startup.
+//! The answer tier: every `plan`/`predict` line the server can ever emit,
+//! each serialized the first time a client asks for it.
 //!
 //! `plan` and `predict` are pure functions of `(strategy, dim)` with
-//! `dim ≤ 20` — a few hundred distinct answers in total. Building them all
-//! up front turns the dominant request class into one bounds-checked array
+//! `dim ≤ 20` — a few hundred distinct answers in total. Each is rendered
+//! on its first request and kept, so a repeat is one bounds-checked array
 //! lookup returning an already-serialized wire line: no worker dispatch,
-//! no closed-form evaluation, no JSON serialization, no allocation on the
-//! hot path. The table stores *exactly* the bytes the dispatcher would
-//! produce — including the `unsupported` error lines for the baseline
+//! no closed-form evaluation, no JSON serialization, no allocation. Startup
+//! renders nothing. The table stores *exactly* the bytes the dispatcher
+//! would produce — including the `unsupported` error lines for the baseline
 //! strategies — so serving from it is observationally identical to
 //! dispatching (the differential test in `tests/answers.rs` pins this
 //! byte-for-byte over the whole table).
+
+use std::sync::{Arc, OnceLock};
 
 use hypersweep_analysis::StrategyKind;
 
 use crate::dispatch::{plan_reply, predict_reply};
 use crate::protocol::{Request, Response};
 
-/// One precomputed reply: the wire line plus whether it is a success
-/// (drives which request counter a table hit increments).
+/// One rendered reply: the wire line plus whether it is a success (drives
+/// which request counter a table hit increments).
 pub(crate) struct Answer {
     /// The exact bytes `Dispatcher::handle` would serialize (no newline).
-    pub line: String,
+    pub line: Arc<str>,
     /// `false` for the baselines' `unsupported` error lines.
     pub ok: bool,
 }
@@ -35,53 +37,44 @@ pub(crate) enum AnswerKind {
     Predict,
 }
 
+impl AnswerKind {
+    /// Serialize the closed-form reply for `(strategy, dim)`.
+    fn render(self, strategy: StrategyKind, dim: u32) -> Answer {
+        let reply = match self {
+            AnswerKind::Plan => plan_reply(strategy, dim).map(Response::Plan),
+            AnswerKind::Predict => predict_reply(strategy, dim).map(Response::Predict),
+        };
+        let ok = reply.is_ok();
+        let line = reply.unwrap_or_else(Response::Error).to_line();
+        Answer {
+            line: line.into(),
+            ok,
+        }
+    }
+}
+
 /// All `plan`/`predict` answers for every wire strategy at `1..=max_dim`.
 pub struct AnswerTable {
     max_dim: u32,
-    /// `[strategy index in StrategyKind::ALL][dim - 1]`.
-    plan: Vec<Vec<Answer>>,
-    predict: Vec<Vec<Answer>>,
+    /// `[kind][strategy index in StrategyKind::ALL][dim - 1]`, flattened;
+    /// a cell is filled on the first lookup of its answer.
+    answers: Vec<OnceLock<Answer>>,
 }
 
 impl AnswerTable {
-    /// Precompute every answer up to `max_dim` (the server's dimension
-    /// cap, itself bounded by `REPORT_MAX_DIM = 20`).
+    /// A table for every answer up to `max_dim` (the server's dimension
+    /// cap, itself bounded by `REPORT_MAX_DIM = 20`). Nothing is rendered
+    /// until it is looked up.
     pub fn build(max_dim: u32) -> Self {
-        let build_rows = |kind: AnswerKind| {
-            StrategyKind::ALL
-                .iter()
-                .map(|&strategy| {
-                    (1..=max_dim)
-                        .map(|dim| {
-                            let reply = match kind {
-                                AnswerKind::Plan => plan_reply(strategy, dim).map(Response::Plan),
-                                AnswerKind::Predict => {
-                                    predict_reply(strategy, dim).map(Response::Predict)
-                                }
-                            };
-                            match reply {
-                                Ok(response) => Answer {
-                                    line: response.to_line(),
-                                    ok: true,
-                                },
-                                Err(e) => Answer {
-                                    line: Response::Error(e).to_line(),
-                                    ok: false,
-                                },
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        AnswerTable {
+        let mut table = AnswerTable {
             max_dim,
-            plan: build_rows(AnswerKind::Plan),
-            predict: build_rows(AnswerKind::Predict),
-        }
+            answers: Vec::new(),
+        };
+        table.answers.resize_with(table.len(), OnceLock::new);
+        table
     }
 
-    /// Number of precomputed answers.
+    /// Number of answers the table covers.
     pub fn len(&self) -> usize {
         2 * StrategyKind::ALL.len() * self.max_dim as usize
     }
@@ -92,9 +85,10 @@ impl AnswerTable {
         self.len() == 0
     }
 
-    /// The precomputed answer for `(kind, strategy, dim)`, or `None` when
-    /// `dim` is outside `1..=max_dim` (those fall through to the
-    /// dispatcher, which produces the structured `bad_dimension` error).
+    /// The answer for `(kind, strategy, dim)`, rendered now if this is its
+    /// first lookup, or `None` when `dim` is outside `1..=max_dim` (those
+    /// fall through to the dispatcher, which produces the structured
+    /// `bad_dimension` error).
     pub(crate) fn lookup(
         &self,
         kind: AnswerKind,
@@ -105,15 +99,13 @@ impl AnswerTable {
             return None;
         }
         let si = StrategyKind::ALL.iter().position(|&s| s == strategy)?;
-        let rows = match kind {
-            AnswerKind::Plan => &self.plan,
-            AnswerKind::Predict => &self.predict,
-        };
-        rows[si].get(dim as usize - 1)
+        let row = kind as usize * StrategyKind::ALL.len() + si;
+        let cell = &self.answers[row * self.max_dim as usize + dim as usize - 1];
+        Some(cell.get_or_init(|| kind.render(strategy, dim)))
     }
 
     /// The table entry answering `request`, when it is a `plan`/`predict`
-    /// within the precomputed dimension range.
+    /// within the table's dimension range.
     pub(crate) fn lookup_request(&self, request: &Request) -> Option<&Answer> {
         match *request {
             Request::Plan { strategy, dim } => self.lookup(AnswerKind::Plan, strategy, dim),
@@ -126,6 +118,11 @@ impl AnswerTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cells rendered so far.
+    fn rendered(table: &AnswerTable) -> usize {
+        table.answers.iter().filter(|a| a.get().is_some()).count()
+    }
 
     #[test]
     fn table_covers_every_strategy_and_dimension() {
@@ -145,6 +142,24 @@ mod tests {
                 }
             }
         }
+        assert_eq!(rendered(&table), table.len());
+    }
+
+    #[test]
+    fn answers_render_on_first_lookup_only() {
+        let table = AnswerTable::build(16);
+        assert_eq!(rendered(&table), 0, "building renders nothing");
+        let first = table.lookup(AnswerKind::Predict, StrategyKind::Cloning, 9);
+        let first = Arc::clone(&first.expect("in range").line);
+        assert_eq!(rendered(&table), 1);
+        let again = table.lookup(AnswerKind::Predict, StrategyKind::Cloning, 9);
+        assert!(Arc::ptr_eq(&first, &again.expect("in range").line));
+        assert_eq!(rendered(&table), 1);
+        // Each (kind, strategy, dim) owns its cell.
+        table.lookup(AnswerKind::Plan, StrategyKind::Cloning, 9);
+        table.lookup(AnswerKind::Predict, StrategyKind::Frontier, 9);
+        table.lookup(AnswerKind::Predict, StrategyKind::Cloning, 16);
+        assert_eq!(rendered(&table), 4);
     }
 
     #[test]

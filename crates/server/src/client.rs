@@ -197,8 +197,8 @@ pub struct BenchReport {
     pub p50_us: f64,
     /// 99th-percentile request latency, microseconds.
     pub p99_us: f64,
-    /// `plan`/`predict` replies served from the precomputed answer
-    /// table (`answers.table_hits`), measured across the whole run.
+    /// `plan`/`predict` replies served from the answer table
+    /// (`answers.table_hits`), measured across the whole run.
     pub table_hits: u64,
     /// `table_hits` over total requests issued.
     pub table_hit_rate: f64,

@@ -4,8 +4,9 @@
 //! multiplexes every connection over non-blocking sockets — TCP plus an
 //! optional Unix-domain socket ([`ServerLimits::uds_path`]) — with
 //! request pipelining and in-order replies. Every request that needs no
-//! computation resolves inline: `plan`/`predict` from the precomputed
-//! answer table, and audits and scenario references from their memos.
+//! computation resolves inline: `plan`/`predict` from the answer table,
+//! and audits and scenario references from their memos, each as a line
+//! serialized on its entry's first request.
 //! Only computations run on a bounded [`WorkerPool`] — a full queue turns
 //! into an immediate `busy` error, and a slow run turns into a `timeout`
 //! error after [`ServerLimits::request_timeout`] (the run itself still

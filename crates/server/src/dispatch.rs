@@ -9,8 +9,13 @@
 //! [`RunCache`] under an [`Exec::Audited`](hypersweep_analysis::Exec) key,
 //! so repeated audits of the same configuration are served from memory
 //! and concurrent duplicates execute exactly once.
+//!
+//! A memo hit answered by `answer_now` is serialized once: the answer
+//! table renders each line on its first request, a `RunCache` entry keeps
+//! the `audit` line rendered on its first hit (and drops it when evicted),
+//! and the scenario memo keeps each reference's `plan` and `audit` lines
+//! the same way. `handle` builds a fresh [`Response`] every time.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -45,7 +50,9 @@ fn wire_u64(x: u128) -> u64 {
 /// accepts any `u64`, so without a cap a client looping over seeds grows
 /// the memo without limit. The cap sits far above every benchmarked
 /// scenario keyspace (the largest needs 43 references); a full memo is
-/// cleared, and since references are deterministic no reply changes.
+/// cleared, and since references are deterministic no reply changes. The
+/// stored `plan` and `audit` lines of an entry take under 2 KB together
+/// (a side-16 plan line is the longest, at about 1.5 KB).
 const SCENARIO_REFS_CAP: usize = 4096;
 
 /// Shared request handler: validates, computes, and counts.
@@ -76,7 +83,21 @@ pub struct Dispatcher {
     /// so caching preserves byte-identical replies while making repeat
     /// scenario requests as cheap as a lookup. Holds at most
     /// [`SCENARIO_REFS_CAP`] entries.
-    scenario_refs: Mutex<HashMap<(ScenarioId, u32, GridInstance), ScenarioReference>>,
+    scenario_refs: Mutex<HashMap<(ScenarioId, u32, GridInstance), ScenarioMemo>>,
+}
+
+/// One memoized scenario reference run, with the reply lines
+/// [`Dispatcher::answer_now`] has rendered from it so far.
+struct ScenarioMemo {
+    reference: ScenarioReference,
+    plan: Option<Arc<str>>,
+    audit: Option<Arc<str>>,
+}
+
+/// A dispatched reply: built fresh, or a memo's stored line.
+enum Reply {
+    Fresh(Response),
+    Stored(Arc<str>),
 }
 
 impl Dispatcher {
@@ -90,8 +111,8 @@ impl Dispatcher {
     /// disabled registry is replaced with a private enabled one: the
     /// request counters double as the `served()` accounting, which must
     /// work even when the daemon's exported telemetry is switched off.
-    /// Also precomputes the `plan`/`predict` answer table for every
-    /// strategy at `1..=max_dim`.
+    /// Also sets up the `plan`/`predict` answer table for every strategy
+    /// at `1..=max_dim`, which renders each line on its first request.
     pub fn with_sharded(cache: Arc<RunCache>, max_dim: u32, registry: &MetricsRegistry) -> Self {
         let registry = if registry.is_enabled() {
             registry.clone()
@@ -128,14 +149,20 @@ impl Dispatcher {
         &self.cache
     }
 
-    /// The precomputed answer line for `request`, when it is a
-    /// `plan`/`predict` whose dimension the table covers. A returned line
-    /// is byte-identical to what [`Dispatcher::handle`] would serialize,
-    /// and the counters move exactly as a dispatched request would move
-    /// them (plus `answers.table_hits`). The table only holds hypercube
-    /// closed forms: scenario requests miss it and count
-    /// `answers.table_bypass` when they are answered.
+    /// The answer-table line for `request`, when it is a `plan`/`predict`
+    /// whose dimension the table covers (rendered now if this is its first
+    /// request). A returned line is byte-identical to what
+    /// [`Dispatcher::handle`] would serialize, and the counters move
+    /// exactly as a dispatched request would move them (plus
+    /// `answers.table_hits`). The table only holds hypercube closed forms:
+    /// scenario requests miss it and count `answers.table_bypass` when
+    /// they are answered.
     pub fn answer_line(&self, request: &Request) -> Option<&str> {
+        self.table_answer(request).map(|line| &**line)
+    }
+
+    /// [`Dispatcher::answer_line`] as the table's shared line.
+    fn table_answer(&self, request: &Request) -> Option<&Arc<str>> {
         let answer = self.answers.lookup_request(request)?;
         self.table_hits.inc();
         if answer.ok {
@@ -157,15 +184,20 @@ impl Dispatcher {
     /// `plan` whose run or reference is memoized. `None` means the
     /// request must compute; hand it to [`Dispatcher::handle`].
     ///
+    /// Memo hits return the line stored with the memo entry, rendered on
+    /// the entry's first hit; only error replies outside the table
+    /// serialize per call.
     /// A returned line is byte-identical to what `handle` would serialize
     /// and moves the same counters; `None` moves none, so the later
     /// `handle` counts the request exactly once.
-    pub fn answer_now(&self, request: &Request) -> Option<Cow<'_, str>> {
-        if let Some(line) = self.answer_line(request) {
-            return Some(Cow::Borrowed(line));
+    pub fn answer_now(&self, request: &Request) -> Option<Arc<str>> {
+        if let Some(line) = self.table_answer(request) {
+            return Some(Arc::clone(line));
         }
-        self.respond(request, false)
-            .map(|response| Cow::Owned(response.to_line()))
+        Some(match self.respond(request, false)? {
+            Reply::Fresh(response) => response.to_line().into(),
+            Reply::Stored(line) => line,
+        })
     }
 
     /// Table hits so far (the live `answers.table_hits` counter).
@@ -187,48 +219,48 @@ impl Dispatcher {
     /// whatever run or scenario reference it needs. `status` and
     /// `shutdown` are answered inline by the daemon, not here.
     pub fn handle(&self, request: Request) -> Response {
-        self.respond(&request, true)
-            .expect("a computing dispatch always replies")
+        match self.respond(&request, true) {
+            Some(Reply::Fresh(response)) => response,
+            _ => unreachable!("a computing dispatch always replies fresh"),
+        }
     }
 
-    /// The reply to `request`, counted once. With `compute` false a memo
-    /// miss (a run or scenario reference that would have to execute)
-    /// yields `None` and counts nothing.
-    fn respond(&self, request: &Request, compute: bool) -> Option<Response> {
+    /// The reply to `request`, counted once. With `compute` set every
+    /// reply is built fresh, executing a run or scenario reference the
+    /// memo lacks. Without it a memo hit answers with the entry's stored
+    /// line, and a memo miss yields `None` and counts nothing.
+    fn respond(&self, request: &Request, compute: bool) -> Option<Reply> {
         let result = match *request {
             Request::Plan { strategy, dim } => self
                 .check_dim(dim)
                 .and_then(|dim| plan_reply(strategy, dim))
-                .map(Response::Plan)
+                .map(|r| Reply::Fresh(Response::Plan(r)))
                 .inspect(|_| self.plan.inc()),
             Request::Predict { strategy, dim } => self
                 .check_dim(dim)
                 .and_then(|dim| predict_reply(strategy, dim))
-                .map(Response::Predict)
+                .map(|r| Reply::Fresh(Response::Predict(r)))
                 .inspect(|_| self.predict.inc()),
             Request::Audit { strategy, dim } => match self.check_dim(dim) {
                 Ok(dim) => {
                     let key = RunKey::audited(strategy, dim);
-                    let outcome = if compute {
-                        self.cache.get_or_run(key)
+                    let render = |outcome: &SearchOutcome| {
+                        Response::Audit(audit_reply(strategy, dim, outcome))
+                    };
+                    let reply = if compute {
+                        Reply::Fresh(render(&self.cache.get_or_run(key)))
                     } else {
-                        self.cache.get_if_ready(key)?
+                        Reply::Stored(self.cache.line_if_ready(key, |o| render(o).to_line())?)
                     };
                     self.audit.inc();
-                    Ok(Response::Audit(audit_reply(strategy, dim, &outcome)))
+                    Ok(reply)
                 }
                 Err(e) => Err(e),
             },
-            Request::ScenarioPlan {
-                scenario,
-                side,
-                instance,
-            } => {
-                let reference = self.scenario_reference(scenario, side, instance, compute)?;
+            Request::ScenarioPlan { .. } => {
+                let reply = self.scenario_reply(request, compute)?;
                 self.table_bypass.inc();
-                reference
-                    .map(|r| Response::Plan(scenario_plan_reply(scenario, side, &r)))
-                    .inspect(|_| self.plan.inc())
+                reply.inspect(|_| self.plan.inc())
             }
             Request::ScenarioPredict { scenario, .. } => {
                 self.table_bypass.inc();
@@ -240,13 +272,8 @@ impl Dispatcher {
                     ),
                 ))
             }
-            Request::ScenarioAudit {
-                scenario,
-                side,
-                instance,
-            } => self
-                .scenario_reference(scenario, side, instance, compute)?
-                .map(|r| Response::Audit(scenario_audit_reply(scenario, side, &r)))
+            Request::ScenarioAudit { .. } => self
+                .scenario_reply(request, compute)?
                 .inspect(|_| self.audit.inc()),
             Request::Status | Request::Metrics | Request::Shutdown => Err(WireError::new(
                 ErrorKind::UnknownRequest,
@@ -255,7 +282,7 @@ impl Dispatcher {
         };
         Some(result.unwrap_or_else(|e| {
             self.note_error();
-            Response::Error(e)
+            Reply::Fresh(Response::Error(e))
         }))
     }
 
@@ -276,17 +303,26 @@ impl Dispatcher {
         Ok(dim)
     }
 
-    /// The memoized deterministic reference run for a scenario request, or
-    /// the validation error refusing it. A memo miss computes and memoizes
-    /// the reference when `compute` is set, and otherwise yields `None`
-    /// without counting.
-    fn scenario_reference(
-        &self,
-        scenario: ScenarioId,
-        side: u32,
-        instance: GridInstance,
-        compute: bool,
-    ) -> Option<Result<ScenarioReference, WireError>> {
+    /// The reply to a scenario `plan` or `audit` from the memoized
+    /// deterministic reference run, or the validation error refusing it.
+    /// A memo miss computes and memoizes the reference when `compute` is
+    /// set, and otherwise yields `None` without counting. A hit without
+    /// `compute` answers with the memo's stored line for `request`'s kind,
+    /// rendering it first if no one has asked for it yet.
+    fn scenario_reply(&self, request: &Request, compute: bool) -> Option<Result<Reply, WireError>> {
+        let (Request::ScenarioPlan {
+            scenario,
+            side,
+            instance,
+        }
+        | Request::ScenarioAudit {
+            scenario,
+            side,
+            instance,
+        }) = *request
+        else {
+            unreachable!("only scenario plans and audits have a reference run");
+        };
         let resolved = match hypersweep_scenario::validate_scenario(scenario, side) {
             Ok(Some(resolved)) => resolved,
             Ok(None) => {
@@ -297,16 +333,30 @@ impl Dispatcher {
             }
             Err(msg) => return Some(Err(WireError::new(ErrorKind::BadDimension, msg))),
         };
+        let audit = matches!(request, Request::ScenarioAudit { .. });
+        let render = |reference: &ScenarioReference| {
+            if audit {
+                Response::Audit(scenario_audit_reply(scenario, side, reference))
+            } else {
+                Response::Plan(scenario_plan_reply(scenario, side, reference))
+            }
+        };
         let key = (scenario, side, instance);
-        if let Some(cached) = self
-            .scenario_refs
-            .lock()
-            .expect("scenario cache lock")
-            .get(&key)
-        {
+        let mut refs = self.scenario_refs.lock().expect("scenario cache lock");
+        if let Some(memo) = refs.get_mut(&key) {
             self.scenario_hits.inc();
-            return Some(Ok(cached.clone()));
+            if compute {
+                return Some(Ok(Reply::Fresh(render(&memo.reference))));
+            }
+            let line = if audit {
+                &mut memo.audit
+            } else {
+                &mut memo.plan
+            };
+            let line = line.get_or_insert_with(|| render(&memo.reference).to_line().into());
+            return Some(Ok(Reply::Stored(Arc::clone(line))));
         }
+        drop(refs);
         if !compute {
             return None;
         }
@@ -314,12 +364,20 @@ impl Dispatcher {
         // (deterministic) reference and insert the same value.
         let reference = resolved.reference(side, instance);
         self.scenario_misses.inc();
+        let response = render(&reference);
         let mut refs = self.scenario_refs.lock().expect("scenario cache lock");
         if refs.len() >= SCENARIO_REFS_CAP {
             refs.clear();
         }
-        refs.insert(key, reference.clone());
-        Some(Ok(reference))
+        refs.insert(
+            key,
+            ScenarioMemo {
+                reference,
+                plan: None,
+                audit: None,
+            },
+        );
+        Some(Ok(Reply::Fresh(response)))
     }
 
     /// Record a backpressure rejection.

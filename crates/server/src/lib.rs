@@ -18,9 +18,11 @@
 //!
 //! The front end is a single-threaded non-blocking reactor (TCP plus an
 //! optional Unix-domain socket) with request pipelining and in-order
-//! replies. Requests that need no computation answer inline: `plan`/
-//! `predict` from a precomputed [`AnswerTable`], memoized audits and
-//! scenario references from their memos. Only computations dispatch onto
+//! replies. Requests that need no computation answer inline with a stored
+//! wire line: `plan`/`predict` from the [`AnswerTable`], memoized audits
+//! and scenario references from their memos. Each such line is serialized
+//! once, on the first request that needs it (not at startup), and lives
+//! as long as its memo entry. Only computations dispatch onto
 //! the analysis crate's bounded [`WorkerPool`] (backpressure surfaces to
 //! clients as `busy` errors, never as unbounded queueing); runs
 //! deduplicate through one [`RunCache`], hash-sharded on the run key with

@@ -18,10 +18,12 @@
 //!   answered with an `oversized` error; the connection survives.
 //! * **Compute** — a request that needs no computation is answered
 //!   inline ([`Dispatcher::answer_now`](crate::Dispatcher::answer_now)):
-//!   hypercube `plan`/`predict` straight from the precomputed
-//!   [`AnswerTable`](crate::AnswerTable) (one array lookup returning
-//!   pre-serialized bytes), every validation error, and every `audit` or
-//!   scenario `plan` whose run or reference is memoized. Only a real
+//!   hypercube `plan`/`predict` straight from the
+//!   [`AnswerTable`](crate::AnswerTable) (one array lookup), every
+//!   validation error, and every `audit` or scenario `plan` whose run or
+//!   reference is memoized. A table or memo hit copies a line serialized
+//!   on that entry's first request into the write buffer; only error
+//!   replies outside the table serialize per request. Only a real
 //!   computation is submitted to the worker pool, and a *pending slot* is
 //!   queued in the connection's reply queue, so later pipelined replies
 //!   wait behind it and ordering is preserved. A request identical to
@@ -810,7 +812,7 @@ impl Reactor {
         for waiter in waiters {
             match shared.dispatcher.answer_now(&request) {
                 Some(line) => {
-                    self.resolve(waiter, line.into_owned());
+                    self.resolve(waiter, line.to_string());
                 }
                 None => self.dispatch(waiter, request),
             }

@@ -7,6 +7,10 @@
 //! were answered inline: the answer table for hypercube `plan`/`predict`,
 //! [`Dispatcher::handle`] for everything else. On a daemon the two paths
 //! also differ in `pool.*`, which no dispatcher touches.
+//!
+//! A memo hit answers with a line stored on the entry's first hit, so the
+//! tests ask each memoized request more than once, and drive a capped
+//! cache through evictions.
 
 use std::sync::Arc;
 
@@ -175,18 +179,21 @@ fn warm_requests_answer_now_byte_for_byte_and_count_alike() {
         .chain(scenario_requests())
         .chain(refused_requests())
         .collect();
+    // The first answer renders a memo hit's line, the second reads the
+    // stored one.
     for request in requests {
-        let line = fast
-            .answer_now(&request)
-            .unwrap_or_else(|| panic!("warm {request:?} must answer now"))
-            .into_owned();
-        assert_eq!(line, reference.handle(request).to_line(), "{request:?}");
-        assert_eq!(line, computed_line(&computing, request), "{request:?}");
-        assert_eq!(
-            fast_registry.snapshot(),
-            computing_registry.snapshot(),
-            "{request:?} moved the registry differently"
-        );
+        for _ in 0..2 {
+            let line = fast
+                .answer_now(&request)
+                .unwrap_or_else(|| panic!("warm {request:?} must answer now"));
+            assert_eq!(*line, reference.handle(request).to_line(), "{request:?}");
+            assert_eq!(*line, computed_line(&computing, request), "{request:?}");
+            assert_eq!(
+                fast_registry.snapshot(),
+                computing_registry.snapshot(),
+                "{request:?} moved the registry differently"
+            );
+        }
     }
     // Every warm audit was a hit, on either path.
     assert_eq!(fast.cache().misses(), 0);
@@ -213,7 +220,7 @@ fn cold_computations_are_deferred_without_counting() {
             }
             Some(line) => {
                 assert!(!computes(&request), "{request:?} computed inline");
-                assert_eq!(line, reference.handle(request).to_line(), "{request:?}");
+                assert_eq!(*line, reference.handle(request).to_line(), "{request:?}");
             }
         }
     }
@@ -221,4 +228,78 @@ fn cold_computations_are_deferred_without_counting() {
     // instances at 4 sides.
     assert_eq!(deferred, 8 * 6 + 2 * 4 * 4);
     assert_eq!(d.cache().len(), 0, "answer_now never executes a run");
+}
+
+/// A dispatcher over a one-shard cache holding at most `cap` outcomes, its
+/// series in a private registry.
+fn capped(cap: usize) -> Dispatcher {
+    let registry = MetricsRegistry::new();
+    let cache = Arc::new(RunCache::with_capacity_and_telemetry(
+        1,
+        Some(cap),
+        &registry,
+    ));
+    Dispatcher::with_sharded(cache, MAX_DIM, &registry)
+}
+
+/// Stored lines obey the memo bound: an evicted audit's line goes with its
+/// outcome. A one-shard cache capped below its audit keyspace is fed a
+/// cyclic audit order, as the churn benchmark feeds its daemon, so every
+/// key is evicted and recomputed each cycle. Each step also asks again for
+/// the two keys before it, which are still resident (the first of those
+/// hits renders the key's line, the second reads it), and for one hot key
+/// outside the cycle, which only stays resident if stored-line hits keep
+/// it recently used. Every reply must be the computing path's, and the
+/// cache must miss and evict exactly as it does when every request goes
+/// through `handle`.
+#[test]
+fn stored_lines_obey_the_memo_bound_under_churn() {
+    const CAP: usize = 16;
+    let keys: Vec<Request> = StrategyKind::ALL
+        .iter()
+        .flat_map(|&strategy| (2..=4).map(move |dim| Request::Audit { strategy, dim }))
+        .collect();
+    assert!(keys.len() > CAP, "the keyspace must outgrow the cache");
+    // A fixed permutation of the keyspace (7 is prime to its 24 keys).
+    let order: Vec<Request> = (0..keys.len()).map(|i| keys[i * 7 % keys.len()]).collect();
+    let n = order.len();
+    let hot = Request::Audit {
+        strategy: StrategyKind::Clean,
+        dim: 5,
+    };
+    let requests: Vec<Request> = (0..3 * n)
+        .flat_map(|i| {
+            [
+                order[i % n],
+                order[(i + n - 1) % n],
+                order[(i + n - 2) % n],
+                hot,
+            ]
+        })
+        .collect();
+
+    let served = capped(CAP);
+    let computing = capped(CAP);
+    let mut stored = 0;
+    for request in requests {
+        let expected = computing.handle(request).to_line();
+        let line = match served.answer_now(&request) {
+            Some(line) => {
+                stored += 1;
+                line.to_string()
+            }
+            None => served.handle(request).to_line(),
+        };
+        assert_eq!(line, expected, "{request:?}");
+    }
+    let (served, computing) = (served.cache(), computing.cache());
+    assert_eq!(served.misses(), computing.misses());
+    assert_eq!(served.evictions(), computing.evictions());
+    assert_eq!(served.hits(), computing.hits());
+    // Every cycle misses on every key, and the hot key misses once. The
+    // look-backs all hit, apart from the very first step's two, which ask
+    // for keys not yet computed.
+    assert_eq!(served.misses(), 3 * n as u64 + 3);
+    assert_eq!(stored, 3 * (3 * n) - 3);
+    assert_eq!(served.evictions(), served.misses() - CAP as u64);
 }

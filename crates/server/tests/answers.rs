@@ -1,4 +1,4 @@
-//! Differential test: the precomputed answer table must be byte-identical
+//! Differential test: the answer table must be byte-identical
 //! to the dispatcher over its entire domain — every wire strategy, both
 //! closed-form request kinds, every dimension up to the server cap.
 //!
@@ -34,7 +34,7 @@ fn closed_form_requests(dims: impl Iterator<Item = u32> + Clone) -> Vec<Request>
 #[test]
 fn table_lines_match_the_dispatcher_byte_for_byte() {
     // Two dispatchers so the comparison cannot be confused by shared
-    // accounting: `table` answers from the precomputed tier, `direct`
+    // accounting: `table` answers from the table tier, `direct`
     // computes every reply.
     let table = dispatcher();
     let direct = dispatcher();

@@ -13,9 +13,10 @@
 //! d=1..8; an FNV digest of every synthesized trace at d=1..10; the
 //! `watch visibility 3 --stride 4` film; `check` campaign tables for the
 //! four paper strategies at d=6 and for the grid and dynamic scenarios
-//! (`sched/s` blanked); every corpus replay's verification; the
-//! dispatcher's reply to a fixed request transcript; and, ignored in
-//! debug builds, `report all --full --max-dim 14 --jobs 1` stdout.
+//! (`sched/s` blanked); `report scenarios --dim 6` stdout; every corpus
+//! replay's verification; the dispatcher's reply to a fixed request
+//! transcript; and, ignored in debug builds, `report all --full --max-dim
+//! 14 --jobs 1` stdout.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -29,7 +30,9 @@ use hypersweep::analysis::{
 };
 use hypersweep::check::{CheckConfig, CheckStrategy, ReplayFile};
 use hypersweep::intruder::render_film;
-use hypersweep::scenario::{run_scenario_campaign, scenario_table, GridStrategy, ScenarioId};
+use hypersweep::scenario::{
+    registry_report, run_scenario_campaign, scenario_table, GridStrategy, ScenarioId,
+};
 use hypersweep::server::{Dispatcher, Request, Response, ServerLimits};
 use hypersweep::sim::{Event, EventSink, Policy};
 use hypersweep::telemetry::MetricsRegistry;
@@ -107,6 +110,14 @@ fn report_all_full_to_d14() {
     let mut cfg = ExperimentConfig::full();
     cfg.clamp_max_dim(14);
     golden("report-full-d14.txt", &report_stdout(&cfg).0);
+}
+
+/// `report scenarios --dim 6` stdout: every registered scenario's
+/// reference run on each of its instances, against its closed form.
+#[test]
+fn scenario_report() {
+    let stdout = registry_report(6).expect("every scenario accepts side 6");
+    golden("report-scenarios-d6.txt", &stdout);
 }
 
 #[test]
@@ -345,7 +356,7 @@ fn served_transcript() {
             }
             Ok(Request::Status) => Response::Status(dispatcher.status_reply(0, 0, 1)).to_line(),
             Ok(request) => match dispatcher.answer_now(&request) {
-                Some(line) => line.into_owned(),
+                Some(line) => line.to_string(),
                 None => dispatcher.handle(request).to_line(),
             },
         };
