@@ -118,6 +118,12 @@ fn reset_set(set: &mut NodeSet, n: usize) {
 ///   raises its neighbours' counts, which cannot add them to the frontier,
 ///   so their refresh is skipped while the frontier is empty.
 ///
+/// Off the cube the topology may change between events: the edge hooks
+/// ([`ContaminationField::edge_inserted`],
+/// [`ContaminationField::edge_removed`]) patch both endpoints' counts and
+/// frontier membership, and a removed edge inside the safe region dirties
+/// the forest like a deletion does.
+///
 /// The pre-incremental whole-field oracles are retained as
 /// [`ContaminationField::is_contiguous_bfs`] and
 /// [`ContaminationField::unguarded_frontier_scan`]; the differential test
@@ -142,7 +148,8 @@ pub struct ContaminationField<'a, T: Topology + ?Sized> {
     guarded: NodeSet,
     /// Count of contaminated nodes (for O(1) "all clean" checks).
     dirty_count: usize,
-    /// Bumped whenever a node's contaminated status flips.
+    /// Bumped whenever a node's contaminated status flips or an edge
+    /// changes.
     contamination_changes: u64,
     /// Recontamination incidents: (event index, node).
     recontaminations: Vec<(u64, Node)>,
@@ -241,31 +248,19 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     /// (decontaminated) nodes and the per-node occupancy. Occupied nodes
     /// are made safe whether or not the snapshot lists them.
     ///
-    /// The dynamic-graph scenario snapshots `(safe, occupancy)` between
-    /// rounds, mutates the topology, and restores the search state onto
-    /// the new adjacency — replaying the event log would bake in the old
-    /// graph's spread semantics. The restored field re-derives the
-    /// connectivity forest, safe-neighbour counts, and maintained
-    /// frontier from the *new* adjacency, so the region oracles
-    /// immediately reflect the mutation: a safe unguarded node that the
-    /// mutation pushed onto the contamination boundary shows up in
-    /// [`ContaminationField::unguarded_frontier`].
+    /// The rebuilt field derives the connectivity forest, safe-neighbour
+    /// counts and maintained frontier from `topo`'s current adjacency, one
+    /// node at a time: `O(n · Δ)`. That makes it the reference for the
+    /// `O(1)` edge hooks ([`ContaminationField::edge_inserted`] and
+    /// [`ContaminationField::edge_removed`]), which the dynamic-graph
+    /// scenario uses to keep one field current across its edge churn: the
+    /// differential tests hold a patched field equal to this rebuild after
+    /// every accepted mutation.
     pub fn with_state(topo: &'a T, homebase: Node, safe: &NodeSet, occupancy: &[u32]) -> Self {
-        Self::with_state_in(topo, homebase, safe, occupancy, FieldScratch::default())
-    }
-
-    /// Like [`ContaminationField::with_state`], but reusing a scratch.
-    pub fn with_state_in(
-        topo: &'a T,
-        homebase: Node,
-        safe: &NodeSet,
-        occupancy: &[u32],
-        scratch: FieldScratch,
-    ) -> Self {
         let n = topo.node_count();
         assert_eq!(safe.universe(), n, "safe set universe mismatch");
         assert_eq!(occupancy.len(), n, "occupancy length mismatch");
-        let mut field = Self::new_in(topo, homebase, scratch);
+        let mut field = Self::new(topo, homebase);
         for x in safe.iter() {
             field.decontaminate(x);
         }
@@ -353,11 +348,11 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         &self.recontaminations
     }
 
-    /// A count that moves whenever some node's contaminated status flips,
-    /// and only then. While the frontier is empty the greedy evader's
-    /// answer is a function of the contaminated set alone (see
-    /// [`crate::evader`]), so it skips every reaction after which this
-    /// count stands still.
+    /// A count that moves whenever some node's contaminated status flips or
+    /// the topology gains or loses an edge, and only then. While the
+    /// frontier is empty the greedy evader's answer is a function of the
+    /// contaminated set and the adjacency alone (see [`crate::evader`]), so
+    /// it skips every reaction after which this count stands still.
     pub fn contamination_changes(&self) -> u64 {
         self.contamination_changes
     }
@@ -374,6 +369,79 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
             Some(d) => d,
             None => self.degree[x.index()],
         }
+    }
+
+    /// How many neighbours of `x` are safe (decontaminated), whether or not
+    /// `x` itself is.
+    #[inline]
+    pub fn safe_neighbours(&self, x: Node) -> u32 {
+        self.safe_nbrs[x.index()]
+    }
+
+    /// Whether some neighbour of `x` is contaminated. `O(1)` from the
+    /// maintained safe-neighbour count, where an adjacency scan costs `O(Δ)`
+    /// and, off the cube, a copy of the list.
+    #[inline]
+    pub fn borders_contamination(&self, x: Node) -> bool {
+        self.safe_nbrs[x.index()] < self.degree_of(x)
+    }
+
+    /// The topology gained the edge `a`–`b` since the last event: patch the
+    /// field to the new adjacency. Both endpoints' degree and safe-neighbour
+    /// count move by one and their frontier membership is refreshed; a
+    /// safe–safe edge unions its endpoints' components. Moves
+    /// [`ContaminationField::contamination_changes`], since a greedy
+    /// evader's answer depends on the edges too. `O(α)`, where
+    /// [`ContaminationField::with_state`] replays every node.
+    ///
+    /// The caller reports exactly the edges its topology changed, once each.
+    ///
+    /// # Panics
+    ///
+    /// On `H_d`, whose edges never change, and on a self-loop.
+    pub fn edge_inserted(&mut self, a: Node, b: Node) {
+        self.patch_edge(a, b, true);
+    }
+
+    /// The topology lost the edge `a`–`b` since the last event: the
+    /// counterpart of [`ContaminationField::edge_inserted`]. A removed
+    /// safe–safe edge may split the region, so it marks the forest dirty and
+    /// the next contiguity query rebuilds it from the new adjacency.
+    ///
+    /// # Panics
+    ///
+    /// On `H_d` and on a self-loop.
+    pub fn edge_removed(&mut self, a: Node, b: Node) {
+        self.patch_edge(a, b, false);
+    }
+
+    fn patch_edge(&mut self, a: Node, b: Node, inserted: bool) {
+        assert!(self.hyper_dim.is_none(), "the edges of H_d never change");
+        assert_ne!(a, b, "no self loops");
+        let (a_safe, b_safe) = (
+            !self.contaminated.contains(a),
+            !self.contaminated.contains(b),
+        );
+        for (x, other_safe) in [(a, b_safe), (b, a_safe)] {
+            let (degree, safe) = (&mut self.degree[x.index()], &mut self.safe_nbrs[x.index()]);
+            if inserted {
+                *degree += 1;
+                *safe += u32::from(other_safe);
+            } else {
+                *degree -= 1;
+                *safe -= u32::from(other_safe);
+            }
+        }
+        if a_safe && b_safe {
+            if inserted {
+                self.forest.union(a, b);
+            } else {
+                self.forest.mark_dirty();
+            }
+        }
+        self.refresh_frontier(a);
+        self.refresh_frontier(b);
+        self.contamination_changes += 1;
     }
 
     /// Whether the decontaminated region (guarded ∪ clean) is connected and
@@ -1176,6 +1244,22 @@ mod tests {
         let mut f = ContaminationField::new(&h, Node::ROOT);
         f.apply(&spawn(0, 0));
         f.apply(&mv(1, 2, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "the edges of H_d never change")]
+    fn edge_hooks_refuse_the_hypercube() {
+        let h = Hypercube::new(3);
+        let mut f = ContaminationField::new(&h, Node::ROOT);
+        f.apply(&spawn(0, 0));
+        f.edge_inserted(Node(0), Node(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "the edges of H_d never change")]
+    fn verifier_edge_hooks_refuse_the_hypercube() {
+        let h = Hypercube::new(3);
+        crate::Verifier::new(&h, Node::ROOT, 1).edge_removed(Node(0), Node(1));
     }
 
     #[test]

@@ -20,16 +20,17 @@
 //! first reaction the query allocates nothing (only the trail grows).
 //!
 //! Most events need no query at all. While the frontier is empty (every
-//! safe node that borders contamination is guarded), the answer is a
-//! function of the contaminated set alone: the first safe node on a
-//! shortest path from a contaminated node to the safe region borders
+//! safe node that borders contamination is guarded), the answer on a given
+//! graph is a function of the contaminated set alone: the first safe node
+//! on a shortest path from a contaminated node to the safe region borders
 //! contamination, so it is guarded, and the node's nearest guard is its
 //! nearest safe node. Under the field's instant spread the frontier stays
 //! empty after every event of a field that starts fully contaminated, and
 //! the verifier checks that after every event (frontier coverage). So a
 //! greedy answer given with an empty frontier stands until some node's
-//! contaminated status flips, and an event that only spawns, moves, clones
-//! or terminates agents inside the safe region skips the query (see
+//! contaminated status flips or the graph gains or loses an edge (the
+//! field's edge hooks), and an event that only spawns, moves, clones or
+//! terminates agents inside the safe region skips the query (see
 //! [`ContaminationField::contamination_changes`]).
 
 use std::collections::VecDeque;
@@ -417,6 +418,44 @@ mod tests {
         assert!(evader.may_move(&field));
         evader.react(&g, &field, 1);
         assert_eq!(evader.status(), CaptureStatus::Free(Node(4)));
+    }
+
+    #[test]
+    fn an_answer_is_not_reused_across_an_edge_change() {
+        // A path 0-1-2-3-4 with a guard on 0 and 1..=4 contaminated: the
+        // frontier is empty and the greedy answer is 4, four hops from the
+        // guard. The edge 0-4 flips no contaminated status but puts 4 next
+        // to the guard, which moves the answer to 2; the first answer must
+        // not be reused.
+        use hypersweep_topology::graph::AdjGraph;
+        use std::cell::RefCell;
+        struct Live(RefCell<AdjGraph>);
+        impl Topology for Live {
+            fn node_count(&self) -> usize {
+                self.0.borrow().node_count()
+            }
+            fn neighbors_into(&self, x: Node, out: &mut Vec<Node>) {
+                self.0.borrow().neighbors_into(x, out);
+            }
+        }
+        let g = Live(RefCell::new(AdjGraph::from_edges(
+            5,
+            &[(0, 1), (1, 2), (2, 3), (3, 4)],
+        )));
+        let mut safe = NodeSet::new(5);
+        safe.insert(Node(0));
+        let mut field = ContaminationField::with_state(&g, Node(0), &safe, &[1, 0, 0, 0, 0]);
+        assert_eq!(field.unguarded_frontier(), None);
+        let mut evader = Intruder::new(Node(1), EvaderPolicy::Greedy);
+        evader.react(&g, &field, 0);
+        assert_eq!(evader.status(), CaptureStatus::Free(Node(4)));
+        let changes = field.contamination_changes();
+        g.0.borrow_mut().add_edge(Node(0), Node(4));
+        field.edge_inserted(Node(0), Node(4));
+        assert_ne!(field.contamination_changes(), changes);
+        assert!(evader.may_move(&field));
+        evader.react(&g, &field, 1);
+        assert_eq!(evader.status(), CaptureStatus::Free(Node(2)));
     }
 
     #[test]

@@ -203,10 +203,9 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
         Self::from_field(ContaminationField::new_in(topo, homebase, scratch), stride)
     }
 
-    /// Wrap an already-built field — the dynamic-graph scenario restores
-    /// a mid-search snapshot onto a mutated topology (see
-    /// [`ContaminationField::with_state`]) and then re-verifies the region
-    /// invariants across the mutation via [`Verifier::verify_region`].
+    /// Wrap an already-built field, such as a mid-search state rebuilt with
+    /// [`ContaminationField::with_state`]; the verifier's violations then
+    /// count events from that field's own start.
     pub fn from_field(field: ContaminationField<'a, T>, stride: u64) -> Self {
         let recontaminations_seen = field.recontaminations().len();
         Verifier {
@@ -294,8 +293,28 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
         }
     }
 
+    /// The topology gained the edge `a`–`b` between events; see
+    /// [`ContaminationField::edge_inserted`].
+    ///
+    /// # Panics
+    ///
+    /// On `H_d`, whose edges never change.
+    pub fn edge_inserted(&mut self, a: Node, b: Node) {
+        self.field.edge_inserted(a, b);
+    }
+
+    /// The topology lost the edge `a`–`b` between events; see
+    /// [`ContaminationField::edge_removed`].
+    ///
+    /// # Panics
+    ///
+    /// On `H_d`, whose edges never change.
+    pub fn edge_removed(&mut self, a: Node, b: Node) {
+        self.field.edge_removed(a, b);
+    }
+
     /// Run the region checks right now, regardless of stride. The
-    /// dynamic-graph scenario calls this right after a topology mutation:
+    /// dynamic-graph scenario calls this after each batch of edge changes:
     /// the clean region must stay contiguous and guarded under the new
     /// adjacency before any agent moves.
     pub fn verify_region(&mut self, step: u64) -> Result<(), ViolationReport> {
@@ -369,6 +388,15 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
     /// Read access to the underlying contamination field.
     pub fn field(&self) -> &ContaminationField<'a, T> {
         &self.field
+    }
+
+    /// Mutable access to the underlying field, for tests that hold its
+    /// `&mut self` queries (contiguity, component count, the reference
+    /// scans) to a rebuilt field mid-schedule. Not part of the API: events
+    /// applied through it bypass the verifier's checks.
+    #[doc(hidden)]
+    pub fn field_for_tests(&mut self) -> &mut ContaminationField<'a, T> {
+        &mut self.field
     }
 
     /// Current intruder status, if tracked.

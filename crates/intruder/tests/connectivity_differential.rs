@@ -15,7 +15,10 @@
 //!   BFS;
 //! * [`ContaminationField::attachment_port`] of every node vs. ports
 //!   re-derived in this test from the contamination sets before and after
-//!   each event ([`PortReference`]).
+//!   each event ([`PortReference`]);
+//! * [`ContaminationField::safe_neighbours`] and
+//!   [`ContaminationField::borders_contamination`] of every node vs. a scan
+//!   of its adjacency.
 //!
 //! The traces deliberately include island spawns (split safe regions that
 //! later merge) and vacate-triggered recontamination cascades (deletions,
@@ -233,6 +236,20 @@ fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths 
         }
         if (i + 1) % every != 0 && i + 1 != events.len() {
             continue;
+        }
+        for x in (0..topo.node_count() as u32).map(Node) {
+            topo.neighbors_into(x, &mut nbrs);
+            let safe = nbrs.iter().filter(|&&y| !after.contains(y)).count();
+            assert_eq!(
+                field.safe_neighbours(x) as usize,
+                safe,
+                "event {i}: safe neighbours of {x:?}"
+            );
+            assert_eq!(
+                field.borders_contamination(x),
+                safe < nbrs.len(),
+                "event {i}: boundary test of {x:?}"
+            );
         }
         if let Some(ports) = &mut ports {
             ports.query(field.contaminated_set());

@@ -6,8 +6,10 @@ use std::time::{Duration, Instant};
 
 use hypersweep_analysis::{execute_schedule_stream, Table};
 use hypersweep_check::{Adversary, ViolationReport};
+use hypersweep_intruder::FieldScratch;
 use hypersweep_telemetry::MetricsRegistry;
-use hypersweep_topology::Topology;
+use hypersweep_topology::graph::AdjGraph;
+use hypersweep_topology::{Node, PartialGrid, Topology};
 
 use crate::dynamic::run_dynamic;
 use crate::sweep::{run_static, ScheduleStats};
@@ -147,27 +149,39 @@ impl Default for SliceOutcome {
     }
 }
 
-fn run_one(campaign: &ScenarioCampaign, schedule: u64, max_steps: u64) -> ScheduleStats {
-    match campaign.scenario {
-        ScenarioId::Grid => {
-            let grid = campaign.instance.build(campaign.side);
+/// What every schedule of a campaign starts from, built once per campaign:
+/// the grid itself, or the dynamic scenario's base graph (each schedule
+/// mutates its own copy, so every copy starts with the same adjacency
+/// order).
+enum Instance {
+    Grid(PartialGrid),
+    Dynamic(AdjGraph),
+}
+
+/// One schedule of `campaign` on `instance`, its verifier's field built in
+/// the worker's `scratch`.
+fn run_one(
+    campaign: &ScenarioCampaign,
+    instance: &Instance,
+    homebase: Node,
+    schedule: u64,
+    max_steps: u64,
+    scratch: &mut FieldScratch,
+) -> ScheduleStats {
+    let leaky = campaign.strategy == GridStrategy::LeakyGuard;
+    match instance {
+        Instance::Grid(grid) => {
             let mut adversary = Adversary::for_schedule(campaign.seed, schedule);
-            run_static(
-                &grid,
-                grid.homebase(),
-                campaign.strategy == GridStrategy::LeakyGuard,
-                &mut adversary,
-                max_steps,
-            )
+            run_static(grid, homebase, leaky, &mut adversary, max_steps, scratch)
         }
-        ScenarioId::Dynamic => run_dynamic(
-            campaign.side,
-            campaign.instance,
-            campaign.seed,
-            schedule,
+        Instance::Dynamic(base) => run_dynamic(
+            base,
+            homebase,
+            leaky,
+            (campaign.seed, schedule),
             max_steps,
+            scratch,
         ),
-        ScenarioId::Hypercube => unreachable!("hypercube campaigns use the classic driver"),
     }
 }
 
@@ -185,8 +199,15 @@ pub fn run_scenario_campaign(
     registry: &MetricsRegistry,
 ) -> ScenarioOutcome {
     let start = Instant::now();
-    let nodes = campaign.instance.build(campaign.side).node_count() as u64;
+    let grid = campaign.instance.build(campaign.side);
+    let homebase = grid.homebase();
+    let nodes = grid.node_count() as u64;
     let max_steps = campaign.effective_max_steps(nodes);
+    let instance = match campaign.scenario {
+        ScenarioId::Grid => Instance::Grid(grid),
+        ScenarioId::Dynamic => Instance::Dynamic(AdjGraph::from_topology(&grid)),
+        ScenarioId::Hypercube => unreachable!("hypercube campaigns use the classic driver"),
+    };
 
     let schedules_ctr = registry.counter("scenario.schedules");
     let steps_ctr = registry.counter("scenario.steps");
@@ -202,10 +223,10 @@ pub fn run_scenario_campaign(
         jobs.max(1),
         registry,
         "scenario",
-        |_worker| (),
-        |_, out: &mut SliceOutcome, schedule| {
+        |_worker| FieldScratch::default(),
+        |scratch, out: &mut SliceOutcome, schedule| {
             let t0 = Instant::now();
-            let stats = run_one(campaign, schedule, max_steps);
+            let stats = run_one(campaign, &instance, homebase, schedule, max_steps, scratch);
             schedule_us.record(t0.elapsed().as_micros() as u64);
             out.schedules_run += 1;
             out.steps += stats.steps;
@@ -374,11 +395,34 @@ mod tests {
 
     #[test]
     fn leaky_guard_mutant_fails_at_schedule_zero() {
-        let campaign = grid_campaign(GridStrategy::LeakyGuard, 64);
-        let outcome = run_scenario_campaign(&campaign, 3, &MetricsRegistry::disabled());
-        assert_eq!(outcome.violations, 1);
-        let c = outcome.counterexample.expect("mutant must be caught");
-        assert_eq!(c.schedule, 0, "mutant must die on the very first schedule");
+        // The grid's holes decide where its guard leaks; the dynamic
+        // scenario's full grid leaks at the homebase on every side.
+        for (scenario, instance, sides, leak) in [
+            (ScenarioId::Grid, GridInstance::Holes(42), 6..=6, 4),
+            (ScenarioId::Dynamic, GridInstance::Full, 4..=12, 0),
+        ] {
+            for side in sides {
+                let campaign = ScenarioCampaign {
+                    scenario,
+                    instance,
+                    side,
+                    ..grid_campaign(GridStrategy::LeakyGuard, 64)
+                };
+                let outcome = run_scenario_campaign(&campaign, 3, &MetricsRegistry::disabled());
+                let at = format!("{scenario:?} side {side}");
+                assert_eq!((outcome.schedules_run, outcome.violations), (1, 1), "{at}");
+                let c = outcome.counterexample.expect("mutant must be caught");
+                assert_eq!(
+                    c.schedule, 0,
+                    "{at}: mutant must die on the very first schedule"
+                );
+                assert_eq!(
+                    c.violation.to_string(),
+                    format!("step 1 event 4: recontamination at node {leak}"),
+                    "{at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -42,6 +42,8 @@ pub use dynamic::{MUTATIONS_PER_ROUND, ROUND_LEN};
 pub use sweep::ScheduleStats;
 
 use hypersweep_check::{Adversary, ViolationKind};
+use hypersweep_intruder::FieldScratch;
+use hypersweep_topology::graph::AdjGraph;
 use hypersweep_topology::{GridInstance, Topology};
 
 /// Largest accepted grid side (`side x side` live cells at most; keeps
@@ -305,6 +307,7 @@ impl Scenario for GridScenario {
             false,
             &mut adversary,
             1_000 * nodes + 10_000,
+            &mut FieldScratch::default(),
         );
         ScenarioReference::from_stats(nodes, stats)
     }
@@ -335,8 +338,16 @@ impl Scenario for DynamicScenario {
     }
 
     fn reference(&self, side: u32, instance: GridInstance) -> ScenarioReference {
-        let nodes = instance.build(side).node_count() as u64;
-        let stats = dynamic::run_dynamic(side, instance, 0, 0, 1_000 * nodes + 10_000);
+        let grid = instance.build(side);
+        let nodes = grid.node_count() as u64;
+        let stats = dynamic::run_dynamic(
+            &AdjGraph::from_topology(&grid),
+            grid.homebase(),
+            false,
+            (0, 0),
+            1_000 * nodes + 10_000,
+            &mut FieldScratch::default(),
+        );
         ScenarioReference::from_stats(nodes, stats)
     }
 }

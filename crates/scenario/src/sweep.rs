@@ -27,7 +27,7 @@
 use std::collections::VecDeque;
 
 use hypersweep_check::{Adversary, RunnableView, StepOracle, ViolationKind, ViolationReport};
-use hypersweep_intruder::ContaminationField;
+use hypersweep_intruder::{ContaminationField, FieldScratch};
 use hypersweep_sim::{AgentId, Event, EventKind, Role};
 use hypersweep_topology::{Node, Topology};
 
@@ -123,6 +123,12 @@ pub(crate) struct Sweep {
     time: u64,
     pub(crate) stats: ScheduleStats,
     nbrs: Vec<Node>,
+    /// [`Sweep::plan_path`]'s search, kept across tasks: node -> its BFS
+    /// predecessor, valid where `seen` holds the current `epoch`.
+    prev: Vec<Node>,
+    seen: Vec<u32>,
+    epoch: u32,
+    queue: VecDeque<Node>,
 }
 
 impl Sweep {
@@ -140,6 +146,10 @@ impl Sweep {
             time: 0,
             stats: ScheduleStats::default(),
             nbrs: Vec::new(),
+            prev: vec![homebase; node_count],
+            seen: vec![0; node_count],
+            epoch: 0,
+            queue: VecDeque::new(),
         }
     }
 
@@ -163,17 +173,6 @@ impl Sweep {
         oracle.observe(&event, step)
     }
 
-    /// Does `x` border contamination?
-    fn is_boundary<T: Topology + ?Sized>(
-        &mut self,
-        topo: &T,
-        field: &ContaminationField<'_, T>,
-        x: Node,
-    ) -> bool {
-        topo.neighbors_into(x, &mut self.nbrs);
-        self.nbrs.iter().any(|&y| field.is_contaminated(y))
-    }
-
     /// Spawn a new agent at the homebase (event emitted by the caller).
     fn new_agent(&mut self) -> AgentId {
         let agent = self.positions.len() as AgentId;
@@ -195,14 +194,9 @@ impl Sweep {
     /// After `agent` arrives on a freshly-safe node (spawn or task
     /// completion): pin it as the node's guard if the node borders
     /// contamination and has no guard yet, otherwise free it.
-    fn assign_duty<T: Topology + ?Sized>(
-        &mut self,
-        topo: &T,
-        oracle: &StepOracle<'_, T>,
-        agent: AgentId,
-    ) {
+    fn assign_duty<T: Topology + ?Sized>(&mut self, oracle: &StepOracle<'_, T>, agent: AgentId) {
         let node = self.positions[agent as usize];
-        let boundary = self.is_boundary(topo, oracle.field(), node);
+        let boundary = oracle.field().borders_contamination(node);
         let guarded = self.pinned.iter().any(|&(n, _)| n == node);
         if boundary && !guarded {
             self.pinned.push((node, agent));
@@ -215,11 +209,11 @@ impl Sweep {
 
     /// Release every guard whose node turned interior. No event: the
     /// freed agent stays put and its next task path starts there.
-    fn release_guards<T: Topology + ?Sized>(&mut self, topo: &T, oracle: &StepOracle<'_, T>) {
+    fn release_guards<T: Topology + ?Sized>(&mut self, oracle: &StepOracle<'_, T>) {
         let mut i = 0;
         while i < self.pinned.len() {
             let (node, agent) = self.pinned[i];
-            if self.is_boundary(topo, oracle.field(), node) {
+            if oracle.field().borders_contamination(node) {
                 i += 1;
             } else {
                 self.pinned.remove(i);
@@ -261,15 +255,15 @@ impl Sweep {
     }
 
     /// Smallest untargeted contaminated node adjacent to the clean
-    /// region, with its smallest safe neighbour as the approach parent.
+    /// region, with its first safe neighbour in adjacency order as the
+    /// approach parent.
     fn pick_target<T: Topology + ?Sized>(
         &mut self,
         topo: &T,
         field: &ContaminationField<'_, T>,
     ) -> Option<(Node, Node)> {
-        for x in 0..topo.node_count() as u32 {
-            let x = Node(x);
-            if !field.is_contaminated(x) || self.targeted[x.index()] {
+        for x in field.contaminated_set().iter() {
+            if self.targeted[x.index()] || field.safe_neighbours(x) == 0 {
                 continue;
             }
             topo.neighbors_into(x, &mut self.nbrs);
@@ -293,30 +287,33 @@ impl Sweep {
     ) -> Option<VecDeque<Node>> {
         let mut path = VecDeque::new();
         if start != parent {
-            let n = topo.node_count();
-            let mut prev: Vec<Option<Node>> = vec![None; n];
-            let mut queue = VecDeque::new();
-            let mut nbrs = Vec::new();
-            prev[start.index()] = Some(start);
-            queue.push_back(start);
-            'bfs: while let Some(x) = queue.pop_front() {
-                topo.neighbors_into(x, &mut nbrs);
-                for &y in &nbrs {
-                    if field.is_contaminated(y) || prev[y.index()].is_some() {
+            // A new epoch marks every node unseen without touching `seen`.
+            self.epoch += 1;
+            let epoch = self.epoch;
+            self.seen[start.index()] = epoch;
+            self.queue.clear();
+            self.queue.push_back(start);
+            'bfs: while let Some(x) = self.queue.pop_front() {
+                topo.neighbors_into(x, &mut self.nbrs);
+                for &y in &self.nbrs {
+                    if field.is_contaminated(y) || self.seen[y.index()] == epoch {
                         continue;
                     }
-                    prev[y.index()] = Some(x);
+                    self.seen[y.index()] = epoch;
+                    self.prev[y.index()] = x;
                     if y == parent {
                         break 'bfs;
                     }
-                    queue.push_back(y);
+                    self.queue.push_back(y);
                 }
             }
-            prev[parent.index()]?;
+            if self.seen[parent.index()] != epoch {
+                return None;
+            }
             let mut cur = parent;
             while cur != start {
                 path.push_front(cur);
-                cur = prev[cur.index()].expect("bfs predecessor chain");
+                cur = self.prev[cur.index()];
             }
         }
         path.push_back(target);
@@ -345,7 +342,7 @@ impl Sweep {
                 step,
             )?;
             self.credit_clean();
-            self.assign_duty(topo, oracle, agent);
+            self.assign_duty(oracle, agent);
         }
         while self.tasks.len() < MAX_MOVERS {
             let Some((target, parent)) = self.pick_target(topo, oracle.field()) else {
@@ -397,7 +394,7 @@ impl Sweep {
         adversary: &mut Adversary,
         step: u64,
     ) -> Result<Progress, ViolationReport> {
-        self.release_guards(topo, oracle);
+        self.release_guards(oracle);
         if self.leaky && !self.leaked {
             if let Some((agent, from, to)) = self.find_leak(topo, oracle) {
                 self.leaked = true;
@@ -466,7 +463,7 @@ impl Sweep {
         )?;
         if completed {
             self.credit_clean();
-            self.assign_duty(topo, oracle, agent);
+            self.assign_duty(oracle, agent);
         }
         Ok(Progress::Advanced)
     }
@@ -488,7 +485,7 @@ impl Sweep {
         self.free.clear();
         for x in 0..topo.node_count() as u32 {
             let node = Node(x);
-            if field.is_contaminated(node) || !self.is_boundary(topo, field, node) {
+            if field.is_contaminated(node) || !field.borders_contamination(node) {
                 continue;
             }
             let guard = (0..self.positions.len())
@@ -508,15 +505,17 @@ impl Sweep {
     }
 }
 
-/// Drive one full static-topology schedule to capture (or violation).
+/// Drive one full static-topology schedule to capture (or violation). The
+/// verifier's field is built in `scratch` and handed back in it.
 pub(crate) fn run_static<T: Topology + ?Sized>(
     topo: &T,
     homebase: Node,
     leaky: bool,
     adversary: &mut Adversary,
     max_steps: u64,
+    scratch: &mut FieldScratch,
 ) -> ScheduleStats {
-    let mut oracle = StepOracle::new(topo, homebase, 1);
+    let mut oracle = StepOracle::new_in(topo, homebase, 1, std::mem::take(scratch));
     let mut sweep = Sweep::new(topo.node_count(), homebase, leaky);
     let mut step = 0u64;
     let violation = loop {
@@ -529,6 +528,7 @@ pub(crate) fn run_static<T: Topology + ?Sized>(
             Err(v) => break Some(v),
         }
     };
+    *scratch = oracle.into_scratch();
     let mut stats = sweep.stats;
     stats.steps = step;
     stats.rounds = 1;
@@ -543,7 +543,15 @@ mod tests {
 
     fn run(grid: &PartialGrid, leaky: bool, schedule: u64) -> ScheduleStats {
         let mut adversary = Adversary::for_schedule(0, schedule);
-        run_static(grid, grid.homebase(), leaky, &mut adversary, 100_000)
+        let mut scratch = FieldScratch::default();
+        run_static(
+            grid,
+            grid.homebase(),
+            leaky,
+            &mut adversary,
+            100_000,
+            &mut scratch,
+        )
     }
 
     #[test]

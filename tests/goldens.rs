@@ -13,10 +13,11 @@
 //! d=1..8; an FNV digest of every synthesized trace at d=1..10; the
 //! `watch visibility 3 --stride 4` film; `check` campaign tables for the
 //! four paper strategies at d=6 and for the grid and dynamic scenarios
-//! (`sched/s` blanked); `report scenarios --dim 6` stdout; every corpus
-//! replay's verification; the dispatcher's reply to a fixed request
-//! transcript; and, ignored in debug builds, `report all --full --max-dim
-//! 14 --jobs 1` stdout.
+//! (`sched/s` blanked), at d=6 and at the benchmark's sides; `report
+//! scenarios --dim 6` stdout; every corpus replay's verification; the
+//! dispatcher's reply to a fixed request transcript and its scenario
+//! replies at the benchmark's sides; and, ignored in debug builds, `report
+//! all --full --max-dim 14 --jobs 1` stdout.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -36,7 +37,7 @@ use hypersweep::scenario::{
 use hypersweep::server::{Dispatcher, Request, Response, ServerLimits};
 use hypersweep::sim::{Event, EventSink, Policy};
 use hypersweep::telemetry::MetricsRegistry;
-use hypersweep::topology::{Hypercube, Node};
+use hypersweep::topology::{GridInstance, Hypercube, Node};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -270,6 +271,64 @@ fn campaign_tables() {
         out.push('\n');
     }
     golden("campaigns.txt", &out);
+}
+
+/// `check --scenario grid|dynamic` tables at the benchmark's sizes, 25
+/// schedules each at seed 0, with `sched/s` reading 0: grid `holes:3` at
+/// side 10, grid `full` and `corridor` at side 16, dynamic `full` at sides
+/// 8 and 10.
+#[test]
+fn scenario_campaign_tables() {
+    let registry = MetricsRegistry::disabled();
+    let mut out = String::new();
+    for (id, side, instance) in [
+        (ScenarioId::Grid, 10, "holes:3"),
+        (ScenarioId::Grid, 16, "full"),
+        (ScenarioId::Grid, 16, "corridor"),
+        (ScenarioId::Dynamic, 8, "full"),
+        (ScenarioId::Dynamic, 10, "full"),
+    ] {
+        let scenario = hypersweep::scenario::resolve(id).expect("registered scenario");
+        let instance = GridInstance::parse(instance).expect("a valid instance");
+        let campaign = scenario.campaign(GridStrategy::Sweep, side, instance, 25, 0, 0);
+        let mut outcome = run_scenario_campaign(&campaign, 1, &registry);
+        outcome.elapsed = Duration::ZERO;
+        out.push_str(&scenario_table(&[outcome]).render());
+        out.push('\n');
+    }
+    golden("scenario-campaigns.txt", &out);
+}
+
+/// The dispatcher's scenario `plan` and `audit` replies at the benchmark's
+/// sizes: grid sides 8–16 on the `full`, `holes:1` and `corridor`
+/// instances, dynamic sides 6–12.
+#[test]
+fn served_scenarios() {
+    let dispatcher = Dispatcher::new(Arc::new(RunCache::new()), ServerLimits::default().max_dim);
+    let mut lines = Vec::new();
+    for side in 8..=16 {
+        for instance in ["full", "holes:1", "corridor"] {
+            for tag in ["plan", "audit"] {
+                lines.push(format!(
+                    r#"{{"type":"{tag}","scenario":"grid","dim":{side},"instance":"{instance}"}}"#
+                ));
+            }
+        }
+    }
+    for side in 6..=12 {
+        for tag in ["plan", "audit"] {
+            lines.push(format!(
+                r#"{{"type":"{tag}","scenario":"dynamic","dim":{side}}}"#
+            ));
+        }
+    }
+    let mut out = String::new();
+    for line in lines {
+        let request = Request::parse(&line).expect("a valid scenario request");
+        let reply = dispatcher.handle(request).to_line();
+        writeln!(out, "> {line}\n< {reply}").unwrap();
+    }
+    golden("served-scenarios.txt", &out);
 }
 
 #[test]
