@@ -620,6 +620,33 @@ fn check_replay_refuses_dimensions_outside_the_checked_range() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `check --replay`'s stdout and exit code for every corpus file, run from
+/// the workspace root, against `tests/golden/check-replays.txt`.
+#[test]
+fn check_replay_of_every_corpus_file_matches_its_golden() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let mut names: Vec<String> = std::fs::read_dir(format!("{root}/tests/corpus"))
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    names.sort();
+    let mut golden = String::new();
+    for name in names {
+        let path = format!("tests/corpus/{name}");
+        let out = bin()
+            .current_dir(root)
+            .args(["check", "--replay", &path])
+            .output()
+            .unwrap();
+        golden += &format!("$ hypersweep check --replay {path}\n");
+        golden += &String::from_utf8(out.stdout).unwrap();
+        let code = out.status.code().expect("the binary exits on its own");
+        golden += &format!("exit {code}\n");
+    }
+    hypersweep_testutil::golden("check-replays.txt", &golden);
+}
+
 #[test]
 fn check_timings_renders_the_campaign_phase_table() {
     let out = bin()

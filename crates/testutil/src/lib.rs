@@ -3,10 +3,14 @@
 //! Used as a dev-dependency only; nothing here ships in release builds.
 //! The helpers were promoted out of `crates/server/tests/serve.rs`,
 //! `tests/cross_engine.rs`, and `tests/pool_determinism.rs`, where each
-//! suite kept a private near-identical copy.
+//! suite kept a private near-identical copy. [`golden`] compares outputs
+//! with the files under the workspace's `tests/golden/` for the root
+//! `goldens` suite and the CLI's tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod golden;
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -17,6 +21,8 @@ use hypersweep_intruder::{verify_trace, MonitorConfig, Verdict};
 use hypersweep_server::{Request, Server, ServerLimits, ServerStats};
 use hypersweep_sim::{Event, EventKind, Role};
 use hypersweep_topology::{Hypercube, Node};
+
+pub use golden::golden;
 
 /// A shutdown trigger for a spawned daemon; call it to begin draining.
 pub type Shutdown = Arc<dyn Fn() + Send + Sync>;

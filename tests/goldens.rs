@@ -2,18 +2,20 @@
 //! keep across refactors, compared through library calls.
 //!
 //! Each test renders one family of outputs and compares it with its files
-//! under `tests/golden/`. A mismatch fails with the first differing line.
-//! `HYPERSWEEP_BLESS=1 cargo test --test goldens` rewrites the files
-//! instead and prints the name of every file it changed; the release-only
-//! golden needs `HYPERSWEEP_BLESS=1 cargo test --release --test goldens --
-//! --ignored`.
+//! under `tests/golden/` ([`hypersweep_testutil::golden`]). A mismatch
+//! fails with the first differing line. `HYPERSWEEP_BLESS=1 cargo test
+//! --test goldens` rewrites the files instead and prints the name of every
+//! file it changed; the release-only golden needs `HYPERSWEEP_BLESS=1 cargo
+//! test --release --test goldens -- --ignored`. `check --replay`'s stdout
+//! and exit code need the binary, so `crates/cli/tests/cli.rs` pins them.
 //!
 //! Covered: `report all` (quick config, `--jobs 1`) stdout and its 19
 //! JSON exports; every strategy kind's fast, audited and engine runs at
 //! d=1..8; an FNV digest of every synthesized trace at d=1..10; the
 //! `watch visibility 3 --stride 4` film; `check` campaign tables for the
-//! four paper strategies at d=6 and for the grid and dynamic scenarios
-//! (`sched/s` blanked), at d=6 and at the benchmark's sides; `report
+//! four paper strategies at d=6 and d=8 and for the grid and dynamic
+//! scenarios (`sched/s` blanked), at d=6 and at the benchmark's sides; the
+//! eager-guard mutant's shrunk replays at d=4..10; `report
 //! scenarios --dim 6` stdout; every corpus replay's verification; the
 //! dispatcher's reply to a fixed request transcript and its scenario
 //! replies at the benchmark's sides; and, ignored in debug builds, `report
@@ -38,45 +40,7 @@ use hypersweep::server::{Dispatcher, Request, Response, ServerLimits};
 use hypersweep::sim::{Event, EventSink, Policy};
 use hypersweep::telemetry::MetricsRegistry;
 use hypersweep::topology::{GridInstance, Hypercube, Node};
-
-fn golden_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
-}
-
-fn blessing() -> bool {
-    std::env::var_os("HYPERSWEEP_BLESS").is_some_and(|v| v == "1")
-}
-
-/// Compare `actual` with the golden file `name` (relative to
-/// `tests/golden/`), or rewrite it when blessing.
-fn golden(name: &str, actual: &str) {
-    let path = golden_dir().join(name);
-    let expected = std::fs::read_to_string(&path).ok();
-    if blessing() {
-        if expected.as_deref() != Some(actual) {
-            std::fs::create_dir_all(path.parent().expect("golden files live in a directory"))
-                .expect("create the golden directory");
-            std::fs::write(&path, actual).expect("write the golden file");
-            println!("blessed tests/golden/{name}");
-        }
-        return;
-    }
-    let expected = expected.unwrap_or_else(|| {
-        panic!("tests/golden/{name} is missing; run with HYPERSWEEP_BLESS=1 to create it")
-    });
-    if expected == actual {
-        return;
-    }
-    let (e, a): (Vec<&str>, Vec<&str>) = (expected.lines().collect(), actual.lines().collect());
-    let at = e.iter().zip(&a).take_while(|(x, y)| x == y).count();
-    panic!(
-        "tests/golden/{name} differs at line {}:\n  golden: {:?}\n  actual: {:?}\n\
-         (HYPERSWEEP_BLESS=1 rewrites the golden if the change is intended)",
-        at + 1,
-        e.get(at).copied().unwrap_or("<end of file>"),
-        a.get(at).copied().unwrap_or("<end of file>"),
-    );
-}
+use hypersweep_testutil::golden;
 
 /// `report <ids> --jobs 1` stdout for `cfg`, plus the results themselves.
 fn report_stdout(cfg: &ExperimentConfig) -> (String, Vec<hypersweep::analysis::ExperimentResult>) {
@@ -271,6 +235,52 @@ fn campaign_tables() {
         out.push('\n');
     }
     golden("campaigns.txt", &out);
+}
+
+/// `check --strategy all --dim 8 --schedules 25 --seed 20050404`, the
+/// campaign CI's check-smoke runs, with `sched/s` reading 0.
+#[test]
+fn campaign_table_d8() {
+    let registry = MetricsRegistry::disabled();
+    let outcomes: Vec<_> = CheckStrategy::PAPER
+        .iter()
+        .map(|&s| {
+            let campaign = CheckCampaign {
+                cfg: CheckConfig::new(s, 8),
+                schedules: 25,
+                seed: 20050404,
+                planted: None,
+            };
+            let mut outcome = run_campaign(&campaign, 1, &registry);
+            outcome.elapsed = Duration::ZERO;
+            outcome
+        })
+        .collect();
+    golden("campaigns-d8.txt", &campaign_table(&outcomes).render());
+}
+
+/// The replay file `check --strategy mutant-eager-guard --dim D
+/// --schedules 5 --seed S --jobs 1` writes, at d=4..10 for seeds 1–3.
+/// Each campaign stops at a recontamination, and the shrink's region
+/// checks rebuild the connectivity forest after it.
+#[test]
+fn eager_guard_shrunk_replays() {
+    let registry = MetricsRegistry::disabled();
+    let mut out = String::new();
+    for dim in 4..=10 {
+        for seed in 1..=3 {
+            let campaign = CheckCampaign {
+                cfg: CheckConfig::new(CheckStrategy::MutantEagerGuard, dim),
+                schedules: 5,
+                seed,
+                planted: None,
+            };
+            let outcome = run_campaign(&campaign, 1, &registry);
+            let replay = outcome.counterexample.expect("the mutant is caught");
+            writeln!(out, "# d={dim} seed={seed}\n{}", replay.to_json()).unwrap();
+        }
+    }
+    golden("eager-guard-replays.txt", &out);
 }
 
 /// `check --scenario grid|dynamic` tables at the benchmark's sizes, 25
