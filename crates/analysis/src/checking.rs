@@ -45,10 +45,6 @@ const SLICE: u64 = 32;
 /// strategies need days, so larger requests are almost certainly typos.
 pub const MAX_CAMPAIGN_SCHEDULES: u64 = 10_000_000;
 
-/// Upper bound on `--stride` (events between oracle checks): strides past
-/// this exceed any schedule's event count and silently disable the oracles.
-pub const MAX_CHECK_STRIDE: u64 = 1_000_000;
-
 /// Validate a campaign size the way `validate_max_dim` validates `--max-dim`:
 /// reject 0 (an empty campaign proves nothing) and absurd sizes.
 pub fn validate_campaign_size(schedules: u64) -> Result<u64, String> {
@@ -65,26 +61,6 @@ pub fn validate_campaign_size(schedules: u64) -> Result<u64, String> {
         ))
     } else {
         Ok(schedules)
-    }
-}
-
-/// Validate an oracle stride: reject 0 (ambiguous with the derived
-/// default — pass nothing instead) and absurd values.
-pub fn validate_stride(stride: u64) -> Result<u64, String> {
-    if stride == 0 {
-        Err(format!(
-            "--stride must be at least 1 (the oracles run every stride events; \
-             omit the flag for the default stride of 1); \
-             valid range is 1..={MAX_CHECK_STRIDE}"
-        ))
-    } else if stride > MAX_CHECK_STRIDE {
-        Err(format!(
-            "--stride {stride} exceeds the supported limit {MAX_CHECK_STRIDE} \
-             (no schedule produces that many events, so the oracles would never run); \
-             valid range is 1..={MAX_CHECK_STRIDE}"
-        ))
-    } else {
-        Ok(stride)
     }
 }
 
@@ -443,15 +419,6 @@ mod tests {
             Ok(MAX_CAMPAIGN_SCHEDULES)
         );
         let err = validate_campaign_size(MAX_CAMPAIGN_SCHEDULES + 1).unwrap_err();
-        assert!(err.contains("valid range"), "structured message: {err}");
-    }
-
-    #[test]
-    fn stride_validation_rejects_zero_and_absurd() {
-        assert!(validate_stride(0).is_err());
-        assert_eq!(validate_stride(1), Ok(1));
-        assert_eq!(validate_stride(MAX_CHECK_STRIDE), Ok(MAX_CHECK_STRIDE));
-        let err = validate_stride(MAX_CHECK_STRIDE + 1).unwrap_err();
         assert!(err.contains("valid range"), "structured message: {err}");
     }
 

@@ -30,8 +30,8 @@ pub use cache::{
     StrategyKind, MAX_CACHE_SHARDS,
 };
 pub use checking::{
-    campaign_table, run_campaign, validate_campaign_size, validate_stride, CampaignOutcome,
-    CheckCampaign, MAX_CAMPAIGN_SCHEDULES, MAX_CHECK_STRIDE,
+    campaign_table, run_campaign, validate_campaign_size, CampaignOutcome, CheckCampaign,
+    MAX_CAMPAIGN_SCHEDULES,
 };
 pub use persist::{CacheStore, PersistAppender, WarmLoadStats};
 pub use pool::{

@@ -7,10 +7,10 @@
 //! operations cover the daemon's life cycle:
 //!
 //! - **Append** ([`CacheStore::appender`]): a background thread receives
-//!   every *computed* cache insert through the cache's
-//!   [`InsertListener`](crate::cache::InsertListener), batches records, and
-//!   appends them; `fsync` happens on [`PersistAppender::flush`] (the
-//!   drain path), not per record, so the hot path never blocks on disk.
+//!   every *computed* cache insert through the cache's [`InsertListener`],
+//!   batches records, and appends them; `fsync` happens on
+//!   [`PersistAppender::flush`] (the drain path), not per record, so the
+//!   hot path never blocks on disk.
 //! - **Warm-load** ([`CacheStore::warm_load`]): on start, every line is
 //!   checksum- and schema-validated; valid records are inserted with
 //!   [`RunCache::insert_ready`] and corrupt or truncated lines are
@@ -348,7 +348,7 @@ pub struct PersistAppender {
 impl PersistAppender {
     /// An [`InsertListener`] that encodes and enqueues every persistable
     /// computed insert. Enqueueing never blocks: if the writer is
-    /// [`APPEND_QUEUE`] records behind, the record is dropped (it will be
+    /// `APPEND_QUEUE` records behind, the record is dropped (it will be
     /// recomputed after the next restart — correctness is unaffected).
     pub fn listener(&self) -> InsertListener {
         let tx = self.tx.clone();

@@ -12,7 +12,7 @@
 //!   ~1.6× Algorithm CLEAN's team — and `n·log n` moves (~2× CLEAN),
 //!   quantifying what the synchronizer's leaf-recall scheme buys.
 //! * [`tree_search`] — contiguous search on trees (the only previously
-//!   solved topology, Barrière et al. [1]): the optimal-team recurrence,
+//!   solved topology, Barrière et al. \[1\]): the optimal-team recurrence,
 //!   a strategy generator, and the negative control showing that running
 //!   the tree strategy on the hypercube's spanning tree while ignoring the
 //!   chords immediately recontaminates.

@@ -1,4 +1,4 @@
-//! Contiguous search on trees — the previously solved case ([1] in the
+//! Contiguous search on trees — the previously solved case (\[1\] in the
 //! paper: Barrière, Flocchini, Fraigniaud, Santoro, *Capture of an intruder
 //! by mobile agents*).
 //!

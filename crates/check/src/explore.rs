@@ -68,6 +68,7 @@ impl CheckStrategy {
 }
 
 /// One checking problem: a strategy on `H_dim` plus exploration bounds.
+/// The oracles check contiguity and frontier coverage after every event.
 #[derive(Clone, Copy, Debug)]
 pub struct CheckConfig {
     /// The strategy under check.
@@ -81,12 +82,6 @@ pub struct CheckConfig {
     /// Step budget per schedule; `0` derives a generous default from the
     /// dimension.
     pub max_steps: u64,
-    /// Run the contiguity/frontier oracles every `stride` events; `0`
-    /// derives the default, which is 1 at every dimension — the oracles
-    /// are served from incrementally maintained state, so per-event
-    /// checking costs `O(1)` per query. Strides > 1 remain available for
-    /// experiments but no longer buy meaningful throughput.
-    pub stride: u64,
 }
 
 impl CheckConfig {
@@ -97,7 +92,6 @@ impl CheckConfig {
             mutant: None,
             dim,
             max_steps: 0,
-            stride: 0,
         }
     }
 
@@ -284,7 +278,7 @@ fn drive_async<P: AgentProgram>(
     arena: &mut CheckArena,
 ) -> ScheduleRun {
     let cube = engine.cube();
-    let mut oracle = StepOracle::new_in(&cube, Node::ROOT, cfg.stride.max(1), arena.take_field());
+    let mut oracle = StepOracle::new_in(&cube, Node::ROOT, 1, arena.take_field());
     let max_steps = cfg.effective_max_steps();
     let mut decisions: Vec<u32> = Vec::new();
     let mut seen = 0usize;
@@ -343,7 +337,7 @@ fn drive_sync<P: AgentProgram>(
     arena: &mut CheckArena,
 ) -> ScheduleRun {
     let cube = engine.cube();
-    let mut oracle = StepOracle::new_in(&cube, Node::ROOT, cfg.stride.max(1), arena.take_field());
+    let mut oracle = StepOracle::new_in(&cube, Node::ROOT, 1, arena.take_field());
     let max_steps = cfg.effective_max_steps();
     let mut seen = 0usize;
     let mut step: u64 = 0;

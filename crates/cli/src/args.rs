@@ -12,8 +12,7 @@ use std::time::Duration;
 
 use hypersweep_analysis::{
     default_jobs, validate_cache_cap, validate_cache_shards,
-    validate_campaign_size as campaign_size, validate_max_dim, validate_stride as stride,
-    StrategyKind,
+    validate_campaign_size as campaign_size, validate_max_dim, StrategyKind,
 };
 use hypersweep_scenario::ScenarioId;
 use hypersweep_server::{BenchConfig, ServerLimits};
@@ -78,7 +77,7 @@ const FLAGS: &[Flag] = &[
     Flag("--cache-cap", "N", Checked(cache_cap)),
     Flag("--cache-shards", "N", Checked(cache_shards)),
     Flag("--campaign-size|--schedules", "N", Checked(campaign_size)),
-    Flag("--stride", "N", Checked(stride)),
+    Flag("--stride", "N", Checked(watch_stride)),
 ];
 
 fn max_dim(v: u64) -> Result<u64, String> {
@@ -91,6 +90,31 @@ fn cache_cap(v: u64) -> Result<u64, String> {
 
 fn cache_shards(v: u64) -> Result<u64, String> {
     validate_cache_shards(v.try_into().unwrap_or(usize::MAX)).map(|v| v as u64)
+}
+
+/// `watch` renders a frame every this many events unless `--stride` says.
+const WATCH_STRIDE: usize = 8;
+
+/// Upper bound on `watch --stride`: far past the event count of any film
+/// `watch` renders (`d ≤ 8`), where every larger stride shows the same
+/// single final frame.
+const MAX_WATCH_STRIDE: u64 = 1_000_000;
+
+fn watch_stride(v: u64) -> Result<u64, String> {
+    let range = format!("valid range is 1..={MAX_WATCH_STRIDE}");
+    if v == 0 {
+        Err(format!(
+            "--stride must be at least 1 (watch renders a frame every N events; \
+             omit the flag for the default of {WATCH_STRIDE}); {range}"
+        ))
+    } else if v > MAX_WATCH_STRIDE {
+        Err(format!(
+            "--stride {v} exceeds the supported limit {MAX_WATCH_STRIDE} \
+             (no film has that many events, so only its final frame would render); {range}"
+        ))
+    } else {
+        Ok(v)
+    }
 }
 
 /// The flag spelled `spelling`.
@@ -181,11 +205,11 @@ impl Command {
 
 const REPORT: &str = "--full --max-dim --json --jobs --cache-cap --timings";
 /// The scenario campaigns' flags; the hypercube checker reads these too,
-/// bar `--instance`, plus `--stride --plant --out`.
+/// bar `--instance`, plus `--plant --out`.
 const GRID: &str = "--scenario --strategy --dim --campaign-size --seed --jobs --max-steps \
      --timings --instance";
 const CUBE: &str = "--scenario --strategy --dim --campaign-size --seed --jobs --max-steps \
-     --timings --stride --plant --out";
+     --timings --plant --out";
 const BENCH_SERVE: &str = "--addr --uds --connections --requests --pipeline-depth --max-dim --out";
 /// What `serve` reads and `daemon start|restart` forwards to it.
 const SERVE: &str = "--addr --uds --max-dim --jobs --cache-cap --cache-shards --timeout-ms \
@@ -214,7 +238,7 @@ static COMMANDS: &[Command] = &[
         ok(cmd_run(&a.positional[1], d, policy, a.on("--fast")))
     }),
     Command("watch <strategy> <d>", &["--stride"], |a| {
-        let stride = a.get("--stride").unwrap_or(8);
+        let stride = a.get("--stride").unwrap_or(WATCH_STRIDE);
         ok(cmd_watch(&a.positional[1], a.dimension(2, 8)?, stride))
     }),
     Command("trace <strategy> <d> <out.json>", &[], |a| {
@@ -231,7 +255,7 @@ static COMMANDS: &[Command] = &[
         let id = ScenarioId::parse(a.value("--scenario").unwrap_or_default());
         let id = id.expect("the synopsis admits grid or dynamic");
         let (strategy, instance) = (a.strategy(), a.value("--instance"));
-        let run = cmd_check_scenario(id, strategy, a.dim(), instance, &a.campaign(0, None));
+        let run = cmd_check_scenario(id, strategy, a.dim(), instance, &a.campaign(None));
         ok(run)
     }),
     Command("check [--scenario hypercube]", &[CUBE], |a| {
@@ -240,7 +264,7 @@ static COMMANDS: &[Command] = &[
             let known = "(known: hypercube, grid, dynamic)";
             return Err(format!("unknown scenario '{scenario}' {known}"));
         }
-        let opts = a.campaign(a.get("--stride").unwrap_or(0), a.get("--plant"));
+        let opts = a.campaign(a.get("--plant"));
         ok(cmd_check(a.strategy(), a.dim(), &opts, a.value("--out")))
     }),
     Command("bench-check", &["--jobs --out"], |a| {
@@ -366,13 +390,12 @@ impl Args {
         cmd_report(ids, full, max_dim, json, self.jobs(), cap, timings)
     }
 
-    fn campaign(&self, stride: u64, planted: Option<u64>) -> CheckCampaignOpts {
+    fn campaign(&self, planted: Option<u64>) -> CheckCampaignOpts {
         CheckCampaignOpts {
             schedules: self.get("--campaign-size").unwrap_or(200),
             seed: self.get("--seed").unwrap_or(0),
             jobs: self.jobs(),
             max_steps: self.get("--max-steps").unwrap_or(0),
-            stride,
             planted,
             timings: self.on("--timings"),
         }

@@ -280,13 +280,12 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
 
 /// Campaign knobs for `hypersweep check` beyond the checking problem
 /// itself (`--campaign-size`/`--schedules`, `--seed`, `--jobs`,
-/// `--max-steps`, `--stride`, `--plant`, `--timings`).
+/// `--max-steps`, `--plant`, `--timings`).
 struct CheckCampaignOpts {
     schedules: u64,
     seed: u64,
     jobs: usize,
     max_steps: u64,
-    stride: u64,
     planted: Option<u64>,
     timings: bool,
 }
@@ -345,7 +344,6 @@ fn cmd_check(
         seed,
         jobs,
         max_steps,
-        stride,
         planted,
         timings,
     } = *opts;
@@ -369,7 +367,6 @@ fn cmd_check(
     let mut outcomes = Vec::new();
     for mut cfg in configs {
         cfg.max_steps = max_steps;
-        cfg.stride = stride;
         cfg.validate()?;
         outcomes.push(hypersweep_analysis::run_campaign(
             &hypersweep_analysis::CheckCampaign {
@@ -810,6 +807,8 @@ struct CheckBenchEntry {
 #[derive(serde::Serialize, serde::Deserialize)]
 struct CheckBenchReport {
     schema: String,
+    /// Events between region checks: always 1, since the checker runs
+    /// them after every event.
     stride: u64,
     jobs: usize,
     runs: Vec<CheckBenchEntry>,
@@ -877,8 +876,7 @@ fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
 
     let mut entries = Vec::new();
     for (strategy, d) in plan {
-        let mut cfg = CheckConfig::new(strategy, d);
-        cfg.stride = 1;
+        let cfg = CheckConfig::new(strategy, d);
         cfg.validate()?;
         let campaign = hypersweep_analysis::CheckCampaign {
             cfg,

@@ -130,6 +130,37 @@ fn watch_renders_frames() {
     assert!(text.contains("captured"));
 }
 
+/// `watch --stride` counts events between frames and says so when it
+/// refuses a value.
+#[test]
+fn watch_stride_refusals_describe_the_film() {
+    for (stride, needle) in [
+        (
+            "0",
+            "at least 1 (watch renders a frame every N events; omit",
+        ),
+        (
+            "2000000",
+            "exceeds the supported limit 1000000 (no film has that",
+        ),
+    ] {
+        let out = bin()
+            .args(["watch", "visibility", "3", "--stride", stride])
+            .output()
+            .unwrap();
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{err}");
+        assert!(
+            err.contains(needle) && err.contains("range is 1..=1000000"),
+            "{err}"
+        );
+        assert!(
+            !err.contains("oracle") && !err.contains("schedule"),
+            "{err}"
+        );
+    }
+}
+
 #[test]
 fn trace_then_audit_roundtrip() {
     let dir = std::env::temp_dir().join("hypersweep-cli-test");
@@ -523,11 +554,6 @@ fn check_campaign_size_and_stride_reject_zero_and_absurd_values() {
             "exceeds the supported limit",
         ),
         (vec!["check", "--schedules", "0"], "at least 1"),
-        (vec!["check", "--stride", "0"], "at least 1"),
-        (
-            vec!["check", "--stride", "1000001"],
-            "exceeds the supported limit",
-        ),
     ] {
         let out = bin().args(&args).output().unwrap();
         assert!(!out.status.success(), "{args:?} must be rejected");
@@ -535,6 +561,11 @@ fn check_campaign_size_and_stride_reject_zero_and_absurd_values() {
         assert!(err.contains(needle), "{args:?}: {err}");
         assert!(err.contains("valid range"), "{args:?}: {err}");
     }
+    // The checker has no stride: its oracles run after every event.
+    let out = bin().args(["check", "--stride", "1"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--stride applies only to watch"), "{err}");
     // A planted index outside the campaign is caught up front too.
     let out = bin()
         .args(["check", "--campaign-size", "10", "--plant", "10"])

@@ -16,12 +16,7 @@
 //!   union-find (path-halving find, union by rank): the new node starts
 //!   its own component and is unioned with each already-safe neighbour,
 //!   `O(α · Δ)` per event. On the hypercube the caller enumerates
-//!   neighbours by port flips, so the insert path allocates nothing, and
-//!   the forest additionally records the *attachment port* — the port
-//!   (`1..=d`) over which each node first touched the existing region — as
-//!   one byte per node. The attachment ports form a spanning forest of the
-//!   insertion order whose root-ward walks stay inside the safe region, a
-//!   compact certificate that the differential tests cross-validate.
+//!   neighbours by port flips, so the insert path allocates nothing.
 //!   While the region is one clean component, a hypercube insertion with
 //!   a safe neighbour skips the unions: the node is adopted directly under
 //!   the component's root ([`SafeForest::adopt`]), one find in all. Every
@@ -33,25 +28,17 @@
 //!   itself *dirty* and is rebuilt from the contamination bitset on the
 //!   next query. Monotone strategies never recontaminate, so correct runs
 //!   never pay the rebuild; adversarial traces pay it at most once per
-//!   query, which is no worse than the whole-field BFS they previously
-//!   paid on *every* query.
+//!   query, which is no worse than a whole-field BFS on *every* query.
 //!
 //! With the component count maintained, the contiguity oracle collapses to
 //! two integer comparisons: `components == 1` and "the homebase is safe".
+//! The whole-field BFS survives as the differential tests' reference, in
+//! `hypersweep-testutil`.
 
 use hypersweep_topology::Node;
 
-/// Attachment-port marker: the node is a root of its attachment tree (it
-/// had no safe neighbour when it was decontaminated). Real ports are
-/// `1..=d`.
-pub const PORT_ROOT: u8 = 0;
-
-/// Attachment-port marker: the node is not currently tracked as safe.
-pub const PORT_NONE: u8 = u8::MAX;
-
-/// Union-find over the safe region, with component counting, a dirty flag
-/// for deletion-triggered rebuilds, and (on the hypercube) the per-node
-/// attachment-port record.
+/// Union-find over the safe region, with component counting and a dirty
+/// flag for deletion-triggered rebuilds.
 #[derive(Clone, Debug)]
 pub struct SafeForest {
     /// Union-find parent; `parent[i] == i` for component roots. Entries of
@@ -59,10 +46,6 @@ pub struct SafeForest {
     parent: Vec<u32>,
     /// Union-by-rank heuristic.
     rank: Vec<u8>,
-    /// Hypercube only (empty otherwise): the port over which each node
-    /// attached to the region, [`PORT_ROOT`] for attachment roots,
-    /// [`PORT_NONE`] outside the region.
-    attach_port: Vec<u8>,
     /// Number of connected components among tracked nodes. Meaningless
     /// while [`SafeForest::is_dirty`].
     components: usize,
@@ -71,32 +54,22 @@ pub struct SafeForest {
 }
 
 impl SafeForest {
-    /// An empty forest over the universe `0..n`. `hypercube` enables the
-    /// attachment-port record.
-    pub fn new(n: usize, hypercube: bool) -> Self {
+    /// An empty forest over the universe `0..n`.
+    pub fn new(n: usize) -> Self {
         SafeForest {
             parent: (0..n as u32).collect(),
             rank: vec![0; n],
-            attach_port: if hypercube {
-                vec![PORT_NONE; n]
-            } else {
-                Vec::new()
-            },
             components: 0,
             dirty: false,
         }
     }
 
     /// Reset to the empty forest over `0..n`, reusing allocations.
-    pub fn reset(&mut self, n: usize, hypercube: bool) {
+    pub fn reset(&mut self, n: usize) {
         self.parent.clear();
         self.parent.extend(0..n as u32);
         self.rank.clear();
         self.rank.resize(n, 0);
-        self.attach_port.clear();
-        if hypercube {
-            self.attach_port.resize(n, PORT_NONE);
-        }
         self.components = 0;
         self.dirty = false;
     }
@@ -127,9 +100,6 @@ impl SafeForest {
         let i = x.index();
         self.parent[i] = x.0;
         self.rank[i] = 0;
-        if !self.attach_port.is_empty() {
-            self.attach_port[i] = PORT_ROOT;
-        }
         self.components += 1;
     }
 
@@ -169,53 +139,22 @@ impl SafeForest {
         true
     }
 
-    /// Record that `x` first touched the region over `port` (hypercube
-    /// only; no-op otherwise). Only the first attachment is kept, so the
-    /// record stays a forest of the insertion order.
-    #[inline]
-    pub fn set_attach_port(&mut self, x: Node, port: u32) {
-        if let Some(slot) = self.attach_port.get_mut(x.index()) {
-            if *slot == PORT_ROOT {
-                *slot = port as u8;
-            }
-        }
-    }
-
-    /// The recorded attachment port of `x`: `None` outside the region or
-    /// on non-hypercube fabrics, `Some(0)` for attachment roots,
-    /// `Some(1..=d)` otherwise.
-    pub fn attach_port(&self, x: Node) -> Option<u32> {
-        match self.attach_port.get(x.index()) {
-            None | Some(&PORT_NONE) => None,
-            Some(&p) => Some(u32::from(p)),
-        }
-    }
-
     /// Begin a rebuild: forget all components (tracked nodes are about to
     /// be re-added via [`SafeForest::add_node`] / [`SafeForest::adopt`])
     /// and clear the dirty flag.
     pub fn begin_rebuild(&mut self) {
         self.components = 0;
         self.dirty = false;
-        for p in &mut self.attach_port {
-            *p = PORT_NONE;
-        }
     }
 
     /// Place `x` directly under component root `root` (which must already
-    /// be added) and record its attachment `port`, without touching the
-    /// component count. Unlike [`SafeForest::set_attach_port`], the port is
-    /// written unconditionally. The rebuild adopts each flooded node (after
-    /// [`SafeForest::begin_rebuild`] every slot is [`PORT_NONE`] and the
-    /// flood visits each node exactly once); an insertion into the only
-    /// component adopts the new node under that component's root.
+    /// be added), without touching the component count. The rebuild adopts
+    /// each flooded node under its component's seed; an insertion into the
+    /// only component adopts the new node under that component's root.
     #[inline]
-    pub fn adopt(&mut self, x: Node, root: Node, port: u8) {
+    pub fn adopt(&mut self, x: Node, root: Node) {
         self.parent[x.index()] = root.0;
         self.rank[x.index()] = 0;
-        if !self.attach_port.is_empty() {
-            self.attach_port[x.index()] = port;
-        }
     }
 }
 
@@ -225,7 +164,7 @@ mod tests {
 
     #[test]
     fn singletons_then_unions_track_components() {
-        let mut f = SafeForest::new(8, false);
+        let mut f = SafeForest::new(8);
         assert_eq!(f.components(), 0);
         for i in 0..4 {
             f.add_node(Node(i));
@@ -242,38 +181,24 @@ mod tests {
 
     #[test]
     fn dirty_flag_survives_until_rebuild() {
-        let mut f = SafeForest::new(4, true);
+        let mut f = SafeForest::new(4);
         f.add_node(Node(0));
         f.add_node(Node(1));
-        f.set_attach_port(Node(1), 1);
-        assert_eq!(f.attach_port(Node(1)), Some(1));
-        assert_eq!(f.attach_port(Node(2)), None);
         f.mark_dirty();
         assert!(f.is_dirty());
         f.begin_rebuild();
         assert!(!f.is_dirty());
         assert_eq!(f.components(), 0);
-        assert_eq!(f.attach_port(Node(1)), None, "rebuild clears attachments");
-    }
-
-    #[test]
-    fn attach_port_keeps_the_first_attachment() {
-        let mut f = SafeForest::new(4, true);
-        f.add_node(Node(2));
-        f.set_attach_port(Node(2), 3);
-        f.set_attach_port(Node(2), 1);
-        assert_eq!(f.attach_port(Node(2)), Some(3));
     }
 
     #[test]
     fn reset_reuses_the_forest_for_a_new_universe() {
-        let mut f = SafeForest::new(4, true);
+        let mut f = SafeForest::new(4);
         f.add_node(Node(0));
         f.mark_dirty();
-        f.reset(8, false);
+        f.reset(8);
         assert_eq!(f.components(), 0);
         assert!(!f.is_dirty());
-        assert_eq!(f.attach_port(Node(0)), None);
         f.add_node(Node(7));
         assert_eq!(f.find(Node(7)), Node(7));
     }

@@ -124,11 +124,12 @@ fn reset_set(set: &mut NodeSet, n: usize) {
 /// frontier membership, and a removed edge inside the safe region dirties
 /// the forest like a deletion does.
 ///
-/// The pre-incremental whole-field oracles are retained as
-/// [`ContaminationField::is_contiguous_bfs`] and
-/// [`ContaminationField::unguarded_frontier_scan`]; the differential test
-/// suite holds the incremental answers equal to them on every sampled event
-/// stream.
+/// The pre-incremental whole-field BFS and frontier scan live on as the
+/// references in `hypersweep-testutil`'s `oracles` module, written against
+/// [`ContaminationField::contaminated_set`],
+/// [`ContaminationField::occupancy`] and [`ContaminationField::homebase`];
+/// the differential test suites hold the incremental answers equal to them
+/// on every sampled event stream.
 ///
 /// Complexity: applying an event is `O(Δ)` unless the event vacates a node
 /// next to contamination, in which case the spread flood costs up to
@@ -200,8 +201,8 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         s.occupancy.resize(n, 0);
         reset_set(&mut s.guarded, n);
         s.recontaminations.clear();
-        let mut forest = s.forest.take().unwrap_or_else(|| SafeForest::new(0, false));
-        forest.reset(n, hyper_dim.is_some());
+        let mut forest = s.forest.take().unwrap_or_else(|| SafeForest::new(0));
+        forest.reset(n);
         s.safe_nbrs.clear();
         s.safe_nbrs.resize(n, 0);
         s.degree.clear();
@@ -480,94 +481,6 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         self.forest.components()
     }
 
-    /// The hypercube attachment port of `x` (see
-    /// [`SafeForest::attach_port`]): `None` if `x` is contaminated or the
-    /// fabric is not a hypercube, `Some(0)` for attachment roots,
-    /// `Some(1..=d)` for the port over which `x` first touched the safe
-    /// region. Only meaningful when the forest is not dirty.
-    pub fn attachment_port(&self, x: Node) -> Option<u32> {
-        self.forest.attach_port(x)
-    }
-
-    /// The retained whole-field contiguity oracle: word-parallel BFS over
-    /// the safe region from the homebase (per-node BFS on non-hypercube
-    /// fabrics). Semantically identical to
-    /// [`ContaminationField::is_contiguous`]; kept as the reference
-    /// implementation for the differential test suite and for
-    /// belt-and-braces audits.
-    ///
-    /// Takes `&mut self` only to reuse the field's traversal scratch; the
-    /// logical state is untouched.
-    pub fn is_contiguous_bfs(&mut self) -> bool {
-        let n = self.topo.node_count();
-        let safe_total = n - self.dirty_count;
-        if safe_total == 0 {
-            return true;
-        }
-        if self.contaminated.contains(self.homebase) {
-            return false;
-        }
-        match self.hyper_dim {
-            Some(d) => self.is_contiguous_hyper(d, safe_total),
-            None => self.is_contiguous_generic(safe_total),
-        }
-    }
-
-    /// Word-parallel reachability: expand whole frontier words through the
-    /// non-contaminated region until a fixpoint.
-    fn is_contiguous_hyper(&mut self, d: u32, safe_total: usize) -> bool {
-        let mut reached = std::mem::take(&mut self.scratch_reached);
-        let mut frontier = std::mem::take(&mut self.scratch_frontier);
-        let mut next = std::mem::take(&mut self.scratch_next);
-        reached.clear();
-        frontier.clear();
-        reached.insert(self.homebase);
-        frontier.insert(self.homebase);
-        loop {
-            frontier.hypercube_expand_into(d, &mut next);
-            let grew = wide::flood_step(
-                next.words_mut(),
-                reached.words_mut(),
-                self.contaminated.words(),
-            );
-            if !grew {
-                break;
-            }
-            std::mem::swap(&mut frontier, &mut next);
-        }
-        let ok = reached.count_ones() == safe_total;
-        self.scratch_reached = reached;
-        self.scratch_frontier = frontier;
-        self.scratch_next = next;
-        ok
-    }
-
-    /// Per-node BFS over decontaminated nodes from the homebase, for
-    /// non-hypercube topologies.
-    fn is_contiguous_generic(&mut self, safe_total: usize) -> bool {
-        let mut reached = std::mem::take(&mut self.scratch_reached);
-        let mut queue = std::mem::take(&mut self.scratch_queue);
-        let mut nbrs = std::mem::take(&mut self.scratch_nbrs);
-        reached.clear();
-        queue.clear();
-        reached.insert(self.homebase);
-        queue.push_back(self.homebase);
-        let mut count = 1usize;
-        while let Some(x) = queue.pop_front() {
-            self.topo.neighbors_into(x, &mut nbrs);
-            for &y in &nbrs {
-                if !self.contaminated.contains(y) && reached.insert(y) {
-                    count += 1;
-                    queue.push_back(y);
-                }
-            }
-        }
-        self.scratch_reached = reached;
-        self.scratch_queue = queue;
-        self.scratch_nbrs = nbrs;
-        count == safe_total
-    }
-
     /// Rebuild the [`SafeForest`] from the contamination bitset after a
     /// deletion: one flood per safe component, each member adopted directly
     /// under its component's seed (so post-rebuild finds are one hop).
@@ -580,9 +493,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     }
 
     /// Word-parallel rebuild: flood each component 64 nodes per word
-    /// operation; attachment ports are recovered by scanning each new
-    /// node's ports against the previously reached set, which keeps the
-    /// port record acyclic (every parent lies in a strictly earlier wave).
+    /// operation, adopting each wave's nodes under the component's seed.
     fn rebuild_forest_hyper(&mut self, d: u32) {
         let mut reached = std::mem::take(&mut self.scratch_reached);
         let mut frontier = std::mem::take(&mut self.scratch_frontier);
@@ -606,21 +517,17 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                 frontier.insert(seed);
                 loop {
                     frontier.hypercube_expand_into(d, &mut next);
-                    let grew = wide::mask_clear2(
+                    let grew = wide::flood_step(
                         next.words_mut(),
+                        reached.words_mut(),
                         self.contaminated.words(),
-                        reached.words(),
                     );
                     if !grew {
                         break;
                     }
                     for y in next.iter() {
-                        let port = (1..=d)
-                            .find(|&p| reached.contains(y.flip(p)))
-                            .expect("every flooded node borders the reached set");
-                        self.forest.adopt(y, seed, port as u8);
+                        self.forest.adopt(y, seed);
                     }
-                    wide::or_assign(reached.words_mut(), next.words());
                     std::mem::swap(&mut frontier, &mut next);
                 }
             }
@@ -649,7 +556,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                 self.topo.neighbors_into(x, &mut nbrs);
                 for &y in &nbrs {
                     if !self.contaminated.contains(y) && reached.insert(y) {
-                        self.forest.adopt(y, seed, 0);
+                        self.forest.adopt(y, seed);
                         queue.push_back(y);
                     }
                 }
@@ -678,46 +585,6 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
         self.frontier.iter().next()
     }
 
-    /// The retained whole-field frontier scan (word-parallel expand plus
-    /// three masks per word on the hypercube, per-node adjacency walk
-    /// elsewhere). Semantically identical to
-    /// [`ContaminationField::unguarded_frontier`] up to witness choice;
-    /// kept as the reference implementation for the differential tests.
-    ///
-    /// Takes `&mut self` only to reuse the field's traversal scratch; the
-    /// logical state is untouched.
-    pub fn unguarded_frontier_scan(&mut self) -> Option<Node> {
-        match self.hyper_dim {
-            Some(d) => {
-                let mut next = std::mem::take(&mut self.scratch_next);
-                self.contaminated.hypercube_expand_into(d, &mut next);
-                wide::mask_clear2(
-                    next.words_mut(),
-                    self.contaminated.words(),
-                    self.guarded.words(),
-                );
-                let hit = next.iter().next();
-                self.scratch_next = next;
-                hit
-            }
-            None => {
-                let mut nbrs = std::mem::take(&mut self.scratch_nbrs);
-                let mut hit = None;
-                'outer: for x in self.contaminated.iter() {
-                    self.topo.neighbors_into(x, &mut nbrs);
-                    for &y in &nbrs {
-                        if !self.contaminated.contains(y) && self.occupancy[y.index()] == 0 {
-                            hit = Some(y);
-                            break 'outer;
-                        }
-                    }
-                }
-                self.scratch_nbrs = nbrs;
-                hit
-            }
-        }
-    }
-
     /// Recompute `x`'s membership in the maintained frontier set from its
     /// current state (safe? unguarded? bordering contamination?).
     #[inline]
@@ -735,8 +602,8 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     }
 
     /// `x` just flipped contaminated → safe: register it with the forest,
-    /// join it to every already-safe neighbour (recording the hypercube
-    /// attachment port), and propagate the safe-neighbour counts.
+    /// join it to every already-safe neighbour, and propagate the
+    /// safe-neighbour counts.
     ///
     /// Raising a neighbour's safe count can only take it out of the
     /// frontier, so the neighbours' refresh is skipped while the frontier
@@ -759,13 +626,12 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
                     // unions. Monotone, contiguous runs (Theorems 1 and 6)
                     // clean every node but the homebase this way.
                     let root = self.forest.find(x.flip(port));
-                    self.forest.adopt(x, root, port as u8);
+                    self.forest.adopt(x, root);
                 } else {
                     // The first spawn, islands and a forest a deletion
                     // dirtied: union with each safe neighbour.
                     self.forest.add_node(x);
                     if port != 0 {
-                        self.forest.set_attach_port(x, port);
                         for p in port..=d {
                             let y = x.flip(p);
                             if !self.contaminated.contains(y) {
@@ -1065,7 +931,6 @@ mod tests {
         assert!(f.is_guarded(Node::ROOT));
         assert_eq!(f.contaminated_count(), 7);
         assert_eq!(f.clean_components(), 1);
-        assert_eq!(f.attachment_port(Node::ROOT), Some(0), "attachment root");
     }
 
     #[test]
@@ -1107,26 +972,6 @@ mod tests {
         f.apply(&spawn(1, 0));
         f.apply(&mv(1, 0, 1));
         assert_eq!(f.unguarded_frontier(), None, "generic path agrees");
-    }
-
-    #[test]
-    fn maintained_frontier_matches_the_scan() {
-        let h = Hypercube::new(3);
-        let mut f = ContaminationField::new(&h, Node::ROOT);
-        let trace = [
-            spawn(0, 0),
-            spawn(1, 0),
-            mv(1, 0, 1),
-            mv(1, 1, 3),
-            mv(1, 3, 2),
-        ];
-        for e in &trace {
-            f.apply(e);
-            assert_eq!(
-                f.unguarded_frontier().is_some(),
-                f.unguarded_frontier_scan().is_some()
-            );
-        }
     }
 
     #[test]
@@ -1199,9 +1044,6 @@ mod tests {
         assert!(f.is_contaminated(Node(0b010)));
         assert!(!f.is_contaminated(Node(0b000)));
         assert_eq!(f.contaminated_count(), 4);
-        // The forest went dirty on the cascade; the next query rebuilds it
-        // and must agree with the reference oracle.
-        assert_eq!(f.is_contiguous(), f.is_contiguous_bfs());
     }
 
     #[test]
@@ -1375,9 +1217,8 @@ mod tests {
         f.apply(&mv(1, 0, 1));
         f.apply(&mv(1, 1, 2));
         let (safe, occupancy) = snapshot(&f);
-        let mut restored = ContaminationField::with_state(&g, Node(0), &safe, &occupancy);
+        let restored = ContaminationField::with_state(&g, Node(0), &safe, &occupancy);
         assert_eq!(restored.unguarded_frontier(), None);
-        assert_eq!(restored.unguarded_frontier_scan(), None);
         // The same on H_2: 00 and 11 guard contaminated 10, 01 is interior.
         let h = Hypercube::new(2);
         let mut safe = NodeSet::new(4);
@@ -1386,38 +1227,6 @@ mod tests {
         }
         let mut restored = ContaminationField::with_state(&h, Node::ROOT, &safe, &[1, 0, 0, 1]);
         assert_eq!(restored.unguarded_frontier(), None);
-        assert_eq!(restored.unguarded_frontier_scan(), None);
         assert!(restored.is_contiguous());
-    }
-
-    #[test]
-    fn attachment_ports_certify_safe_paths() {
-        // After a guarded sweep of H_3, every safe node's attachment-port
-        // walk must stay safe and terminate at an attachment root.
-        let h = Hypercube::new(3);
-        let mut f = ContaminationField::new(&h, Node::ROOT);
-        for a in 0..5 {
-            f.apply(&spawn(a, 0));
-        }
-        f.apply(&mv(1, 0b000, 0b001));
-        f.apply(&mv(2, 0b000, 0b010));
-        f.apply(&mv(3, 0b000, 0b100));
-        f.apply(&mv(4, 0b000, 0b001)); // doubles the guard on 001…
-        f.apply(&mv(4, 0b001, 0b011)); // …so this vacate leaves 001 guarded
-        assert!(f.recontaminations().is_empty());
-        for x in [0b000u32, 0b001, 0b010, 0b100, 0b011] {
-            let mut cur = Node(x);
-            let mut hops = 0;
-            loop {
-                assert!(!f.is_contaminated(cur), "walk left the safe region");
-                match f.attachment_port(cur) {
-                    Some(0) => break,
-                    Some(p) => cur = cur.flip(p),
-                    None => panic!("safe node {cur:?} has no attachment"),
-                }
-                hops += 1;
-                assert!(hops <= 8, "attachment walk must terminate");
-            }
-        }
     }
 }

@@ -1,21 +1,18 @@
 //! Differential property tests for the incremental clean-region
 //! connectivity kernel: on randomized event streams over five fabrics
 //! (hypercube, ring, torus, cube-connected cycles, de Bruijn), the
-//! incrementally maintained oracles must agree with the retained
-//! whole-field references after *every* event —
+//! incrementally maintained oracles must agree with the whole-field
+//! references of [`oracles`] after *every* event —
 //!
 //! * [`ContaminationField::is_contiguous`] (union-find components, dirty
-//!   rebuilds) vs. [`ContaminationField::is_contiguous_bfs`] (the
-//!   pre-incremental whole-field BFS);
+//!   rebuilds) vs. [`oracles::is_contiguous_bfs`] (the pre-incremental
+//!   whole-field BFS);
 //! * [`ContaminationField::unguarded_frontier`] (maintained frontier set)
-//!   vs. [`ContaminationField::unguarded_frontier_scan`] (the
-//!   pre-incremental expand-and-mask scan);
+//!   vs. [`oracles::unguarded_frontier_scan`] (the pre-incremental
+//!   expand-and-mask scan);
 //! * [`ContaminationField::clean_components`] vs. a component count
 //!   re-derived in this test from the contamination bitset by independent
 //!   BFS;
-//! * [`ContaminationField::attachment_port`] of every node vs. ports
-//!   re-derived in this test from the contamination sets before and after
-//!   each event ([`PortReference`]);
 //! * [`ContaminationField::safe_neighbours`] and
 //!   [`ContaminationField::borders_contamination`] of every node vs. a scan
 //!   of its adjacency.
@@ -32,6 +29,7 @@ use std::collections::VecDeque;
 use hypersweep_analysis::StrategyKind;
 use hypersweep_intruder::ContaminationField;
 use hypersweep_sim::{Event, EventKind, Role};
+use hypersweep_testutil::{move_event, oracles, spawn_event};
 use hypersweep_topology::graph::{AdjGraph, CubeConnectedCycles, DeBruijn, Ring, Torus};
 use hypersweep_topology::rng::SplitMix64;
 use hypersweep_topology::{GridInstance, Hypercube, Node, NodeSet, Topology};
@@ -112,80 +110,6 @@ fn reference_components<T: Topology + ?Sized>(topo: &T, contaminated: &NodeSet) 
     components
 }
 
-/// The attachment ports a field on `H_d` must report, re-derived from its
-/// contamination sets alone. A node cleaned next to the safe region takes
-/// its smallest port to a node that was safe before it; a node cleaned
-/// alone is a root (port 0). After a recontamination the next query
-/// rebuilds the forest: every safe component, taken from its lowest id,
-/// is flooded in waves, and each node takes its smallest port into the
-/// wave before its own.
-struct PortReference {
-    d: u32,
-    ports: Vec<Option<u32>>,
-    /// A recontamination happened and no rebuild has followed yet.
-    dirty: bool,
-}
-
-impl PortReference {
-    fn new(d: u32) -> Self {
-        PortReference {
-            d,
-            ports: vec![None; 1 << d],
-            dirty: false,
-        }
-    }
-
-    /// Follow one event, given the contaminated sets around it.
-    fn step(&mut self, before: &NodeSet, after: &NodeSet) {
-        for i in 0..self.ports.len() as u32 {
-            let x = Node(i);
-            match (before.contains(x), after.contains(x)) {
-                (true, false) => {
-                    let port = (1..=self.d).find(|&p| !before.contains(x.flip(p)));
-                    self.ports[x.index()] = Some(port.unwrap_or(0));
-                }
-                (false, true) => self.dirty = true,
-                _ => {}
-            }
-        }
-    }
-
-    /// The rebuild a query makes of a dirty forest with any safe node.
-    fn query(&mut self, contaminated: &NodeSet) {
-        if self.dirty && contaminated.count_ones() < self.ports.len() {
-            self.rebuild(contaminated);
-        }
-    }
-
-    fn rebuild(&mut self, contaminated: &NodeSet) {
-        let n = self.ports.len();
-        let mut dist = vec![u32::MAX; n];
-        self.ports.fill(None);
-        for i in 0..n as u32 {
-            let seed = Node(i);
-            if contaminated.contains(seed) || dist[seed.index()] != u32::MAX {
-                continue;
-            }
-            dist[seed.index()] = 0;
-            self.ports[seed.index()] = Some(0);
-            let mut queue = VecDeque::from([seed]);
-            while let Some(x) = queue.pop_front() {
-                for p in 1..=self.d {
-                    let y = x.flip(p);
-                    if !contaminated.contains(y) && dist[y.index()] == u32::MAX {
-                        dist[y.index()] = dist[x.index()] + 1;
-                        queue.push_back(y);
-                        let wave = dist[y.index()] - 1;
-                        let port = (1..=self.d).find(|&q| dist[y.flip(q).index()] == wave);
-                        self.ports[y.index()] = port;
-                    }
-                }
-            }
-        }
-        self.dirty = false;
-    }
-}
-
 /// How the cleanings and deletions of a replayed trace met the forest.
 #[derive(Default)]
 struct Paths {
@@ -211,7 +135,6 @@ fn assert_incremental_matches_reference<T: Topology + ?Sized>(topo: &T, draws: &
 fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths {
     let events = decode_trace(topo, draws);
     let mut field = ContaminationField::new(topo, Node(0));
-    let mut ports = topo.hypercube_dim().map(PortReference::new);
     let mut paths = Paths::default();
     let mut components = 0;
     let mut nbrs = Vec::new();
@@ -231,9 +154,6 @@ fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths 
         }
         let deleted = after.iter().any(|x| !before.contains(x));
         paths.rebuilds += usize::from(deleted && after.count_ones() < topo.node_count());
-        if let Some(ports) = &mut ports {
-            ports.step(&before, after);
-        }
         if (i + 1) % every != 0 && i + 1 != events.len() {
             continue;
         }
@@ -251,18 +171,15 @@ fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths 
                 "event {i}: boundary test of {x:?}"
             );
         }
-        if let Some(ports) = &mut ports {
-            ports.query(field.contaminated_set());
-        }
         let incremental = field.is_contiguous();
-        let reference = field.is_contiguous_bfs();
+        let reference = oracles::is_contiguous_bfs(topo, &field);
         assert_eq!(
             incremental, reference,
             "event {i}: contiguity verdicts diverged (incremental {incremental}, BFS {reference})"
         );
         assert_eq!(
             field.unguarded_frontier().is_some(),
-            field.unguarded_frontier_scan().is_some(),
+            oracles::unguarded_frontier_scan(topo, &field).is_some(),
             "event {i}: frontier oracles diverged"
         );
         components = field.clean_components();
@@ -271,18 +188,6 @@ fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths 
             components, expected,
             "event {i}: component count diverged (incremental {components}, reference {expected})"
         );
-        if field.contaminated_count() < topo.node_count() {
-            // With no safe node, a dirty forest is not rebuilt and its
-            // ports mean nothing.
-            for x in (0..topo.node_count() as u32).map(Node) {
-                let expected = ports.as_ref().and_then(|p| p.ports[x.index()]);
-                assert_eq!(
-                    field.attachment_port(x),
-                    expected,
-                    "event {i}: port of {x:?}"
-                );
-            }
-        }
     }
     paths
 }
@@ -438,7 +343,7 @@ fn split_merge_islands_on_the_hypercube() {
     f.apply(&spawn(2, 0b0110));
     assert_eq!(f.clean_components(), 3);
     assert!(!f.is_contiguous());
-    assert_eq!(f.is_contiguous(), f.is_contiguous_bfs());
+    assert_eq!(f.is_contiguous(), oracles::is_contiguous_bfs(&h, &f));
 
     // Merge island 2 into the homebase island: 0110 → 0100 lands adjacent
     // to nothing safe (0110 is vacated and recontaminated — a deletion),
@@ -450,7 +355,7 @@ fn split_merge_islands_on_the_hypercube() {
         f.clean_components(),
         reference_components(&h, f.contaminated_set())
     );
-    assert_eq!(f.is_contiguous(), f.is_contiguous_bfs());
+    assert_eq!(f.is_contiguous(), oracles::is_contiguous_bfs(&h, &f));
     assert!(
         !f.recontaminations().is_empty(),
         "0110 was vacated unguarded"
@@ -465,22 +370,22 @@ fn split_merge_islands_on_the_hypercube() {
         f.clean_components(),
         reference_components(&h, f.contaminated_set())
     );
-    assert_eq!(f.is_contiguous(), f.is_contiguous_bfs());
+    assert_eq!(f.is_contiguous(), oracles::is_contiguous_bfs(&h, &f));
     assert_eq!(
         f.unguarded_frontier().is_some(),
-        f.unguarded_frontier_scan().is_some()
+        oracles::unguarded_frontier_scan(&h, &f).is_some()
     );
 }
 
 /// Seeded streams on `H_1..H_7` drive every insertion path of the forest
 /// (a cleaning next to the one safe component, which adopts the node under
 /// the component's root, and the union loop for islands and merges) and
-/// its rebuild after a recontamination, with every node's attachment port
-/// held to [`PortReference`] after every event. Each stream is replayed
-/// again with a query after every fourth event only, so that cleanings
-/// also meet a forest left dirty.
+/// its rebuild after a recontamination, with the field held to the
+/// references after every event. Each stream is replayed again with a
+/// query after every fourth event only, so that cleanings also meet a
+/// forest left dirty.
 #[test]
-fn attachment_ports_match_the_reference_on_every_insertion_path() {
+fn every_insertion_path_matches_the_references() {
     let mut rng = SplitMix64::new(0xA77A_C4ED);
     let mut total = Paths::default();
     for d in 1..=7 {
@@ -519,14 +424,85 @@ fn synthesized_traces_match_the_whole_field_references() {
             for (i, event) in events.iter().enumerate() {
                 field.apply(event);
                 let what = format!("{} on H_{d}, event {i}", kind.label());
-                assert_eq!(field.is_contiguous(), field.is_contiguous_bfs(), "{what}");
+                let reference = oracles::is_contiguous_bfs(&cube, &field);
+                assert_eq!(field.is_contiguous(), reference, "{what}");
                 assert_eq!(
                     field.unguarded_frontier(),
-                    field.unguarded_frontier_scan(),
+                    oracles::unguarded_frontier_scan(&cube, &field),
                     "{what}"
                 );
             }
             assert!(field.all_clean(), "{} on H_{d}", kind.label());
         }
     }
+}
+
+/// A guarded sweep of `H_3`: the maintained frontier and the scan agree
+/// after every event.
+#[test]
+fn maintained_frontier_matches_the_scan() {
+    let h = Hypercube::new(3);
+    let mut f = ContaminationField::new(&h, Node::ROOT);
+    let moves = [(1, 0, 1), (1, 1, 3), (1, 3, 2)].map(|(a, x, y)| move_event(a, x, y));
+    for e in [spawn_event(0), spawn_event(1)].iter().chain(&moves) {
+        f.apply(e);
+        let scan = oracles::unguarded_frontier_scan(&h, &f);
+        assert_eq!(f.unguarded_frontier().is_some(), scan.is_some());
+    }
+}
+
+/// The trace of `contamination.rs`'s
+/// `hypercube_cascade_floods_the_unguarded_region`: vacating 001 next to
+/// contaminated 101 floods the clean chain 001–011–010 and dirties the
+/// forest, and the rebuilt forest agrees with the BFS.
+#[test]
+fn hypercube_cascade_rebuild_matches_the_bfs() {
+    let h = Hypercube::new(3);
+    let mut f = ContaminationField::new(&h, Node::ROOT);
+    (0..4).for_each(|a| f.apply(&spawn_event(a)));
+    for (a, x, y) in [
+        (1, 0, 1),
+        (2, 0, 1),
+        (2, 1, 3),
+        (3, 0, 2),
+        (0, 0, 4),
+        (3, 2, 6),
+        (2, 3, 7),
+    ] {
+        f.apply(&move_event(a, x, y));
+    }
+    f.apply(&move_event(1, 0b001, 0b000)); // vacates 001 next to contaminated 101
+    assert_eq!(f.recontaminations().len(), 3);
+    assert_eq!(f.is_contiguous(), oracles::is_contiguous_bfs(&h, &f));
+}
+
+/// The restored fields of `contamination.rs`'s
+/// `with_state_keeps_interior_clean_nodes_off_the_frontier` pass the
+/// frontier scan: path 0-1-2-3 swept to 2, and `H_2` with 00 and 11
+/// guarding contaminated 10.
+#[test]
+fn restored_interior_clean_nodes_pass_the_frontier_scan() {
+    let g = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+    let mut f = ContaminationField::new(&g, Node(0));
+    for e in [
+        spawn_event(0),
+        spawn_event(1),
+        move_event(1, 0, 1),
+        move_event(1, 1, 2),
+    ] {
+        f.apply(&e);
+    }
+    let mut safe = NodeSet::new(4);
+    for x in (0..4).map(Node).filter(|&x| !f.is_contaminated(x)) {
+        safe.insert(x);
+    }
+    let restored = ContaminationField::with_state(&g, Node(0), &safe, f.occupancy());
+    assert_eq!(oracles::unguarded_frontier_scan(&g, &restored), None);
+    let h = Hypercube::new(2);
+    let mut safe = NodeSet::new(4);
+    for x in [0b00, 0b01, 0b11] {
+        safe.insert(Node(x));
+    }
+    let restored = ContaminationField::with_state(&h, Node::ROOT, &safe, &[1, 0, 0, 1]);
+    assert_eq!(oracles::unguarded_frontier_scan(&h, &restored), None);
 }

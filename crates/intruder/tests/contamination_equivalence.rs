@@ -12,6 +12,7 @@ use std::collections::VecDeque;
 
 use hypersweep_intruder::ContaminationField;
 use hypersweep_sim::{Event, EventKind, Role};
+use hypersweep_testutil::oracles;
 use hypersweep_topology::{Hypercube, Node, Topology};
 
 use proptest::prelude::*;
@@ -253,8 +254,9 @@ fn decode_trace_generic(topo: &dyn Topology, homebase: Node, draws: &[u64]) -> V
 
 /// Run a decoded trace through both fields, comparing the full state after
 /// every event — contamination bits, dirty counts, occupancy, contiguity
-/// (incremental *and* retained BFS, which drives the rebuild floods),
-/// component counts, and both frontier oracles.
+/// (incremental, which drives the rebuild floods, *and* the whole-field
+/// BFS of [`oracles`]), component counts, and the maintained frontier
+/// against both the reference and the whole-field scan.
 fn assert_equivalent(topo: &dyn Topology, homebase: Node, events: &[Event]) -> Result<(), String> {
     let mut packed = ContaminationField::new(topo, homebase);
     let mut reference = ReferenceField::new(topo, homebase);
@@ -285,8 +287,8 @@ fn assert_equivalent(topo: &dyn Topology, homebase: Node, events: &[Event]) -> R
         );
         prop_assert_eq!(
             packed.is_contiguous(),
-            packed.is_contiguous_bfs(),
-            "event {}: incremental and retained-BFS contiguity diverged",
+            oracles::is_contiguous_bfs(topo, &packed),
+            "event {}: incremental and whole-field BFS contiguity diverged",
             i
         );
         prop_assert_eq!(
@@ -303,7 +305,7 @@ fn assert_equivalent(topo: &dyn Topology, homebase: Node, events: &[Event]) -> R
         );
         prop_assert_eq!(
             packed.unguarded_frontier().is_some(),
-            packed.unguarded_frontier_scan().is_some(),
+            oracles::unguarded_frontier_scan(topo, &packed).is_some(),
             "event {}: maintained frontier diverged from the scan",
             i
         );

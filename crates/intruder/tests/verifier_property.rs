@@ -5,9 +5,9 @@
 //!   the verdict records for that event — so the first `Err` of a run is
 //!   `verdict().violations[0]`;
 //! * the verdict holds exactly one violation per recontaminated node, plus
-//!   one per sampled event on which the retained whole-field references
-//!   ([`ContaminationField::is_contiguous_bfs`],
-//!   [`ContaminationField::unguarded_frontier_scan`]) report a failure.
+//!   one per sampled event on which the whole-field references
+//!   ([`oracles::is_contiguous_bfs`], [`oracles::unguarded_frontier_scan`])
+//!   report a failure.
 //!
 //! The streams spawn agents (mostly at the homebase, sometimes anywhere,
 //! which splits the clean region) and move them along random edges, so
@@ -15,6 +15,7 @@
 
 use hypersweep_intruder::{ContaminationField, Verifier, ViolationKind, ViolationReport};
 use hypersweep_sim::{Event, EventKind, Role};
+use hypersweep_testutil::oracles;
 use hypersweep_topology::graph::Ring;
 use hypersweep_topology::{GridInstance, Hypercube, Node, Topology};
 
@@ -106,10 +107,10 @@ fn check_stream<T: Topology + ?Sized>(
             expected.push(report(ViolationKind::Recontamination { node: node.0 }));
         }
         if at % stride == 0 {
-            if !reference.is_contiguous_bfs() {
+            if !oracles::is_contiguous_bfs(topo, &reference) {
                 expected.push(report(ViolationKind::ContiguityBroken));
             }
-            if let Some(node) = reference.unguarded_frontier_scan() {
+            if let Some(node) = oracles::unguarded_frontier_scan(topo, &reference) {
                 expected.push(report(ViolationKind::UnguardedFrontier { node: node.0 }));
             }
         }

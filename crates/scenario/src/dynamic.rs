@@ -234,6 +234,7 @@ mod tests {
     use super::*;
     use hypersweep_intruder::ContaminationField;
     use hypersweep_sim::{Event, EventKind, Role};
+    use hypersweep_testutil::oracles;
     use hypersweep_topology::GridInstance;
 
     fn base(side: u32, instance: GridInstance) -> AdjGraph {
@@ -302,14 +303,14 @@ mod tests {
         assert_eq!(frontier, rebuilt.unguarded_frontier(), "{at}: frontier");
         assert_eq!(
             frontier.is_some(),
-            field.unguarded_frontier_scan().is_some(),
+            oracles::unguarded_frontier_scan(topo, field).is_some(),
             "{at}: frontier scan"
         );
         let contiguous = field.is_contiguous();
         assert_eq!(contiguous, rebuilt.is_contiguous(), "{at}: contiguity");
         assert_eq!(
             contiguous,
-            field.is_contiguous_bfs(),
+            oracles::is_contiguous_bfs(topo, field),
             "{at}: contiguity BFS"
         );
         assert_eq!(

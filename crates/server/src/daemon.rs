@@ -1,6 +1,6 @@
 //! The daemon: bind, serve through the reactor, drain gracefully.
 //!
-//! Serving is event-driven: one reactor thread (see [`crate::reactor`])
+//! Serving is event-driven: one reactor thread (see the `reactor` module)
 //! multiplexes every connection over non-blocking sockets — TCP plus an
 //! optional Unix-domain socket ([`ServerLimits::uds_path`]) — with
 //! request pipelining and in-order replies. Every request that needs no

@@ -15,7 +15,7 @@
 //!   every policy. The special [`policy::Policy::Synchronous`] policy runs
 //!   lock-step rounds and yields the paper's *ideal time* (one unit per
 //!   edge traversal).
-//! * [`threaded::ThreadedExecutor`] — the same agent programs running on
+//! * [`threaded::run_threaded`] — the same agent programs running on
 //!   real OS threads with `std::sync` whiteboard locks; true hardware
 //!   asynchrony as a fidelity cross-check.
 //!

@@ -5,12 +5,15 @@
 //! `tests/cross_engine.rs`, and `tests/pool_determinism.rs`, where each
 //! suite kept a private near-identical copy. [`golden`] compares outputs
 //! with the files under the workspace's `tests/golden/` for the root
-//! `goldens` suite and the CLI's tests.
+//! `goldens` suite and the CLI's tests. [`oracles`] holds the whole-field
+//! references for the contamination field's contiguity and frontier
+//! answers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod golden;
+pub mod oracles;
 
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -9,14 +9,6 @@
 //! `topology/tests/per_node_kernels.rs` hold every kernel to its per-bit
 //! semantics.
 
-/// `dst |= src`.
-pub fn or_assign(dst: &mut [u64], src: &[u64]) {
-    assert_eq!(dst.len(), src.len(), "word-slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d |= s;
-    }
-}
-
 /// Population count over a word slice.
 pub fn count_ones(words: &[u64]) -> usize {
     words.iter().map(|w| w.count_ones() as usize).sum()
@@ -25,10 +17,11 @@ pub fn count_ones(words: &[u64]) -> usize {
 /// One wave of an accumulating flood: `next &= !acc & !blocked; acc |=
 /// next`. Returns whether any bit survived (the flood grew).
 ///
-/// This is the fused inner step of both hypercube wave floods: contiguity
-/// BFS (`acc` = reached, `blocked` = contaminated) and the adversarial
-/// spread cascade (`acc` = contaminated, `blocked` = guarded — note
-/// `!(c | g) == !c & !g`).
+/// This is the fused inner step of every hypercube wave flood: the
+/// connectivity forest's rebuild and the reference contiguity BFS (`acc` =
+/// reached, `blocked` = contaminated), and the adversarial spread cascade
+/// (`acc` = contaminated, `blocked` = guarded — note `!(c | g) == !c &
+/// !g`).
 pub fn flood_step(next: &mut [u64], acc: &mut [u64], blocked: &[u64]) -> bool {
     assert_eq!(next.len(), acc.len(), "word-slice length mismatch");
     assert_eq!(next.len(), blocked.len(), "word-slice length mismatch");
@@ -42,10 +35,9 @@ pub fn flood_step(next: &mut [u64], acc: &mut [u64], blocked: &[u64]) -> bool {
 }
 
 /// Non-accumulating wave mask: `next &= !a & !b`. Returns whether any bit
-/// survived. Used by the `SafeForest` rebuild flood (which must visit the
-/// fresh wave per-node before folding it into `reached`) and by the
-/// whole-field unguarded-frontier scan (`a` = contaminated, `b` =
-/// guarded).
+/// survived. The reference unguarded-frontier scan in `hypersweep-testutil`
+/// masks the contaminated region's neighbourhood with it (`a` =
+/// contaminated, `b` = guarded).
 pub fn mask_clear2(next: &mut [u64], a: &[u64], b: &[u64]) -> bool {
     assert_eq!(next.len(), a.len(), "word-slice length mismatch");
     assert_eq!(next.len(), b.len(), "word-slice length mismatch");

@@ -130,7 +130,7 @@ proptest! {
         prop_assert_eq!(s.count_ones(), members);
     }
 
-    /// Every bit `or_assign`, `flood_step` and `mask_clear2` write matches
+    /// Every bit `flood_step` and `mask_clear2` write matches
     /// its boolean formula, and the grow flag says whether any bit survived.
     #[test]
     fn flood_kernels_match_per_bit_semantics(
@@ -145,8 +145,6 @@ proptest! {
         let (x, y, z) = (random_words(1), random_words(2), random_words(3));
         let bit = |v: &[u64], i: usize| (v[i >> 6] >> (i & 63)) & 1 == 1;
 
-        let mut or = x.clone();
-        wide::or_assign(&mut or, &y);
         let (mut next, mut acc) = (x.clone(), y.clone());
         let grew = wide::flood_step(&mut next, &mut acc, &z);
         let mut masked = x.clone();
@@ -156,7 +154,6 @@ proptest! {
         for i in 0..words * 64 {
             let fresh = bit(&x, i) && !bit(&y, i) && !bit(&z, i);
             any |= fresh;
-            prop_assert_eq!(bit(&or, i), bit(&x, i) || bit(&y, i), "or_assign bit {}", i);
             prop_assert_eq!(bit(&next, i), fresh, "flood_step next bit {}", i);
             prop_assert_eq!(bit(&acc, i), bit(&y, i) || fresh, "flood_step acc bit {}", i);
             prop_assert_eq!(bit(&masked, i), fresh, "mask_clear2 bit {}", i);

@@ -1,9 +1,9 @@
-//! Checker campaigns at scale: d=12 with the stride-1 default.
+//! Checker campaigns at scale: d=12 with the oracles after every event.
 //!
-//! PR 5's checker had to stride-sample the contiguity/frontier oracles
+//! The checker once had to stride-sample the contiguity/frontier oracles
 //! above d=10 to stay affordable; the incremental clean-region
-//! connectivity kernel makes them `O(1)` per event, so the default stride
-//! is now 1 at every dimension. These tests pin that down where it
+//! connectivity kernel makes them `O(1)` per event, so every event is
+//! checked at every dimension. These tests pin that down where it
 //! matters: `H_12` (4096 nodes), every adversary family, every event
 //! checked.
 
@@ -17,7 +17,7 @@ use hypersweep::check::{
 const SEED: u64 = 3;
 
 /// All five adversary families stay quiet on every asynchronous paper
-/// strategy at d=12 under per-event (stride-1 default) oracle checking.
+/// strategy at d=12 under per-event oracle checking.
 /// Schedules `0..5` rotate through the full family list
 /// (`Adversary::for_schedule`), so one schedule per family suffices for
 /// coverage. CLEAN takes close to a million decision steps per schedule at
@@ -32,7 +32,6 @@ fn stride1_campaign_at_d12_is_quiet_across_all_adversary_families() {
         CheckStrategy::Visibility,
     ] {
         let cfg = CheckConfig::new(strategy, 12);
-        assert_eq!(cfg.stride, 0, "0 must derive the stride-1 default");
         let mut families: Vec<AdversaryKind> = Vec::new();
         for schedule in 0..AdversaryKind::ALL.len() as u64 {
             families.push(Adversary::for_schedule(SEED, schedule).kind());
