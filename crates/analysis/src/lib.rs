@@ -40,9 +40,8 @@ pub use pool::{
 };
 pub use result::ExperimentResult;
 pub use runner::{
-    run_all, run_experiment, run_ids_pooled, run_ids_pooled_capped, run_ids_pooled_with,
-    validate_cache_cap, validate_max_dim, ExperimentConfig, HarnessReport, RunSummary,
-    REPORT_MAX_DIM,
+    run_experiment, run_ids_pooled_with, validate_cache_cap, validate_max_dim, ExperimentConfig,
+    HarnessReport, RunSummary, REPORT_MAX_DIM,
 };
 pub use series::Series;
 pub use table::Table;

@@ -24,7 +24,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::RunCache;
 use crate::experiments;
-use crate::pool::{default_jobs, execute_jobs_metered};
+use crate::pool::execute_jobs_metered;
 use crate::result::ExperimentResult;
 
 /// How large and how thorough an experiment run should be.
@@ -260,7 +260,7 @@ impl RunSummary {
     }
 }
 
-/// Results plus execution statistics from [`run_ids_pooled`].
+/// Results plus execution statistics from [`run_ids_pooled_with`].
 #[derive(Debug)]
 pub struct HarnessReport {
     /// One result per requested id, in the requested order.
@@ -269,29 +269,18 @@ pub struct HarnessReport {
     pub summary: RunSummary,
 }
 
-/// Run the given experiments on a pool of `jobs` workers with a shared,
-/// unbounded run cache. Panics on unknown ids (callers validate against
+/// Run the given experiments on a pool of `jobs` workers with a shared
+/// run cache. Panics on unknown ids (callers validate against
 /// [`experiments::ALL_IDS`]).
-pub fn run_ids_pooled(ids: &[&str], cfg: &ExperimentConfig, jobs: usize) -> HarnessReport {
-    run_ids_pooled_capped(ids, cfg, jobs, None)
-}
-
-/// [`run_ids_pooled`] with an optional LRU bound on retained strategy runs
-/// (the CLI's `--cache-cap`): long `report all --full` sweeps trade
+///
+/// `cache_cap` is an optional LRU bound on retained strategy runs (the
+/// CLI's `--cache-cap`): long `report all --full` sweeps trade
 /// re-execution for bounded memory. `None` keeps every run (the default).
-pub fn run_ids_pooled_capped(
-    ids: &[&str],
-    cfg: &ExperimentConfig,
-    jobs: usize,
-    cache_cap: Option<usize>,
-) -> HarnessReport {
-    run_ids_pooled_with(ids, cfg, jobs, cache_cap, &MetricsRegistry::disabled())
-}
-
-/// [`run_ids_pooled_capped`] reporting into `registry`: phase spans
-/// (`span.report.warm_us`, `span.report.experiments_us`), per-experiment
-/// wall time (`experiment.<id>_us` histograms), the pool's `pool.jobs`
-/// and `pool.job_us` series, and the shared cache's `cache.*` series.
+///
+/// The run reports into `registry`: phase spans (`span.report.warm_us`,
+/// `span.report.experiments_us`), per-experiment wall time
+/// (`experiment.<id>_us` histograms), the pool's `pool.jobs` and
+/// `pool.job_us` series, and the shared cache's `cache.*` series.
 pub fn run_ids_pooled_with(
     ids: &[&str],
     cfg: &ExperimentConfig,
@@ -373,12 +362,6 @@ pub fn run_ids_pooled_with(
         wall: start.elapsed(),
     };
     HarnessReport { results, summary }
-}
-
-/// Run every experiment on the default-size pool and return the results in
-/// presentation order.
-pub fn run_all(cfg: &ExperimentConfig) -> Vec<ExperimentResult> {
-    run_ids_pooled(experiments::ALL_IDS, cfg, default_jobs()).results
 }
 
 /// Write every result as JSON into `dir` (one file per experiment id) and
@@ -506,14 +489,15 @@ mod tests {
         cfg.engine_dims = vec![2, 3];
         cfg.sync_engine_dims = vec![2, 3];
         cfg.adversary_seeds = 1;
-        let capped = run_ids_pooled_capped(&["t2", "t3"], &cfg, 1, Some(2));
+        let off = MetricsRegistry::disabled();
+        let capped = run_ids_pooled_with(&["t2", "t3"], &cfg, 1, Some(2), &off);
         assert!(
             capped.summary.cache_evictions > 0,
             "a 2-entry cap over t2+t3 must evict"
         );
         assert!(capped.summary.render().contains("evicted"));
         // Results are unaffected by eviction: identical to the unbounded run.
-        let unbounded = run_ids_pooled(&["t2", "t3"], &cfg, 1);
+        let unbounded = run_ids_pooled_with(&["t2", "t3"], &cfg, 1, None, &off);
         assert_eq!(unbounded.summary.cache_evictions, 0);
         for (a, b) in capped.results.iter().zip(&unbounded.results) {
             assert_eq!(
@@ -550,7 +534,8 @@ mod tests {
         // t2, t3 and e13 all need CLEAN's fast trace and t2/t3 share the
         // FIFO engine runs: the warm phase must execute each once and the
         // experiments must then hit.
-        let report = run_ids_pooled(&["t2", "t3", "e13"], &cfg, 2);
+        let off = MetricsRegistry::disabled();
+        let report = run_ids_pooled_with(&["t2", "t3", "e13"], &cfg, 2, None, &off);
         assert_eq!(report.results.len(), 3);
         assert_eq!(report.results[0].id, "t2");
         assert!(

@@ -17,10 +17,11 @@ use hypersweep_analysis::{
 use hypersweep_scenario::ScenarioId;
 use hypersweep_server::{BenchConfig, ServerLimits};
 
+use crate::bench::{cmd_bench_audit, cmd_bench_check, cmd_bench_serve, cmd_telemetry_gate};
 use crate::{
-    bench_audit, cmd_audit, cmd_bench_check, cmd_bench_serve, cmd_check, cmd_check_replay,
-    cmd_check_scenario, cmd_daemon, cmd_list, cmd_report, cmd_report_scenarios, cmd_run, cmd_serve,
-    cmd_telemetry_gate, cmd_trace, cmd_watch, parse_policy, CheckCampaignOpts,
+    cmd_audit, cmd_check, cmd_check_replay, cmd_check_scenario, cmd_daemon, cmd_list, cmd_report,
+    cmd_report_scenarios, cmd_run, cmd_serve, cmd_trace, cmd_watch, parse_policy,
+    CheckCampaignOpts,
 };
 
 /// How a flag takes its value.
@@ -271,7 +272,7 @@ static COMMANDS: &[Command] = &[
         ok(cmd_bench_check(a.out("BENCH_check.json"), a.jobs()))
     }),
     Command("bench-audit", &["--out"], |a| {
-        ok(bench_audit::cmd_bench_audit(a.out("BENCH_audit.json")))
+        ok(cmd_bench_audit(a.out("BENCH_audit.json")))
     }),
     Command("serve", &[SERVE], |a| {
         let s = ServerLimits::default();
@@ -489,8 +490,9 @@ pub(crate) fn usage() -> String {
          check strategies: clean, visibility, cloning, synchronous, mutant-eager-guard, mutant-wakeup-clone, all\n\
          scenario strategies (--scenario grid|dynamic): sweep, mutant-grid-leaky-guard, all\n\
          experiment ids: f1 f2 f3 f4 t2 t3 t4 t5 t6 t7 t8 t9 t10 e11 e12 e13 e14 e15 e16\n\
-         bench-check env: BENCH_CHECK_{{DIMS,SCHEDULES,STRATEGY,BUDGET_MS,BASELINE}}\n\
-         bench-audit env: BENCH_AUDIT_{{DIMS,PACKED_ONLY,BUDGET_MS,BASELINE}}"
+         bench-check env: BENCH_CHECK_{{DIMS,SCHEDULES,BUDGET_MS,BASELINE}}\n\
+         bench-audit env: BENCH_AUDIT_{{DIMS,BUDGET_MS,BASELINE}}\n\
+         bench-serve env: BENCH_SERVE_BASELINE"
     )
 }
 

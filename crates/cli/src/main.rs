@@ -11,7 +11,7 @@
 //! ```
 
 mod args;
-mod bench_audit;
+mod bench;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,10 +23,9 @@ use hypersweep_core::outcome::default_monitor_config;
 use hypersweep_core::SearchStrategy;
 use hypersweep_intruder::{render_film, Verifier, ViolationKind, ViolationReport};
 use hypersweep_scenario::{GridStrategy, ScenarioId};
-use hypersweep_server::{run_bench, BenchConfig, Response, Server, ServerLimits};
+use hypersweep_server::{Response, Server, ServerLimits};
 use hypersweep_sim::{Event, Policy};
 use hypersweep_topology::{GridInstance, Hypercube, Node};
-use serde::Deserialize as _;
 
 fn parse_policy(s: &str) -> Result<Policy, String> {
     match s {
@@ -732,297 +731,6 @@ fn cmd_daemon(
             "unknown daemon action '{other}' (expected start|status|stop|restart)"
         )),
     }
-}
-
-/// Pull `throughput_rps` out of a `bench-serve` report file.
-fn read_bench_rps(path: &str) -> Result<f64, String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read bench report {path}: {e}"))?;
-    let value = serde_json::from_str_value(&text)
-        .map_err(|e| format!("bench report {path} is not JSON: {e}"))?;
-    value
-        .as_object()
-        .map(|fields| serde::get_field(fields, "throughput_rps"))
-        .and_then(|v| f64::deserialize_value(v).ok())
-        .ok_or_else(|| format!("bench report {path} lacks throughput_rps"))
-}
-
-/// The telemetry overhead an enabled registry may cost before the gate
-/// fails, in percent of bench-serve throughput.
-const TELEMETRY_GATE_PCT: f64 = 5.0;
-
-/// Compare two `bench-serve` reports — one taken with telemetry on, one
-/// with `--no-telemetry` — and fail if the instrumented daemon lost more
-/// than [`TELEMETRY_GATE_PCT`] of its throughput. Writes the comparison to
-/// `out` (CI commits it as `BENCH_telemetry.json`).
-fn cmd_telemetry_gate(with_path: &str, without_path: &str, out: &str) -> Result<(), String> {
-    use serde::{Serialize as _, Value};
-    let with_rps = read_bench_rps(with_path)?;
-    let without_rps = read_bench_rps(without_path)?;
-    if without_rps <= 0.0 {
-        return Err(format!("baseline {without_path} reports zero throughput"));
-    }
-    let overhead_pct = (1.0 - with_rps / without_rps) * 100.0;
-    println!(
-        "telemetry-gate: {with_rps:.0} req/s instrumented vs {without_rps:.0} req/s bare \
-         ({overhead_pct:+.1}% overhead, gate {TELEMETRY_GATE_PCT:.0}%)"
-    );
-    let json = Value::Object(vec![
-        ("telemetry_on_rps".to_string(), with_rps.serialize_value()),
-        (
-            "telemetry_off_rps".to_string(),
-            without_rps.serialize_value(),
-        ),
-        ("overhead_pct".to_string(), overhead_pct.serialize_value()),
-        ("gate_pct".to_string(), TELEMETRY_GATE_PCT.serialize_value()),
-        (
-            "pass".to_string(),
-            Value::Bool(overhead_pct <= TELEMETRY_GATE_PCT),
-        ),
-    ]);
-    let text = serde_json::to_string(&json).map_err(|e| e.to_string())?;
-    std::fs::write(out, text + "\n").map_err(|e| e.to_string())?;
-    eprintln!("wrote {out}");
-    if overhead_pct > TELEMETRY_GATE_PCT {
-        return Err(format!(
-            "REGRESSION: telemetry costs {overhead_pct:.1}% of throughput \
-             (gate: {TELEMETRY_GATE_PCT:.0}%)"
-        ));
-    }
-    Ok(())
-}
-
-/// Per-(strategy, dimension) `bench-check` measurement.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct CheckBenchEntry {
-    strategy: String,
-    d: u32,
-    schedules: u64,
-    schedules_per_sec: f64,
-    /// Oracle events streamed through the invariant monitors per second.
-    events_per_sec: f64,
-}
-
-/// The committed `BENCH_check.json` shape.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct CheckBenchReport {
-    schema: String,
-    /// Events between region checks: always 1, since the checker runs
-    /// them after every event.
-    stride: u64,
-    jobs: usize,
-    runs: Vec<CheckBenchEntry>,
-}
-
-/// What `bench-check` measures by default: each asynchronous paper
-/// strategy at its dimensions. CLEAN stops at `d = 12`, where one
-/// 64-schedule campaign already takes about 9 s.
-const BENCH_CHECK_DEFAULTS: [(CheckStrategy, &[u32]); 3] = [
-    (CheckStrategy::Cloning, &[10, 12, 14]),
-    (CheckStrategy::Clean, &[10, 12]),
-    (CheckStrategy::Visibility, &[10, 12, 14]),
-];
-
-/// A comma-separated environment list, or `None` when the variable is unset.
-fn env_list<T>(
-    var: &str,
-    parse: impl Fn(&str) -> Result<T, String>,
-) -> Result<Option<Vec<T>>, String> {
-    match std::env::var(var) {
-        Ok(s) => s
-            .split(',')
-            .map(|t| parse(t.trim()).map_err(|e| format!("{var} entry '{t}': {e}")))
-            .collect::<Result<_, _>>()
-            .map(Some),
-        Err(_) => Ok(None),
-    }
-}
-
-/// `hypersweep bench-check`: campaign throughput (schedules/s and oracle
-/// events/s) of every strategy in `BENCH_CHECK_STRATEGY` at
-/// `BENCH_CHECK_DIMS` (default [`BENCH_CHECK_DEFAULTS`]), written to
-/// `BENCH_check.json`. With `BENCH_CHECK_BASELINE=<path>` it compares
-/// against a committed baseline instead and fails on a >25% regression —
-/// the same contract as the audit-throughput and bench-serve gates.
-fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
-    use std::time::{Duration, Instant};
-    let budget = Duration::from_millis(
-        std::env::var("BENCH_CHECK_BUDGET_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(300),
-    );
-    let dims = env_list("BENCH_CHECK_DIMS", |t| {
-        t.parse::<u32>().map_err(|e| e.to_string())
-    })?;
-    let schedules: u64 = std::env::var("BENCH_CHECK_SCHEDULES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64);
-    let strategies = env_list("BENCH_CHECK_STRATEGY", |t| {
-        CheckStrategy::parse(t).ok_or_else(|| "unknown strategy".to_string())
-    })?
-    .unwrap_or_else(|| BENCH_CHECK_DEFAULTS.iter().map(|&(s, _)| s).collect());
-    let mut plan = Vec::new();
-    for strategy in strategies {
-        let own = BENCH_CHECK_DEFAULTS
-            .iter()
-            .find(|&&(s, _)| s == strategy)
-            .map_or(&[10, 12, 14][..], |&(_, d)| d);
-        for &d in dims.as_deref().unwrap_or(own) {
-            plan.push((strategy, d));
-        }
-    }
-
-    let mut entries = Vec::new();
-    for (strategy, d) in plan {
-        let cfg = CheckConfig::new(strategy, d);
-        cfg.validate()?;
-        let campaign = hypersweep_analysis::CheckCampaign {
-            cfg,
-            schedules,
-            seed: 0,
-            planted: None,
-        };
-        // Fastest run within the budget: the minimum is far more stable
-        // than the mean on shared machines, which matters for the gate.
-        let started = Instant::now();
-        let mut best = Duration::MAX;
-        let mut events = 0u64;
-        loop {
-            let registry = hypersweep_telemetry::MetricsRegistry::new();
-            let t0 = Instant::now();
-            let outcome = hypersweep_analysis::run_campaign(&campaign, jobs, &registry);
-            let elapsed = t0.elapsed();
-            if let Some(c) = &outcome.counterexample {
-                return Err(format!(
-                    "bench campaign found a real violation in {} at d={d} schedule {} — \
-                     fix the checker before benchmarking it",
-                    strategy.name(),
-                    c.schedule
-                ));
-            }
-            if elapsed < best {
-                best = elapsed;
-                events = registry.snapshot().counter("check.events").unwrap_or(0);
-            }
-            if started.elapsed() >= budget {
-                break;
-            }
-        }
-        let entry = CheckBenchEntry {
-            strategy: strategy.name().to_string(),
-            d,
-            schedules,
-            schedules_per_sec: schedules as f64 / best.as_secs_f64(),
-            events_per_sec: events as f64 / best.as_secs_f64(),
-        };
-        println!(
-            "bench-check/{}/d{}: {:.3e} schedules/s, {:.3e} oracle events/s ({} schedules, {} events)",
-            entry.strategy, d, entry.schedules_per_sec, entry.events_per_sec, schedules, events
-        );
-        entries.push(entry);
-    }
-    let report = CheckBenchReport {
-        schema: "hypersweep-check-bench/v2".into(),
-        stride: 1,
-        jobs,
-        runs: entries,
-    };
-
-    if let Ok(baseline_path) = std::env::var("BENCH_CHECK_BASELINE") {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-        let baseline: CheckBenchReport = serde_json::from_str(&text)
-            .map_err(|e| format!("baseline {baseline_path} does not parse: {e}"))?;
-        if baseline.schema != report.schema {
-            return Err(format!(
-                "baseline schema '{}' != '{}'; regenerate {baseline_path}",
-                baseline.schema, report.schema
-            ));
-        }
-        let mut regressed = false;
-        for entry in &report.runs {
-            let Some(base) = baseline
-                .runs
-                .iter()
-                .find(|b| b.strategy == entry.strategy && b.d == entry.d)
-            else {
-                continue;
-            };
-            let checks = [
-                ("schedules", entry.schedules_per_sec, base.schedules_per_sec),
-                ("events", entry.events_per_sec, base.events_per_sec),
-            ];
-            for (label, got, expected) in checks {
-                let ratio = got / expected;
-                println!(
-                    "bench-check/gate/{}/{label}/d{}: {ratio:.2}x of baseline",
-                    entry.strategy, entry.d
-                );
-                if ratio < 0.75 {
-                    eprintln!(
-                        "REGRESSION ({label}) in {} at d={}: {got:.3e}/s vs baseline \
-                         {expected:.3e}/s (>25% slower)",
-                        entry.strategy, entry.d
-                    );
-                    regressed = true;
-                }
-            }
-        }
-        if regressed {
-            return Err("bench-check regressed against the committed baseline".into());
-        }
-    } else {
-        let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-        std::fs::write(out, json + "\n").map_err(|e| e.to_string())?;
-        eprintln!("wrote {out}");
-    }
-    Ok(())
-}
-
-fn cmd_bench_serve(cfg: &BenchConfig, out: &str) -> Result<(), String> {
-    let report = run_bench(cfg).map_err(|e| format!("bench against {} failed: {e}", cfg.addr))?;
-    println!(
-        "bench-serve: {} connections x {} requests over {} (depth {}) -> {:.0} req/s \
-         (p50 {:.0}us, p99 {:.0}us, {:.0}% cache hits, {:.0}% table hits, {} busy, {} errors)",
-        report.clients,
-        report.requests_per_client,
-        report.transport,
-        report.pipeline_depth,
-        report.throughput_rps,
-        report.p50_us,
-        report.p99_us,
-        report.cache_hit_rate * 100.0,
-        report.table_hit_rate * 100.0,
-        report.busy,
-        report.errors,
-    );
-    // CI regression gate, mirroring the audit-throughput bench: with a
-    // committed baseline in the environment, compare instead of rewriting.
-    if let Ok(baseline_path) = std::env::var("BENCH_SERVE_BASELINE") {
-        let text = std::fs::read_to_string(&baseline_path)
-            .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
-        let value = serde_json::from_str_value(&text)
-            .map_err(|e| format!("baseline {baseline_path} is not JSON: {e}"))?;
-        let baseline_rps = value
-            .as_object()
-            .map(|fields| serde::get_field(fields, "throughput_rps"))
-            .and_then(|v| f64::deserialize_value(v).ok())
-            .ok_or_else(|| format!("baseline {baseline_path} lacks throughput_rps"))?;
-        let ratio = report.throughput_rps / baseline_rps;
-        println!("bench-serve/check: {ratio:.2}x of baseline");
-        if ratio < 0.75 {
-            return Err(format!(
-                "REGRESSION: {:.0} req/s vs baseline {baseline_rps:.0} (>25% slower)",
-                report.throughput_rps
-            ));
-        }
-    } else {
-        std::fs::write(out, report.to_json() + "\n").map_err(|e| e.to_string())?;
-        eprintln!("wrote {out}");
-    }
-    Ok(())
 }
 
 fn main() -> ExitCode {

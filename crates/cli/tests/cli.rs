@@ -393,6 +393,27 @@ fn serve_bench_and_graceful_shutdown() {
     assert!(report.contains("\"table_hits\""), "{report}");
     std::fs::remove_file(&bench_out).ok();
 
+    // Gate mode against handcrafted baselines: a slow one passes, an
+    // impossibly fast one trips the 25% gate.
+    for (name, rps, passes) in [("slow", "0.001", true), ("impossible", "1e15", false)] {
+        let baseline = std::env::temp_dir().join(format!("hypersweep-cli-serve-{name}.json"));
+        std::fs::write(&baseline, format!("{{\"throughput_rps\": {rps}}}\n")).unwrap();
+        let out = bin()
+            .env("BENCH_SERVE_BASELINE", &baseline)
+            .args(["bench-serve", "--addr", &addr, "--connections", "4"])
+            .args(["--requests", "24", "--max-dim", "6"])
+            .output()
+            .unwrap();
+        let (text, err) = (
+            String::from_utf8(out.stdout).unwrap(),
+            String::from_utf8(out.stderr).unwrap(),
+        );
+        assert_eq!(out.status.success(), passes, "{name}: {text}{err}");
+        assert!(text.contains("bench-serve/check: "), "{name}: {text}");
+        assert_eq!(err.contains("REGRESSION"), !passes, "{name}: {err}");
+        std::fs::remove_file(&baseline).ok();
+    }
+
     // Graceful shutdown via the protocol; the daemon must exit 0 with a
     // final status line on stdout and the drain summary on stderr.
     let mut control = std::net::TcpStream::connect(&addr).unwrap();
@@ -789,6 +810,81 @@ fn check_rejects_plant_for_scenario_campaigns() {
         assert!(err.contains(message), "{args:?}: {err}");
         assert!(!dir.join("never-written.json").exists());
     }
+}
+
+/// `bench-audit` at `d = 6`: it writes a v3 report, passes against a slow
+/// handcrafted baseline, trips the 25% gate against an impossibly fast
+/// one, and refuses a baseline of the older v2 schema, naming the file.
+#[test]
+fn bench_audit_writes_a_v3_report_and_gates_against_handcrafted_baselines() {
+    let dir = std::env::temp_dir().join("hypersweep-cli-bench-audit");
+    std::fs::create_dir_all(&dir).unwrap();
+    let audit = |baseline: Option<&std::path::Path>| {
+        let mut cmd = bin();
+        cmd.env("BENCH_AUDIT_DIMS", "6")
+            .env("BENCH_AUDIT_BUDGET_MS", "20");
+        if let Some(path) = baseline {
+            cmd.env("BENCH_AUDIT_BASELINE", path);
+        }
+        let report = dir.join("BENCH_audit.json");
+        let out = cmd
+            .args(["bench-audit", "--out", report.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let (text, err) = (String::from_utf8(out.stdout), String::from_utf8(out.stderr));
+        (out.status.success(), text.unwrap(), err.unwrap())
+    };
+
+    let (ok, text, err) = audit(None);
+    assert!(ok, "{err}");
+    assert!(
+        text.contains("audit_throughput/packed-stride1/d6: "),
+        "{text}"
+    );
+    assert!(text.contains("audit_throughput/packed/d6: "), "{text}");
+    let report = std::fs::read_to_string(dir.join("BENCH_audit.json")).unwrap();
+    assert!(report.contains("\"hypersweep-audit-bench/v3\""), "{report}");
+    assert!(
+        report.contains("\"packed_stride1_events_per_sec\""),
+        "{report}"
+    );
+    assert!(!report.contains("speedup"), "{report}");
+
+    let baseline = |name: &str, schema: &str, rate: &str| {
+        let path = dir.join(name);
+        std::fs::write(
+            &path,
+            format!(
+                "{{\"schema\":\"hypersweep-audit-bench/{schema}\",\"contiguity_every\":64,\
+                 \"dims\":[{{\"d\":6,\"events\":582,\"packed_stride1_events_per_sec\":{rate},\
+                 \"packed_events_per_sec\":{rate}}}]}}\n"
+            ),
+        )
+        .unwrap();
+        path
+    };
+    let (ok, text, err) = audit(Some(&baseline("slow.json", "v3", "0.001")));
+    assert!(ok, "{err}");
+    assert!(
+        text.contains("audit_throughput/check/stride1/d6: "),
+        "{text}"
+    );
+    assert!(
+        text.contains("audit_throughput/check/sampled/d6: "),
+        "{text}"
+    );
+
+    let (ok, _, err) = audit(Some(&baseline("impossible.json", "v3", "1e15")));
+    assert!(!ok, "an impossible baseline must trip the gate");
+    assert!(err.contains("REGRESSION (stride1) at d=6"), "{err}");
+    assert!(err.contains("REGRESSION (sampled) at d=6"), "{err}");
+
+    let v2 = baseline("v2.json", "v2", "0.001");
+    let (ok, _, err) = audit(Some(&v2));
+    assert!(!ok, "a v2 baseline must be refused");
+    assert!(err.contains("'hypersweep-audit-bench/v2'"), "{err}");
+    assert!(err.contains(v2.to_str().unwrap()), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

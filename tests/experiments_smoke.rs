@@ -1,7 +1,10 @@
 //! The full experiment harness runs end to end and exports.
 
 use hypersweep::analysis::experiments::ALL_IDS;
-use hypersweep::analysis::{run_all, run_experiment, runner, ExperimentConfig};
+use hypersweep::analysis::{
+    default_jobs, run_experiment, run_ids_pooled_with, runner, ExperimentConfig,
+};
+use hypersweep::telemetry::MetricsRegistry;
 
 fn tiny_cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -33,7 +36,8 @@ fn every_experiment_runs_individually() {
 #[test]
 fn run_all_returns_results_in_order_and_exports() {
     let cfg = tiny_cfg();
-    let results = run_all(&cfg);
+    let off = MetricsRegistry::disabled();
+    let results = run_ids_pooled_with(ALL_IDS, &cfg, default_jobs(), None, &off).results;
     assert_eq!(results.len(), ALL_IDS.len());
     for (r, id) in results.iter().zip(ALL_IDS) {
         assert_eq!(&r.id, id);

@@ -7,15 +7,17 @@
 use std::sync::Arc;
 
 use hypersweep::analysis::experiments::ALL_IDS;
-use hypersweep::analysis::{run_ids_pooled, ExperimentConfig, RunCache};
+use hypersweep::analysis::{run_ids_pooled_with, ExperimentConfig, RunCache};
 use hypersweep::server::{Client, Dispatcher, Request};
+use hypersweep::telemetry::MetricsRegistry;
 use hypersweep_testutil::{quick_limits, spawn_bound_server, standard_workload};
 
 #[test]
 fn exported_json_is_byte_identical_across_jobs() {
     let cfg = ExperimentConfig::quick();
-    let sequential = run_ids_pooled(ALL_IDS, &cfg, 1);
-    let pooled = run_ids_pooled(ALL_IDS, &cfg, 8);
+    let off = MetricsRegistry::disabled();
+    let sequential = run_ids_pooled_with(ALL_IDS, &cfg, 1, None, &off);
+    let pooled = run_ids_pooled_with(ALL_IDS, &cfg, 8, None, &off);
 
     assert_eq!(sequential.results.len(), ALL_IDS.len());
     assert_eq!(pooled.results.len(), ALL_IDS.len());
