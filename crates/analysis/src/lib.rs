@@ -15,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod checking;
 pub mod experiments;
 pub mod persist;
 pub mod pool;
@@ -29,10 +28,6 @@ pub use cache::{
     execute_run, validate_cache_shards, Exec, InsertListener, RunCache, RunKey, ShardedRunCache,
     StrategyKind, MAX_CACHE_SHARDS,
 };
-pub use checking::{
-    campaign_table, run_campaign, validate_campaign_size, CampaignOutcome, CheckCampaign,
-    MAX_CAMPAIGN_SCHEDULES,
-};
 pub use persist::{CacheStore, PersistAppender, WarmLoadStats};
 pub use pool::{
     default_jobs, execute_jobs, execute_jobs_metered, execute_schedule_stream, PoolSaturated,
@@ -40,8 +35,9 @@ pub use pool::{
 };
 pub use result::ExperimentResult;
 pub use runner::{
-    run_experiment, run_ids_pooled_with, validate_cache_cap, validate_max_dim, ExperimentConfig,
-    HarnessReport, RunSummary, REPORT_MAX_DIM,
+    run_experiment, run_ids_pooled_with, validate_cache_cap, validate_campaign_size,
+    validate_max_dim, ExperimentConfig, HarnessReport, RunSummary, MAX_CAMPAIGN_SCHEDULES,
+    REPORT_MAX_DIM,
 };
 pub use series::Series;
 pub use table::Table;

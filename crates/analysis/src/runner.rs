@@ -86,6 +86,30 @@ pub fn validate_max_dim(max_dim: u32) -> Result<u32, String> {
     }
 }
 
+/// Upper bound on `--campaign-size`: beyond this even the cheapest
+/// strategies need days, so larger requests are almost certainly typos.
+pub const MAX_CAMPAIGN_SCHEDULES: u64 = 10_000_000;
+
+/// Validate a campaign size the way [`validate_max_dim`] validates
+/// `--max-dim`: reject 0 (an empty campaign proves nothing) and absurd
+/// sizes.
+pub fn validate_campaign_size(schedules: u64) -> Result<u64, String> {
+    if schedules == 0 {
+        Err(format!(
+            "--campaign-size must be at least 1 (a 0-schedule campaign explores nothing); \
+             valid range is 1..={MAX_CAMPAIGN_SCHEDULES}"
+        ))
+    } else if schedules > MAX_CAMPAIGN_SCHEDULES {
+        Err(format!(
+            "--campaign-size {schedules} exceeds the supported limit {MAX_CAMPAIGN_SCHEDULES} \
+             (larger campaigns take days even at wide-kernel throughput); \
+             valid range is 1..={MAX_CAMPAIGN_SCHEDULES}"
+        ))
+    } else {
+        Ok(schedules)
+    }
+}
+
 /// Validate a user-supplied run-cache capacity (the CLI's and server's
 /// `--cache-cap N`): a zero-entry cache would evict every outcome the
 /// moment it lands, silently re-executing every shared run. Mirrors
@@ -425,6 +449,18 @@ mod tests {
         let over = validate_max_dim(REPORT_MAX_DIM + 1).unwrap_err();
         assert!(over.contains("exceeds"), "{over}");
         assert!(over.contains("20"), "{over}");
+    }
+
+    #[test]
+    fn campaign_size_validation_rejects_zero_and_absurd() {
+        assert!(validate_campaign_size(0).is_err());
+        assert_eq!(validate_campaign_size(1), Ok(1));
+        assert_eq!(
+            validate_campaign_size(MAX_CAMPAIGN_SCHEDULES),
+            Ok(MAX_CAMPAIGN_SCHEDULES)
+        );
+        let err = validate_campaign_size(MAX_CAMPAIGN_SCHEDULES + 1).unwrap_err();
+        assert!(err.contains("valid range"), "structured message: {err}");
     }
 
     #[test]

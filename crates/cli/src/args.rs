@@ -19,8 +19,8 @@ use hypersweep_server::{BenchConfig, ServerLimits};
 
 use crate::bench::{cmd_bench_audit, cmd_bench_check, cmd_bench_serve, cmd_telemetry_gate};
 use crate::{
-    cmd_audit, cmd_check, cmd_check_replay, cmd_check_scenario, cmd_daemon, cmd_list, cmd_report,
-    cmd_report_scenarios, cmd_run, cmd_serve, cmd_trace, cmd_watch, parse_policy,
+    cmd_audit, cmd_check, cmd_check_replay, cmd_daemon, cmd_list, cmd_report, cmd_report_scenarios,
+    cmd_run, cmd_serve, cmd_trace, cmd_watch, cube_campaigns, parse_policy, scenario_campaign,
     CheckCampaignOpts,
 };
 
@@ -255,9 +255,9 @@ static COMMANDS: &[Command] = &[
     Command("check --scenario grid|dynamic", &[GRID], |a| {
         let id = ScenarioId::parse(a.value("--scenario").unwrap_or_default());
         let id = id.expect("the synopsis admits grid or dynamic");
-        let (strategy, instance) = (a.strategy(), a.value("--instance"));
-        let run = cmd_check_scenario(id, strategy, a.dim(), instance, &a.campaign(None));
-        ok(run)
+        let (opts, instance) = (a.campaign(), a.value("--instance"));
+        let campaign = scenario_campaign(id, a.strategy(), a.dim(), instance, &opts)?;
+        ok(cmd_check(&[campaign], &opts, None))
     }),
     Command("check [--scenario hypercube]", &[CUBE], |a| {
         let scenario = a.value("--scenario").unwrap_or("hypercube");
@@ -265,8 +265,9 @@ static COMMANDS: &[Command] = &[
             let known = "(known: hypercube, grid, dynamic)";
             return Err(format!("unknown scenario '{scenario}' {known}"));
         }
-        let opts = a.campaign(a.get("--plant"));
-        ok(cmd_check(a.strategy(), a.dim(), &opts, a.value("--out")))
+        let opts = a.campaign();
+        let campaigns = cube_campaigns(a.strategy(), a.dim(), a.get("--plant"), &opts)?;
+        ok(cmd_check(&campaigns, &opts, a.value("--out")))
     }),
     Command("bench-check", &["--jobs --out"], |a| {
         ok(cmd_bench_check(a.out("BENCH_check.json"), a.jobs()))
@@ -391,13 +392,12 @@ impl Args {
         cmd_report(ids, full, max_dim, json, self.jobs(), cap, timings)
     }
 
-    fn campaign(&self, planted: Option<u64>) -> CheckCampaignOpts {
+    fn campaign(&self) -> CheckCampaignOpts {
         CheckCampaignOpts {
             schedules: self.get("--campaign-size").unwrap_or(200),
             seed: self.get("--seed").unwrap_or(0),
             jobs: self.jobs(),
             max_steps: self.get("--max-steps").unwrap_or(0),
-            planted,
             timings: self.on("--timings"),
         }
     }

@@ -12,20 +12,23 @@
 //!   on and one with `--no-telemetry`, against the 5% overhead bound.
 //!
 //! `bench-audit` and `bench-check` time each figure as the fastest of
-//! rounds run to a budget (`BENCH_{AUDIT,CHECK}_BUDGET_MS`, default 300).
-//! The first three commands write their report to `--out`; with
-//! `BENCH_{AUDIT,CHECK,SERVE}_BASELINE=<path>` set they compare it against
-//! that committed baseline instead and fail when any gated figure falls
-//! more than 25% below it.
+//! rounds run to a budget (`BENCH_{AUDIT,CHECK}_BUDGET_MS`, default 300);
+//! a knob that does not parse is refused. The first three commands write
+//! their report to `--out`; with `BENCH_{AUDIT,CHECK,SERVE}_BASELINE=<path>`
+//! set they compare it against that committed baseline instead and fail
+//! when any gated figure falls more than 25% below it. The baseline is read
+//! and checked before anything is measured: its schema, and for
+//! `bench-serve` the load mix it was measured at.
 
+use std::fmt::Display;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
-use hypersweep_analysis::{run_campaign, CheckCampaign};
 use hypersweep_check::{CheckConfig, CheckStrategy};
 use hypersweep_core::{CleanStrategy, SearchStrategy};
 use hypersweep_intruder::Verifier;
-use hypersweep_server::{run_bench, BenchConfig};
+use hypersweep_scenario::{run_scenario_campaign, ScenarioCampaign};
+use hypersweep_server::{run_bench, BenchConfig, BENCH_SCHEMA};
 use hypersweep_telemetry::MetricsRegistry;
 use hypersweep_topology::{Hypercube, Node};
 use serde::{Deserialize, Serialize, Value};
@@ -55,13 +58,13 @@ const BENCH_CHECK_DEFAULTS: [(CheckStrategy, &[u32]); 3] = [
     (CheckStrategy::Visibility, &[10, 12, 14]),
 ];
 
-/// A numeric environment knob, or `default` when it is unset or does not
-/// parse.
-fn env_or<T: FromStr>(var: &str, default: T) -> T {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// A numeric environment knob, or `default` when it is unset; a value
+/// that does not parse is refused.
+fn env_or<T: FromStr<Err: Display>>(var: &str, default: T) -> Result<T, String> {
+    match std::env::var(var) {
+        Ok(text) => text.parse().map_err(|e| format!("{var} '{text}': {e}")),
+        Err(_) => Ok(default),
+    }
 }
 
 /// A comma-separated list of dimensions, or `None` when `var` is unset.
@@ -222,8 +225,9 @@ fn audit_dim(d: u32, budget: Duration) -> Result<AuditEntry, String> {
 /// `hypersweep bench-audit`: measure every dimension, then gate against
 /// `BENCH_AUDIT_BASELINE` or write the report to `out`.
 pub(crate) fn cmd_bench_audit(out: &str) -> Result<(), String> {
-    let budget = Duration::from_millis(env_or("BENCH_AUDIT_BUDGET_MS", 300));
+    let budget = Duration::from_millis(env_or("BENCH_AUDIT_BUDGET_MS", 300)?);
     let dims = env_dims("BENCH_AUDIT_DIMS")?.unwrap_or_else(|| vec![10, 14, 16, 18]);
+    let base = baseline::<AuditReport>("BENCH_AUDIT_BASELINE", AUDIT_SCHEMA)?;
     let report = AuditReport {
         schema: AUDIT_SCHEMA.into(),
         contiguity_every: SAMPLED_STRIDE,
@@ -232,7 +236,7 @@ pub(crate) fn cmd_bench_audit(out: &str) -> Result<(), String> {
             .map(|d| audit_dim(d, budget))
             .collect::<Result<_, _>>()?,
     };
-    let Some(base) = baseline::<AuditReport>("BENCH_AUDIT_BASELINE", AUDIT_SCHEMA)? else {
+    let Some(base) = base else {
         return write_report(out, serde_json::to_string_pretty(&report));
     };
     let mut figures = Vec::new();
@@ -299,14 +303,9 @@ fn check_run(
 ) -> Result<CheckEntry, String> {
     let cfg = CheckConfig::new(strategy, d);
     cfg.validate()?;
-    let campaign = CheckCampaign {
-        cfg,
-        schedules,
-        seed: 0,
-        planted: None,
-    };
+    let campaign = ScenarioCampaign::hypercube(cfg, schedules, 0, None);
     let (best, events) = fastest(budget, || {
-        let outcome = run_campaign(&campaign, jobs, &MetricsRegistry::new());
+        let outcome = run_scenario_campaign(&campaign, jobs, &MetricsRegistry::new());
         match outcome.counterexample {
             None => Ok(outcome.events),
             Some(c) => Err(format!(
@@ -335,9 +334,10 @@ fn check_run(
 /// [`BENCH_CHECK_DEFAULTS`], then gate against `BENCH_CHECK_BASELINE` or
 /// write the report to `out`.
 pub(crate) fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
-    let budget = Duration::from_millis(env_or("BENCH_CHECK_BUDGET_MS", 300));
+    let budget = Duration::from_millis(env_or("BENCH_CHECK_BUDGET_MS", 300)?);
     let dims = env_dims("BENCH_CHECK_DIMS")?;
-    let schedules = env_or("BENCH_CHECK_SCHEDULES", 64);
+    let schedules = env_or("BENCH_CHECK_SCHEDULES", 64)?;
+    let base = baseline::<CheckReport>("BENCH_CHECK_BASELINE", CHECK_SCHEMA)?;
     let mut runs = Vec::new();
     for (strategy, own) in BENCH_CHECK_DEFAULTS {
         for &d in dims.as_deref().unwrap_or(own) {
@@ -350,7 +350,7 @@ pub(crate) fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
         jobs,
         runs,
     };
-    let Some(base) = baseline::<CheckReport>("BENCH_CHECK_BASELINE", CHECK_SCHEMA)? else {
+    let Some(base) = base else {
         return write_report(out, serde_json::to_string_pretty(&report));
     };
     let mut figures = Vec::new();
@@ -379,9 +379,36 @@ pub(crate) fn cmd_bench_check(out: &str, jobs: usize) -> Result<(), String> {
     gate(figures).map_err(|e| format!("{e}\nbench-check regressed against the committed baseline"))
 }
 
+/// What `bench-serve`'s gate reads of its baseline: the load mix it was
+/// measured at, and the throughput it reached.
+#[derive(Deserialize)]
+struct ServeBaseline {
+    clients: u64,
+    requests_per_client: u64,
+    pipeline_depth: u64,
+    throughput_rps: f64,
+}
+
 /// `hypersweep bench-serve`: one load run, then gate its throughput
-/// against `BENCH_SERVE_BASELINE` or write the report to `out`.
+/// against `BENCH_SERVE_BASELINE`, which must record the run's load mix,
+/// or write the report to `out`.
 pub(crate) fn cmd_bench_serve(cfg: &BenchConfig, out: &str) -> Result<(), String> {
+    let base = baseline::<ServeBaseline>("BENCH_SERVE_BASELINE", BENCH_SCHEMA)?;
+    if let Some(b) = &base {
+        let mix = [
+            ("clients", b.clients, cfg.clients),
+            ("requests_per_client", b.requests_per_client, cfg.requests),
+            ("pipeline_depth", b.pipeline_depth, cfg.pipeline_depth),
+        ];
+        for (name, expected, got) in mix {
+            if expected != got as u64 {
+                return Err(format!(
+                    "BENCH_SERVE_BASELINE was measured at {name} {expected}, this run uses {got}; \
+                     run the baseline's mix or regenerate it"
+                ));
+            }
+        }
+    }
     let report = run_bench(cfg).map_err(|e| format!("bench against {} failed: {e}", cfg.addr))?;
     println!(
         "bench-serve: {} connections x {} requests over {} (depth {}) -> {:.0} req/s \
@@ -398,10 +425,10 @@ pub(crate) fn cmd_bench_serve(cfg: &BenchConfig, out: &str) -> Result<(), String
         report.busy,
         report.errors,
     );
-    let Ok(path) = std::env::var("BENCH_SERVE_BASELINE") else {
+    let Some(base) = base else {
         return write_report(out, Ok(report.to_json()));
     };
-    let (got, expected) = (report.throughput_rps, throughput_rps(&path)?);
+    let (got, expected) = (report.throughput_rps, base.throughput_rps);
     gate([Figure {
         name: "bench-serve/check".into(),
         got,

@@ -22,7 +22,10 @@ use hypersweep_check::{CheckConfig, CheckStrategy, ReplayFile};
 use hypersweep_core::outcome::default_monitor_config;
 use hypersweep_core::SearchStrategy;
 use hypersweep_intruder::{render_film, Verifier, ViolationKind, ViolationReport};
-use hypersweep_scenario::{GridStrategy, ScenarioId};
+use hypersweep_scenario::{
+    campaign_table, run_scenario_campaign, GridStrategy, ScenarioCampaign, ScenarioId,
+    ScenarioOutcome,
+};
 use hypersweep_server::{Response, Server, ServerLimits};
 use hypersweep_sim::{Event, Policy};
 use hypersweep_topology::{GridInstance, Hypercube, Node};
@@ -277,40 +280,88 @@ fn cmd_audit(d: u32, path: &str) -> Result<(), String> {
     }
 }
 
-/// Campaign knobs for `hypersweep check` beyond the checking problem
-/// itself (`--campaign-size`/`--schedules`, `--seed`, `--jobs`,
-/// `--max-steps`, `--plant`, `--timings`).
+/// The knobs both `check` rows read beyond the workload itself
+/// (`--campaign-size`/`--schedules`, `--seed`, `--jobs`, `--max-steps`,
+/// `--timings`).
 struct CheckCampaignOpts {
     schedules: u64,
     seed: u64,
     jobs: usize,
     max_steps: u64,
-    planted: Option<u64>,
     timings: bool,
+}
+
+/// `check`'s hypercube campaigns: one per paper strategy for `all`, else
+/// the named strategy or mutant, with an optional planted violation.
+fn cube_campaigns(
+    strategy: &str,
+    dim: u32,
+    planted: Option<u64>,
+    opts: &CheckCampaignOpts,
+) -> Result<Vec<ScenarioCampaign>, String> {
+    let schedules = opts.schedules;
+    if let Some(p) = planted.filter(|&p| p >= schedules) {
+        return Err(format!(
+            "--plant {p} is outside the campaign (valid range is 0..{schedules})"
+        ));
+    }
+    let names = match strategy {
+        "all" => CheckStrategy::PAPER.map(CheckStrategy::name).to_vec(),
+        name => vec![name],
+    };
+    let campaign = |name: &str| {
+        let cfg = CheckConfig::named(name, dim);
+        let mut cfg = cfg.ok_or_else(|| format!("unknown check strategy '{name}'"))?;
+        cfg.max_steps = opts.max_steps;
+        cfg.validate()?;
+        Ok(ScenarioCampaign::hypercube(
+            cfg, schedules, opts.seed, planted,
+        ))
+    };
+    names.into_iter().map(campaign).collect()
+}
+
+/// `check --scenario grid|dynamic`'s campaign. `--dim` doubles as the
+/// grid side; `--instance` picks the topology generator.
+fn scenario_campaign(
+    id: ScenarioId,
+    strategy: &str,
+    side: u32,
+    instance: Option<&str>,
+    opts: &CheckCampaignOpts,
+) -> Result<ScenarioCampaign, String> {
+    let bad = |text: &str| format!("bad --instance '{text}': expected full|holes:<seed>|corridor");
+    let instance = instance.map(|text| GridInstance::parse(text).ok_or_else(|| bad(text)));
+    let instance = instance.transpose()?;
+    let scenario = hypersweep_scenario::validate_scenario(id, side)?
+        .expect("hypercube campaigns come from cube_campaigns");
+    let instance = instance.unwrap_or_else(|| scenario.default_instance());
+    let strategy = match strategy {
+        // "all" is the hypercube default; for scenarios it means the
+        // shipping strategy (the mutant is an explicit negative control).
+        "all" | "sweep" => GridStrategy::Sweep,
+        other => GridStrategy::parse(other).ok_or_else(|| {
+            format!(
+                "unknown scenario strategy '{other}' (expected sweep or mutant-grid-leaky-guard)"
+            )
+        })?,
+    };
+    let (schedules, seed, max_steps) = (opts.schedules, opts.seed, opts.max_steps);
+    Ok(scenario.campaign(strategy, side, instance, schedules, seed, max_steps))
 }
 
 /// The `check --timings` phase table: campaign/shrink spans, the
 /// per-schedule latency histogram, and the streaming executor's slice
-/// accounting, all under the given telemetry prefix (`check` for the
-/// hypercube checker, `scenario` for the scenario driver).
+/// accounting, all under the campaigns' telemetry prefix (`check` on the
+/// hypercube, `scenario` otherwise).
 fn render_campaign_timings(snapshot: &hypersweep_telemetry::MetricsSnapshot, prefix: &str) {
-    let span_ms = |name: &str| {
-        snapshot
-            .histogram(name)
-            .map(|h| h.sum as f64 / 1e3)
-            .unwrap_or(0.0)
-    };
+    let count = |name: &str| snapshot.counter(&format!("{prefix}.{name}")).unwrap_or(0);
     eprintln!("campaign phase timings (telemetry spans):");
-    eprintln!(
-        "  {:<16} {:>8.0}ms",
-        "campaigns",
-        span_ms(&format!("span.{prefix}.campaign_us"))
-    );
-    eprintln!(
-        "  {:<16} {:>8.0}ms",
-        "shrink",
-        span_ms(&format!("span.{prefix}.shrink_us"))
-    );
+    for (row, span) in [("campaigns", "campaign"), ("shrink", "shrink")] {
+        let span = snapshot.histogram(&format!("span.{prefix}.{span}_us"));
+        let ms = span.map_or(0.0, |h| h.sum as f64 / 1e3);
+        eprintln!("  {row:<16} {ms:>8.0}ms");
+    }
     if let Some(h) = snapshot.histogram(&format!("{prefix}.schedule_us")) {
         eprintln!(
             "  {:<16} {} schedules, mean {:.2}ms, max {:.2}ms",
@@ -320,90 +371,57 @@ fn render_campaign_timings(snapshot: &hypersweep_telemetry::MetricsSnapshot, pre
             h.max.unwrap_or(0) as f64 / 1e3,
         );
     }
+    let (claimed, skipped) = (count("slices"), count("slices_skipped"));
     eprintln!(
-        "  {:<16} {} claimed, {} skipped past the cutoff",
-        "slices",
-        snapshot.counter(&format!("{prefix}.slices")).unwrap_or(0),
-        snapshot
-            .counter(&format!("{prefix}.slices_skipped"))
-            .unwrap_or(0),
+        "  {:<16} {claimed} claimed, {skipped} skipped past the cutoff",
+        "slices"
     );
 }
 
-/// `hypersweep check`: explore adversarial schedules against the paper's
-/// invariants; any counterexample is shrunk and written as a replay file.
+/// `hypersweep check`: explore adversarial schedules of every campaign
+/// against the invariants and print their table, with the telemetry
+/// summary on stderr. A failing hypercube campaign's counterexample is
+/// shrunk and written to `out` as a replay file; a scenario's is reported
+/// as found.
 fn cmd_check(
-    strategy: &str,
-    dim: u32,
+    campaigns: &[ScenarioCampaign],
     opts: &CheckCampaignOpts,
     out: Option<&str>,
 ) -> Result<(), String> {
-    let CheckCampaignOpts {
-        schedules,
-        seed,
-        jobs,
-        max_steps,
-        planted,
-        timings,
-    } = *opts;
-    if let Some(p) = planted {
-        if p >= schedules {
-            return Err(format!(
-                "--plant {p} is outside the campaign (valid range is 0..{schedules})"
-            ));
-        }
-    }
-    let configs: Vec<CheckConfig> = if strategy == "all" {
-        CheckStrategy::PAPER
-            .iter()
-            .map(|&s| CheckConfig::new(s, dim))
-            .collect()
-    } else {
-        vec![CheckConfig::named(strategy, dim)
-            .ok_or_else(|| format!("unknown check strategy '{strategy}'"))?]
-    };
+    let jobs = opts.jobs;
     let registry = hypersweep_telemetry::MetricsRegistry::new();
-    let mut outcomes = Vec::new();
-    for mut cfg in configs {
-        cfg.max_steps = max_steps;
-        cfg.validate()?;
-        outcomes.push(hypersweep_analysis::run_campaign(
-            &hypersweep_analysis::CheckCampaign {
-                cfg,
-                schedules,
-                seed,
-                planted,
-            },
-            jobs,
-            &registry,
-        ));
-    }
-    println!(
-        "{}",
-        hypersweep_analysis::campaign_table(&outcomes).render()
-    );
+    let run = |campaign| run_scenario_campaign(campaign, jobs, &registry);
+    let outcomes: Vec<ScenarioOutcome> = campaigns.iter().map(run).collect();
+    println!("{}", campaign_table(&outcomes).render());
     let snap = registry.snapshot();
+    let prefix = campaigns.first().map_or("check", ScenarioCampaign::prefix);
+    let count = |name: &str| snap.counter(&format!("{prefix}.{name}")).unwrap_or(0);
+    // Only scenario campaigns record churn series, so only their line
+    // carries the clause.
+    let mutations = snap.counter("scenario.dynamic.mutations");
+    let rejected = snap.counter("scenario.dynamic.rejected");
+    let churn = match mutations.zip(rejected) {
+        Some((m, r)) => format!(", {m} mutations ({r} rejected)"),
+        None => String::new(),
+    };
+    let mean = snap.histogram(&format!("{prefix}.schedule_us"));
+    let mean_ms = mean.and_then(|h| h.mean()).unwrap_or(0.0) / 1e3;
     eprintln!(
-        "check: {} schedules, {} steps, {} events, {} violations \
-         (mean {:.2}ms/schedule, {jobs} jobs)",
-        snap.counter("check.schedules").unwrap_or(0),
-        snap.counter("check.steps").unwrap_or(0),
-        snap.counter("check.events").unwrap_or(0),
-        snap.counter("check.violations").unwrap_or(0),
-        snap.histogram("check.schedule_us")
-            .and_then(|h| h.mean())
-            .unwrap_or(0.0)
-            / 1e3,
+        "{prefix}: {} schedules, {} steps, {} events, {} violations{churn} \
+         (mean {mean_ms:.2}ms/schedule, {jobs} jobs)",
+        count("schedules"),
+        count("steps"),
+        count("events"),
+        count("violations"),
     );
-    if timings {
-        render_campaign_timings(&snap, "check");
+    if opts.timings {
+        render_campaign_timings(&snap, prefix);
     }
-    let failed: Vec<&hypersweep_analysis::CampaignOutcome> = outcomes
-        .iter()
-        .filter(|o| o.counterexample.is_some())
-        .collect();
-    if let Some(first) = failed.first() {
-        let replay = first.counterexample.as_ref().expect("filtered");
+    let failed: Vec<&ScenarioOutcome> = outcomes.iter().filter(|o| o.violations > 0).collect();
+    let Some(first) = failed.first() else {
+        return Ok(());
+    };
+    let what = if let Some(replay) = &first.replay {
         let path = out.unwrap_or("counterexample.json");
         std::fs::write(path, replay.to_json() + "\n").map_err(|e| e.to_string())?;
         eprintln!(
@@ -411,88 +429,8 @@ fn cmd_check(
              reproduce with: hypersweep check --replay {path}",
             replay.decisions.len()
         );
-        return Err(format!(
-            "{} of {} campaigns found invariant violations",
-            failed.len(),
-            outcomes.len()
-        ));
-    }
-    Ok(())
-}
-
-/// `hypersweep check --scenario grid|dynamic`: explore adversarial
-/// schedules with the scenario campaign driver instead of the hypercube
-/// checker. `--dim` doubles as the grid side; `--instance` picks the
-/// topology generator.
-fn cmd_check_scenario(
-    id: ScenarioId,
-    strategy: &str,
-    side: u32,
-    instance: Option<&str>,
-    opts: &CheckCampaignOpts,
-) -> Result<(), String> {
-    let CheckCampaignOpts {
-        schedules,
-        seed,
-        jobs,
-        max_steps,
-        timings,
-        ..
-    } = *opts;
-    let instance = match instance {
-        None => None,
-        Some(text) => Some(GridInstance::parse(text).ok_or_else(|| {
-            format!("bad --instance '{text}': expected full|holes:<seed>|corridor")
-        })?),
-    };
-    let scenario = hypersweep_scenario::validate_scenario(id, side)?
-        .expect("hypercube is routed to cmd_check");
-    let instance = instance.unwrap_or_else(|| scenario.default_instance());
-    let strategies: Vec<GridStrategy> = match strategy {
-        // "all" is the hypercube default; for scenarios it means the
-        // shipping strategy (the mutant is an explicit negative control).
-        "all" | "sweep" => vec![GridStrategy::Sweep],
-        other => vec![GridStrategy::parse(other).ok_or_else(|| {
-            format!(
-                "unknown scenario strategy '{other}' (expected sweep or mutant-grid-leaky-guard)"
-            )
-        })?],
-    };
-    let registry = hypersweep_telemetry::MetricsRegistry::new();
-    let mut outcomes = Vec::new();
-    for s in strategies {
-        let campaign = scenario.campaign(s, side, instance, schedules, seed, max_steps);
-        outcomes.push(hypersweep_scenario::run_scenario_campaign(
-            &campaign, jobs, &registry,
-        ));
-    }
-    println!(
-        "{}",
-        hypersweep_scenario::scenario_table(&outcomes).render()
-    );
-    let snap = registry.snapshot();
-    eprintln!(
-        "scenario: {} schedules, {} steps, {} events, {} violations, \
-         {} mutations ({} rejected) (mean {:.2}ms/schedule, {jobs} jobs)",
-        snap.counter("scenario.schedules").unwrap_or(0),
-        snap.counter("scenario.steps").unwrap_or(0),
-        snap.counter("scenario.events").unwrap_or(0),
-        snap.counter("scenario.violations").unwrap_or(0),
-        snap.counter("scenario.dynamic.mutations").unwrap_or(0),
-        snap.counter("scenario.dynamic.rejected").unwrap_or(0),
-        snap.histogram("scenario.schedule_us")
-            .and_then(|h| h.mean())
-            .unwrap_or(0.0)
-            / 1e3,
-    );
-    if timings {
-        render_campaign_timings(&snap, "scenario");
-    }
-    let failed: Vec<&hypersweep_scenario::ScenarioOutcome> = outcomes
-        .iter()
-        .filter(|o| o.counterexample.is_some())
-        .collect();
-    if let Some(first) = failed.first() {
+        "campaigns"
+    } else {
         let c = first.counterexample.as_ref().expect("filtered");
         eprintln!(
             "first counterexample: schedule {} under the {} adversary, \
@@ -502,13 +440,13 @@ fn cmd_check_scenario(
             c.decisions.len(),
             c.violation
         );
-        return Err(format!(
-            "{} of {} scenario campaigns found invariant violations",
-            failed.len(),
-            outcomes.len()
-        ));
-    }
-    Ok(())
+        "scenario campaigns"
+    };
+    Err(format!(
+        "{} of {} {what} found invariant violations",
+        failed.len(),
+        outcomes.len()
+    ))
 }
 
 /// `hypersweep report scenarios`: the registry comparison table.

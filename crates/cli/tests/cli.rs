@@ -393,11 +393,21 @@ fn serve_bench_and_graceful_shutdown() {
     assert!(report.contains("\"table_hits\""), "{report}");
     std::fs::remove_file(&bench_out).ok();
 
-    // Gate mode against handcrafted baselines: a slow one passes, an
-    // impossibly fast one trips the 25% gate.
-    for (name, rps, passes) in [("slow", "0.001", true), ("impossible", "1e15", false)] {
+    // Gate mode against handcrafted v2 baselines of this run's mix (4
+    // connections x 24 requests at depth 1): a slow one passes, an
+    // impossibly fast one trips the 25% gate. A baseline of another mix is
+    // refused before the load runs, naming both values.
+    for (name, clients, rps, passes) in [
+        ("slow", 4, "0.001", true),
+        ("impossible", 4, "1e15", false),
+        ("other-mix", 1000, "0.001", false),
+    ] {
         let baseline = std::env::temp_dir().join(format!("hypersweep-cli-serve-{name}.json"));
-        std::fs::write(&baseline, format!("{{\"throughput_rps\": {rps}}}\n")).unwrap();
+        let header = format!(
+            "{{\"schema\": \"hypersweep-serve-bench/v2\", \"clients\": {clients}, \
+             \"requests_per_client\": 24, \"pipeline_depth\": 1, \"throughput_rps\": {rps}}}\n"
+        );
+        std::fs::write(&baseline, header).unwrap();
         let out = bin()
             .env("BENCH_SERVE_BASELINE", &baseline)
             .args(["bench-serve", "--addr", &addr, "--connections", "4"])
@@ -409,8 +419,16 @@ fn serve_bench_and_graceful_shutdown() {
             String::from_utf8(out.stderr).unwrap(),
         );
         assert_eq!(out.status.success(), passes, "{name}: {text}{err}");
-        assert!(text.contains("bench-serve/check: "), "{name}: {text}");
-        assert_eq!(err.contains("REGRESSION"), !passes, "{name}: {err}");
+        if clients == 4 {
+            assert!(text.contains("bench-serve/check: "), "{name}: {text}");
+            assert_eq!(err.contains("REGRESSION"), !passes, "{name}: {err}");
+        } else {
+            assert!(text.is_empty(), "{name}: ran before refusing: {text}");
+            assert!(
+                err.contains("clients 1000, this run uses 4"),
+                "{name}: {err}"
+            );
+        }
         std::fs::remove_file(&baseline).ok();
     }
 
@@ -729,6 +747,67 @@ fn check_timings_renders_the_campaign_phase_table() {
     assert!(!text.contains("campaign phase timings"), "{text}");
 }
 
+/// The stderr summary line of a hypercube, a grid and a dynamic campaign
+/// agrees, up to ` (mean`, with the counts of its table row: `check:` with
+/// no churn clause on the hypercube, `scenario:` with its mutations and
+/// rejected proposals otherwise (the forms perfbench's `SUMMARY` reads).
+/// The scenario table has no events column, so those come from the
+/// library's run of the same campaign.
+#[test]
+fn check_summary_line_matches_the_table_row_for_every_campaign_kind() {
+    use hypersweep_scenario::{resolve, run_scenario_campaign, GridStrategy, ScenarioId};
+    let common = ["--schedules", "20", "--seed", "3", "--jobs", "1"];
+    let cases: [(&[&str], Option<ScenarioId>); 3] = [
+        (&["--strategy", "clean", "--dim", "4"], None),
+        (
+            &["--scenario", "grid", "--dim", "6"],
+            Some(ScenarioId::Grid),
+        ),
+        (
+            &["--scenario", "dynamic", "--dim", "5"],
+            Some(ScenarioId::Dynamic),
+        ),
+    ];
+    for (args, scenario) in cases {
+        let out = bin().arg("check").args(args).args(common).output().unwrap();
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        let (text, err) = (String::from_utf8(out.stdout), String::from_utf8(out.stderr));
+        let (text, err) = (text.unwrap(), err.unwrap());
+        let row: Vec<&str> = text.lines().nth(3).unwrap().split_whitespace().collect();
+        let expected = match scenario {
+            // strategy dim schedules steps events sched/s violations verdict
+            None => format!(
+                "check: {} schedules, {} steps, {} events, {} violations",
+                row[2], row[3], row[4], row[6]
+            ),
+            // scenario strategy instance side nodes schedules steps moves
+            // team churn sched/s verdict
+            Some(id) => {
+                let scenario = resolve(id).unwrap();
+                let instance = scenario.default_instance();
+                let side = row[3].parse().unwrap();
+                let campaign = scenario.campaign(GridStrategy::Sweep, side, instance, 20, 3, 0);
+                let registry = hypersweep_telemetry::MetricsRegistry::disabled();
+                let events = run_scenario_campaign(&campaign, 1, &registry).events;
+                let (mutations, proposals) = row[9].split_once('/').unwrap_or(("0", "0"));
+                let (mutations, proposals): (u64, u64) =
+                    (mutations.parse().unwrap(), proposals.parse().unwrap());
+                assert_eq!(row[11], "ok", "{text}");
+                format!(
+                    "scenario: {} schedules, {} steps, {events} events, 0 violations, \
+                     {mutations} mutations ({} rejected)",
+                    row[5],
+                    row[6],
+                    proposals - mutations
+                )
+            }
+        };
+        let line = err.lines().next().unwrap_or_default();
+        let (counts, _) = line.split_once(" (mean").expect("a summary line");
+        assert_eq!(counts, expected, "{args:?}\n{text}{err}");
+    }
+}
+
 #[test]
 fn check_rejects_plant_for_scenario_campaigns() {
     let cases: [(&[&str], &str); 4] = [
@@ -812,6 +891,38 @@ fn check_rejects_plant_for_scenario_campaigns() {
     }
 }
 
+/// A bench knob that does not parse is refused, naming the variable and
+/// its value, before anything is measured or written.
+#[test]
+fn bench_knobs_refuse_values_they_cannot_parse() {
+    let dir =
+        std::env::temp_dir().join(format!("hypersweep-cli-bench-knobs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let report = dir.join("report.json");
+    for (command, var, value) in [
+        ("bench-audit", "BENCH_AUDIT_BUDGET_MS", "2s"),
+        ("bench-check", "BENCH_CHECK_BUDGET_MS", "fast"),
+        ("bench-check", "BENCH_CHECK_SCHEDULES", "-3"),
+    ] {
+        let out = bin()
+            .env("BENCH_AUDIT_DIMS", "6")
+            .env("BENCH_CHECK_DIMS", "4")
+            .env(var, value)
+            .args([command, "--out", report.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{var}={value}: {out:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&format!("{var} '{value}'")), "{err}");
+        assert!(
+            out.stdout.is_empty(),
+            "{var}={value} measured before refusing"
+        );
+        assert!(!report.exists(), "{var}={value} wrote a report");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `bench-audit` at `d = 6`: it writes a v3 report, passes against a slow
 /// handcrafted baseline, trips the 25% gate against an impossibly fast
 /// one, and refuses a baseline of the older v2 schema, naming the file.
@@ -880,8 +991,12 @@ fn bench_audit_writes_a_v3_report_and_gates_against_handcrafted_baselines() {
     assert!(err.contains("REGRESSION (sampled) at d=6"), "{err}");
 
     let v2 = baseline("v2.json", "v2", "0.001");
-    let (ok, _, err) = audit(Some(&v2));
+    let (ok, text, err) = audit(Some(&v2));
     assert!(!ok, "a v2 baseline must be refused");
+    assert!(
+        !text.contains("audit_throughput/"),
+        "measured first: {text}"
+    );
     assert!(err.contains("'hypersweep-audit-bench/v2'"), "{err}");
     assert!(err.contains(v2.to_str().unwrap()), "{err}");
     std::fs::remove_dir_all(&dir).ok();

@@ -25,7 +25,10 @@
 //!
 //! [`ScenarioId::Hypercube`] is deliberately *not* in the registry:
 //! resolving it yields `None` and callers fall through to the classic
-//! hypercube code paths (including the serving answer table).
+//! hypercube code paths (including the serving answer table). Campaigns
+//! are the exception: [`run_scenario_campaign`] is the one campaign
+//! driver, and [`ScenarioCampaign::hypercube`] gives it the paper's
+//! checker on `H_d` as one more [`Workload`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +38,8 @@ mod dynamic;
 mod sweep;
 
 pub use campaign::{
-    run_scenario_campaign, scenario_table, ScenarioCampaign, ScenarioCounterexample,
-    ScenarioOutcome,
+    campaign_table, run_scenario_campaign, ScenarioCampaign, ScenarioCounterexample,
+    ScenarioOutcome, Workload,
 };
 pub use dynamic::{MUTATIONS_PER_ROUND, ROUND_LEN};
 pub use sweep::ScheduleStats;
@@ -257,13 +260,15 @@ pub trait Scenario: Sync {
         max_steps: u64,
     ) -> ScenarioCampaign {
         ScenarioCampaign {
-            scenario: self.id(),
-            strategy,
-            side,
-            instance,
+            workload: Workload::Scenario {
+                scenario: self.id(),
+                strategy,
+                side,
+                instance,
+                max_steps,
+            },
             schedules,
             seed,
-            max_steps,
         }
     }
 }

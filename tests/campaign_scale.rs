@@ -10,7 +10,6 @@
 //! counterexample index and its serialized replay must be byte-identical
 //! across worker counts and repeated same-seed runs.
 
-use hypersweep::analysis::{run_campaign, CheckCampaign};
 use hypersweep::check::{CheckConfig, CheckStrategy};
 use hypersweep::scenario::{run_scenario_campaign, GridStrategy, ScenarioCampaign, ScenarioId};
 use hypersweep::telemetry::MetricsRegistry;
@@ -22,13 +21,8 @@ const CAMPAIGN: u64 = 100_000;
 /// Fixed seed: verdicts must be reproducible.
 const SEED: u64 = 2005;
 
-fn campaign_at_scale(strategy: CheckStrategy, dim: u32, planted: Option<u64>) -> CheckCampaign {
-    CheckCampaign {
-        cfg: CheckConfig::new(strategy, dim),
-        schedules: CAMPAIGN,
-        seed: SEED,
-        planted,
-    }
+fn campaign_at_scale(strategy: CheckStrategy, dim: u32, planted: Option<u64>) -> ScenarioCampaign {
+    ScenarioCampaign::hypercube(CheckConfig::new(strategy, dim), CAMPAIGN, SEED, planted)
 }
 
 /// A 100k-schedule campaign at d=8 with a violation planted mid-stream
@@ -43,9 +37,9 @@ fn campaign_100k_at_d8_is_byte_identical_across_jobs_and_reruns() {
     let reg = MetricsRegistry::disabled();
     let mut jsons = Vec::new();
     for jobs in [1usize, 2, 8] {
-        let out = run_campaign(&c, jobs, &reg);
+        let out = run_scenario_campaign(&c, jobs, &reg);
         let replay = out
-            .counterexample
+            .replay
             .unwrap_or_else(|| panic!("planted violation missed at jobs={jobs}"));
         assert_eq!(
             replay.schedule, PLANTED,
@@ -54,8 +48,8 @@ fn campaign_100k_at_d8_is_byte_identical_across_jobs_and_reruns() {
         jsons.push(replay.to_json());
     }
     // Second same-seed run at the most contended width.
-    let rerun = run_campaign(&c, 8, &reg)
-        .counterexample
+    let rerun = run_scenario_campaign(&c, 8, &reg)
+        .replay
         .expect("rerun finds the planted violation");
     jsons.push(rerun.to_json());
     assert!(
@@ -71,11 +65,11 @@ fn campaign_100k_at_d8_is_byte_identical_across_jobs_and_reruns() {
 fn shrunk_replay_is_byte_identical_at_campaign_scale() {
     let c = campaign_at_scale(CheckStrategy::MutantEagerGuard, 6, None);
     let reg = MetricsRegistry::disabled();
-    let first = run_campaign(&c, 4, &reg)
-        .counterexample
+    let first = run_scenario_campaign(&c, 4, &reg)
+        .replay
         .expect("mutant caught at scale");
-    let second = run_campaign(&c, 4, &reg)
-        .counterexample
+    let second = run_scenario_campaign(&c, 4, &reg)
+        .replay
         .expect("mutant caught again");
     assert_eq!(
         first.to_json(),
@@ -94,8 +88,8 @@ fn shrunk_replay_is_byte_identical_at_campaign_scale() {
 fn eager_guard_mutant_is_caught_at_schedule_zero_in_a_100k_campaign() {
     let c = campaign_at_scale(CheckStrategy::MutantEagerGuard, 6, None);
     let reg = MetricsRegistry::new();
-    let out = run_campaign(&c, 1, &reg);
-    let replay = out.counterexample.expect("mutant must be caught");
+    let out = run_scenario_campaign(&c, 1, &reg);
+    let replay = out.replay.expect("mutant must be caught");
     assert_eq!(replay.schedule, 0, "mutant must die on the first schedule");
     assert_eq!(
         out.schedules_run, 1,
@@ -119,15 +113,15 @@ fn eager_guard_mutant_is_caught_at_schedule_zero_in_a_100k_campaign() {
 /// schedule 0 of a 100k-schedule campaign, tail skipped.
 #[test]
 fn grid_leaky_guard_mutant_is_caught_at_schedule_zero_in_a_100k_campaign() {
-    let campaign = ScenarioCampaign {
-        scenario: ScenarioId::Grid,
-        strategy: GridStrategy::LeakyGuard,
-        side: 6,
-        instance: GridInstance::Holes(42),
-        schedules: CAMPAIGN,
-        seed: 0,
-        max_steps: 0,
-    };
+    let grid = hypersweep::scenario::resolve(ScenarioId::Grid).expect("a registered scenario");
+    let campaign = grid.campaign(
+        GridStrategy::LeakyGuard,
+        6,
+        GridInstance::Holes(42),
+        CAMPAIGN,
+        0,
+        0,
+    );
     let reg = MetricsRegistry::new();
     let out = run_scenario_campaign(&campaign, 1, &reg);
     let c = out.counterexample.expect("grid mutant must be caught");
@@ -149,11 +143,9 @@ fn planted_deep_index_is_exact_for_every_job_count_at_scale() {
     let c = campaign_at_scale(CheckStrategy::Visibility, 6, Some(PLANTED));
     let reg = MetricsRegistry::disabled();
     for jobs in [1usize, 3, 8] {
-        let out = run_campaign(&c, jobs, &reg);
+        let out = run_scenario_campaign(&c, jobs, &reg);
         assert_eq!(
-            out.counterexample
-                .expect("planted violation found")
-                .schedule,
+            out.replay.expect("planted violation found").schedule,
             PLANTED,
             "jobs={jobs}"
         );

@@ -5,10 +5,10 @@
 
 use std::path::PathBuf;
 
-use hypersweep::analysis::{run_campaign, CheckCampaign};
 use hypersweep::check::{
     explore_schedule, run_with_trace, shrunk_replay, CheckConfig, CheckStrategy, ReplayFile,
 };
+use hypersweep::scenario::{run_scenario_campaign, ScenarioCampaign};
 use hypersweep::telemetry::MetricsRegistry;
 use proptest::prelude::*;
 
@@ -125,17 +125,13 @@ fn wakeup_mutant_needs_the_adversary_and_shrinks_to_the_committed_replay() {
             );
         }
     }
-    let campaign = CheckCampaign {
-        cfg: CheckConfig::named("mutant-wakeup-clone", 5).expect("a mutant"),
-        schedules: 50,
-        seed: 1,
-        planted: None,
-    };
+    let cfg = CheckConfig::named("mutant-wakeup-clone", 5).expect("a mutant");
+    let campaign = ScenarioCampaign::hypercube(cfg, 50, 1, None);
     let jsons: Vec<String> = [1usize, 2, 4]
         .into_iter()
         .map(|jobs| {
-            let out = run_campaign(&campaign, jobs, &MetricsRegistry::disabled());
-            out.counterexample.expect("mutant caught").to_json() + "\n"
+            let out = run_scenario_campaign(&campaign, jobs, &MetricsRegistry::disabled());
+            out.replay.expect("mutant caught").to_json() + "\n"
         })
         .collect();
     assert!(

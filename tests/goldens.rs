@@ -28,13 +28,13 @@ use std::time::Duration;
 
 use hypersweep::analysis::experiments::ALL_IDS;
 use hypersweep::analysis::{
-    campaign_table, execute_run, run_campaign, run_ids_pooled_with, runner, CheckCampaign,
-    ExperimentConfig, RunCache, RunKey, StrategyKind,
+    execute_run, run_ids_pooled_with, runner, ExperimentConfig, RunCache, RunKey, StrategyKind,
 };
 use hypersweep::check::{CheckConfig, CheckStrategy, ReplayFile};
 use hypersweep::intruder::render_film;
 use hypersweep::scenario::{
-    registry_report, run_scenario_campaign, scenario_table, GridStrategy, ScenarioId,
+    campaign_table, registry_report, run_scenario_campaign, GridStrategy, ScenarioCampaign,
+    ScenarioId,
 };
 use hypersweep::server::{Dispatcher, Request, Response, ServerLimits};
 use hypersweep::sim::{Event, EventSink, Policy};
@@ -205,13 +205,8 @@ fn campaign_tables() {
     let mut outcomes: Vec<_> = CheckStrategy::PAPER
         .iter()
         .map(|&s| {
-            let campaign = CheckCampaign {
-                cfg: CheckConfig::new(s, 6),
-                schedules: 200,
-                seed: 0,
-                planted: None,
-            };
-            run_campaign(&campaign, 1, &registry)
+            let campaign = ScenarioCampaign::hypercube(CheckConfig::new(s, 6), 200, 0, None);
+            run_scenario_campaign(&campaign, 1, &registry)
         })
         .collect();
     for o in &mut outcomes {
@@ -231,7 +226,7 @@ fn campaign_tables() {
         );
         let mut outcome = run_scenario_campaign(&campaign, 1, &registry);
         outcome.elapsed = Duration::ZERO;
-        out.push_str(&scenario_table(&[outcome]).render());
+        out.push_str(&campaign_table(&[outcome]).render());
         out.push('\n');
     }
     golden("campaigns.txt", &out);
@@ -245,13 +240,8 @@ fn campaign_table_d8() {
     let outcomes: Vec<_> = CheckStrategy::PAPER
         .iter()
         .map(|&s| {
-            let campaign = CheckCampaign {
-                cfg: CheckConfig::new(s, 8),
-                schedules: 25,
-                seed: 20050404,
-                planted: None,
-            };
-            let mut outcome = run_campaign(&campaign, 1, &registry);
+            let campaign = ScenarioCampaign::hypercube(CheckConfig::new(s, 8), 25, 20050404, None);
+            let mut outcome = run_scenario_campaign(&campaign, 1, &registry);
             outcome.elapsed = Duration::ZERO;
             outcome
         })
@@ -269,14 +259,10 @@ fn eager_guard_shrunk_replays() {
     let mut out = String::new();
     for dim in 4..=10 {
         for seed in 1..=3 {
-            let campaign = CheckCampaign {
-                cfg: CheckConfig::new(CheckStrategy::MutantEagerGuard, dim),
-                schedules: 5,
-                seed,
-                planted: None,
-            };
-            let outcome = run_campaign(&campaign, 1, &registry);
-            let replay = outcome.counterexample.expect("the mutant is caught");
+            let cfg = CheckConfig::new(CheckStrategy::MutantEagerGuard, dim);
+            let campaign = ScenarioCampaign::hypercube(cfg, 5, seed, None);
+            let outcome = run_scenario_campaign(&campaign, 1, &registry);
+            let replay = outcome.replay.expect("the mutant is caught");
             writeln!(out, "# d={dim} seed={seed}\n{}", replay.to_json()).unwrap();
         }
     }
@@ -303,7 +289,7 @@ fn scenario_campaign_tables() {
         let campaign = scenario.campaign(GridStrategy::Sweep, side, instance, 25, 0, 0);
         let mut outcome = run_scenario_campaign(&campaign, 1, &registry);
         outcome.elapsed = Duration::ZERO;
-        out.push_str(&scenario_table(&[outcome]).render());
+        out.push_str(&campaign_table(&[outcome]).render());
         out.push('\n');
     }
     golden("scenario-campaigns.txt", &out);
