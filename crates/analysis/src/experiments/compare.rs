@@ -15,6 +15,14 @@ use crate::runner::ExperimentConfig;
 use crate::series::Series;
 use crate::table::{fmt_u128, fmt_u64, Table};
 
+/// Cap on E13's engine-backed cloning-dispatch ablation (the
+/// smallest-first variant runs `d(d+1)/2` synchronous rounds).
+const SYNC_ABLATION_MAX_DIM: u32 = 9;
+
+/// Cap on E14's greedy upper-bound planner (its per-step frontier scan is
+/// quadratic in `n`).
+const GREEDY_PLANNER_MAX_DIM: u32 = 11;
+
 /// The strategy runs each comparative experiment reads from the cache.
 pub fn required_runs(id: &str, cfg: &ExperimentConfig) -> Vec<RunKey> {
     let mut keys = Vec::new();
@@ -40,7 +48,7 @@ pub fn required_runs(id: &str, cfg: &ExperimentConfig) -> Vec<RunKey> {
             for &d in cfg
                 .sync_engine_dims
                 .iter()
-                .filter(|&&d| d <= cfg.sync_ablation_max_dim)
+                .filter(|&&d| d <= SYNC_ABLATION_MAX_DIM)
             {
                 keys.push(RunKey::engine(
                     StrategyKind::Cloning,
@@ -320,7 +328,7 @@ pub fn e13_ablations(cfg: &ExperimentConfig, runs: &RunCache) -> ExperimentResul
     for &d in cfg
         .sync_engine_dims
         .iter()
-        .filter(|&&d| d <= cfg.sync_ablation_max_dim)
+        .filter(|&&d| d <= SYNC_ABLATION_MAX_DIM)
     {
         let a = runs.get_or_run(RunKey::engine(
             StrategyKind::Cloning,
@@ -373,7 +381,7 @@ pub fn e14_open_problem(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentR
             "greedy/CLEAN",
         ],
     );
-    let greedy_max = cfg.fast_max_dim().min(cfg.greedy_planner_max_dim);
+    let greedy_max = cfg.fast_max_dim().min(GREEDY_PLANNER_MAX_DIM);
     for &d in cfg.fast_dims.iter().filter(|&&d| d <= greedy_max) {
         let cube = Hypercube::new(d);
         let lb = isoperimetric_team_lower_bound(d);

@@ -12,6 +12,18 @@ use crate::runner::ExperimentConfig;
 use crate::series::Series;
 use crate::table::Table;
 
+/// Dimension of the structural figures F1 and F3 and of T2's per-phase
+/// table: the paper draws `H_6`.
+pub(crate) const FIGURE_DIM: u32 = 6;
+
+/// Dimension of the order and wavefront figures F2 and F4: the paper draws
+/// `H_4`.
+const SMALL_FIGURE_DIM: u32 = 4;
+
+/// Cap on F1's heap-queue isomorphism sweep (`O(n log n)` work per
+/// dimension; structural, so large `d` adds cost without insight).
+const HEAP_ISO_MAX_DIM: u32 = 12;
+
 /// The figure experiments keep no cached runs: F1/F3 are structural and
 /// F2/F4 need raw event traces (`synthesize`), which the cache does not
 /// store.
@@ -29,18 +41,18 @@ pub fn f1_broadcast_tree(cfg: &ExperimentConfig, _runs: &RunCache) -> Experiment
     );
     // Structural isomorphism for every fast dimension.
     let mut iso_ok = true;
-    for d in 0..=cfg.fast_max_dim().min(cfg.heap_iso_max_dim) {
+    for d in 0..=cfg.fast_max_dim().min(HEAP_ISO_MAX_DIM) {
         let tree = BroadcastTree::new(Hypercube::new(d));
         let hq = HeapQueue::build(d);
         iso_ok &= hq.matches_broadcast_subtree(&tree, Node::ROOT);
     }
     r.notes.push(format!(
         "heap-queue isomorphism verified for d = 0..={}: {}",
-        cfg.fast_max_dim().min(cfg.heap_iso_max_dim),
+        cfg.fast_max_dim().min(HEAP_ISO_MAX_DIM),
         if iso_ok { "OK" } else { "FAILED" }
     ));
     // The figure itself (the paper draws d = 6).
-    let d = cfg.figure_dim;
+    let d = FIGURE_DIM;
     r.artifacts
         .push(render::render_broadcast_tree(Hypercube::new(d)));
     r.artifacts
@@ -99,8 +111,8 @@ fn first_visit_order(events: &[hypersweep_sim::Event]) -> Vec<(u64, Node)> {
 }
 
 /// F2 (Figure 2): the order in which Algorithm CLEAN cleans `H_4`.
-pub fn f2_clean_order(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentResult {
-    let d = cfg.small_figure_dim;
+pub fn f2_clean_order(_cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentResult {
+    let d = SMALL_FIGURE_DIM;
     let mut r = ExperimentResult::new(
         "f2",
         format!("cleaning order of Algorithm CLEAN on H_{d} (Figure 2)"),
@@ -134,8 +146,8 @@ pub fn f2_clean_order(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentRes
 }
 
 /// F3 (Figure 3): the msb classes `C_0 … C_d`.
-pub fn f3_msb_classes(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentResult {
-    let d = cfg.figure_dim;
+pub fn f3_msb_classes(_cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentResult {
+    let d = FIGURE_DIM;
     let mut r = ExperimentResult::new(
         "f3",
         format!("msb classes C_i of H_{d} (Figure 3)"),
@@ -170,8 +182,8 @@ pub fn f3_msb_classes(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentRes
 }
 
 /// F4 (Figure 4): the visibility strategy's wavefront cleaning order.
-pub fn f4_visibility_wavefront(cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentResult {
-    let d = cfg.small_figure_dim;
+pub fn f4_visibility_wavefront(_cfg: &ExperimentConfig, _runs: &RunCache) -> ExperimentResult {
+    let d = SMALL_FIGURE_DIM;
     let mut r = ExperimentResult::new(
         "f4",
         format!("wavefront order of CLEAN WITH VISIBILITY on H_{d} (Figure 4)"),

@@ -154,7 +154,7 @@ pub fn t2_clean_agents(cfg: &ExperimentConfig, runs: &RunCache) -> ExperimentRes
     r.series.push(team_series);
 
     // Per-phase accounting for the figure dimension (Lemma 3 exactly).
-    let d = cfg.figure_dim;
+    let d = super::figures::FIGURE_DIM;
     let mut phases = Table::new(
         format!("per-phase agent accounting for H_{d} (Lemma 3)"),
         &[

@@ -40,24 +40,6 @@ pub struct ExperimentConfig {
     pub sync_engine_dims: Vec<u32>,
     /// Number of random-adversary seeds per configuration.
     pub adversary_seeds: u64,
-    /// Dimension used for the structural figures (the paper draws `H_6`).
-    pub figure_dim: u32,
-    /// Dimension used for the order/wavefront figures (the paper draws
-    /// `H_4`).
-    pub small_figure_dim: u32,
-    /// Cap on the heap-queue isomorphism sweep in F1 (`O(n log n)` work
-    /// per dimension; structural, so large `d` adds cost without insight).
-    pub heap_iso_max_dim: u32,
-    /// Cap on the engine-backed cloning-dispatch ablation in E13 (the
-    /// smallest-first variant runs `d(d+1)/2` synchronous rounds).
-    pub sync_ablation_max_dim: u32,
-    /// Cap on the greedy upper-bound planner in E14 (its per-step frontier
-    /// scan is quadratic in `n`).
-    pub greedy_planner_max_dim: u32,
-    /// Largest dimension whose fast runs are audited through the streaming
-    /// monitor; above this the `O(n)`-per-contiguity-check audit dominates
-    /// and runs report metrics with a vacuous verdict.
-    pub audit_max_dim: u32,
 }
 
 /// Largest dimension the report sweeps (and the default per-request cap a
@@ -128,22 +110,6 @@ pub fn validate_cache_cap(cache_cap: usize) -> Result<usize, String> {
     }
 }
 
-fn default_heap_iso_max_dim() -> u32 {
-    12
-}
-
-fn default_sync_ablation_max_dim() -> u32 {
-    9
-}
-
-fn default_greedy_planner_max_dim() -> u32 {
-    11
-}
-
-fn default_audit_max_dim() -> u32 {
-    12
-}
-
 impl ExperimentConfig {
     /// Small and fast: suitable for CI and unit tests (seconds).
     pub fn quick() -> Self {
@@ -152,12 +118,6 @@ impl ExperimentConfig {
             engine_dims: vec![2, 4, 6],
             sync_engine_dims: vec![2, 4, 6],
             adversary_seeds: 2,
-            figure_dim: 6,
-            small_figure_dim: 4,
-            heap_iso_max_dim: default_heap_iso_max_dim(),
-            sync_ablation_max_dim: default_sync_ablation_max_dim(),
-            greedy_planner_max_dim: default_greedy_planner_max_dim(),
-            audit_max_dim: default_audit_max_dim(),
         }
     }
 
@@ -169,12 +129,6 @@ impl ExperimentConfig {
             engine_dims: vec![2, 3, 4, 5, 6, 7, 8],
             sync_engine_dims: vec![2, 4, 6, 8],
             adversary_seeds: 5,
-            figure_dim: 6,
-            small_figure_dim: 4,
-            heap_iso_max_dim: default_heap_iso_max_dim(),
-            sync_ablation_max_dim: default_sync_ablation_max_dim(),
-            greedy_planner_max_dim: default_greedy_planner_max_dim(),
-            audit_max_dim: default_audit_max_dim(),
         }
     }
 

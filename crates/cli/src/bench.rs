@@ -113,28 +113,26 @@ fn read_json(path: &str) -> Result<Value, String> {
     serde_json::from_str_value(&text).map_err(|e| format!("{path} is not JSON: {e}"))
 }
 
-/// The committed baseline `var` names, refused unless it declares
-/// `schema`; `None` when `var` is unset.
-fn baseline<T: Deserialize>(var: &str, schema: &str) -> Result<Option<T>, String> {
-    let Ok(path) = std::env::var(var) else {
-        return Ok(None);
-    };
-    let value = read_json(&path)?;
+/// The report at `path`, refused unless it declares `schema`; `what`
+/// names it in the refusal.
+fn report<T: Deserialize>(path: &str, schema: &str, what: &str) -> Result<T, String> {
+    let value = read_json(path)?;
     let found = field(&value, "schema").as_str().unwrap_or_default();
     if found != schema {
         return Err(format!(
-            "baseline schema '{found}' != '{schema}'; regenerate {path}"
+            "{what} schema '{found}' != '{schema}'; regenerate {path}"
         ));
     }
-    T::deserialize_value(&value)
-        .map(Some)
-        .map_err(|e| format!("baseline {path} does not parse: {e}"))
+    T::deserialize_value(&value).map_err(|e| format!("{what} {path} does not parse: {e}"))
 }
 
-/// `throughput_rps` of a `bench-serve` report.
-fn throughput_rps(path: &str) -> Result<f64, String> {
-    f64::deserialize_value(field(&read_json(path)?, "throughput_rps"))
-        .map_err(|_| format!("{path} lacks throughput_rps"))
+/// The committed baseline `var` names, refused unless it declares
+/// `schema`; `None` when `var` is unset.
+fn baseline<T: Deserialize>(var: &str, schema: &str) -> Result<Option<T>, String> {
+    match std::env::var(var) {
+        Ok(path) => report(&path, schema, "baseline").map(Some),
+        Err(_) => Ok(None),
+    }
 }
 
 fn write_report(out: &str, json: serde_json::Result<String>) -> Result<(), String> {
@@ -437,6 +435,17 @@ pub(crate) fn cmd_bench_serve(cfg: &BenchConfig, out: &str) -> Result<(), String
     }])
 }
 
+/// What `telemetry-gate` reads of each `bench-serve` report: its whole
+/// load mix, transport included, and the throughput it reached.
+#[derive(Deserialize)]
+struct ServeReport {
+    clients: u64,
+    requests_per_client: u64,
+    pipeline_depth: u64,
+    transport: String,
+    throughput_rps: f64,
+}
+
 /// The `BENCH_telemetry.json` shape.
 #[derive(Serialize)]
 struct TelemetryReport {
@@ -450,15 +459,39 @@ struct TelemetryReport {
 /// `hypersweep telemetry-gate`: compare two `bench-serve` reports, one
 /// taken with telemetry on and one with `--no-telemetry`, and fail if the
 /// instrumented daemon lost more than [`TELEMETRY_GATE_PCT`] of its
-/// throughput. Writes the comparison to `out` (CI commits it as
-/// `BENCH_telemetry.json`).
+/// throughput. Both reports must be of the [`BENCH_SCHEMA`] and of one
+/// load mix, or the pair is refused before anything is compared. Writes
+/// the comparison to `out` (CI commits it as `BENCH_telemetry.json`).
 pub(crate) fn cmd_telemetry_gate(
     with_path: &str,
     without_path: &str,
     out: &str,
 ) -> Result<(), String> {
-    let with_rps = throughput_rps(with_path)?;
-    let without_rps = throughput_rps(without_path)?;
+    let with = report::<ServeReport>(with_path, BENCH_SCHEMA, "report")?;
+    let without = report::<ServeReport>(without_path, BENCH_SCHEMA, "report")?;
+    let mix = |r: &ServeReport| {
+        [
+            r.clients.to_string(),
+            r.requests_per_client.to_string(),
+            r.pipeline_depth.to_string(),
+            r.transport.clone(),
+        ]
+    };
+    let names = [
+        "clients",
+        "requests_per_client",
+        "pipeline_depth",
+        "transport",
+    ];
+    for ((name, on), off) in names.into_iter().zip(mix(&with)).zip(mix(&without)) {
+        if on != off {
+            return Err(format!(
+                "{with_path} was measured at {name} {on}, {without_path} at {name} {off}; \
+                 the gate compares two runs of one load mix"
+            ));
+        }
+    }
+    let (with_rps, without_rps) = (with.throughput_rps, without.throughput_rps);
     if without_rps <= 0.0 {
         return Err(format!("baseline {without_path} reports zero throughput"));
     }

@@ -170,11 +170,15 @@ fn render_timings(
     }
 }
 
+/// Largest `H_d` whose `run --fast` trace streams through the verifier;
+/// above it `run --fast` reports the metrics with a vacuous verdict.
+const AUDIT_MAX_DIM: u32 = 12;
+
 fn cmd_run(strategy: &str, d: u32, policy: Policy, fast: bool) -> Result<(), String> {
     let cube = Hypercube::new(d);
     let s = strategy_named(strategy, cube)?;
     let outcome = if fast {
-        s.fast(d <= ExperimentConfig::quick().audit_max_dim)
+        s.fast(d <= AUDIT_MAX_DIM)
     } else {
         s.run(policy).map_err(|e| e.to_string())?
     };

@@ -454,28 +454,57 @@ fn serve_bench_and_graceful_shutdown() {
 
 #[test]
 fn telemetry_gate_passes_and_fails_on_the_5_percent_line() {
+    use hypersweep_server::{BenchReport, BENCH_SCHEMA};
     let dir = std::env::temp_dir().join("hypersweep-cli-telemetry-gate");
     std::fs::create_dir_all(&dir).unwrap();
-    let write = |name: &str, rps: f64| {
+    // A full v2 report of CI's mix, 8 clients x 64 requests over TCP, at
+    // `rps`, then changed by `tweak`.
+    let write = |name: &str, rps: f64, tweak: fn(&mut BenchReport)| {
+        let mut report = BenchReport {
+            schema: BENCH_SCHEMA.to_string(),
+            clients: 8,
+            requests_per_client: 64,
+            total_requests: 512,
+            ok: 512,
+            errors: 0,
+            busy: 0,
+            elapsed_ms: 512.0 / rps * 1e3,
+            throughput_rps: rps,
+            p50_ms: 0.05,
+            p99_ms: 0.5,
+            cache_hit_rate: 0.99,
+            transport: "tcp".to_string(),
+            pipeline_depth: 1,
+            p50_us: 50.0,
+            p99_us: 500.0,
+            table_hits: 256,
+            table_hit_rate: 0.5,
+            cache_shards: 8,
+            shard_requests: vec![0, 0, 64, 64, 0, 0, 0, 0],
+        };
+        tweak(&mut report);
         let path = dir.join(name);
-        std::fs::write(&path, format!("{{\"throughput_rps\": {rps}}}\n")).unwrap();
+        std::fs::write(&path, report.to_json() + "\n").unwrap();
         path
     };
-    let off = write("off.json", 1000.0);
-    let within = write("within.json", 970.0); // 3% overhead
-    let beyond = write("beyond.json", 900.0); // 10% overhead
+    let off = write("off.json", 1000.0, |_| {});
+    let within = write("within.json", 970.0, |_| {}); // 3% overhead
+    let beyond = write("beyond.json", 900.0, |_| {}); // 10% overhead
     let out_file = dir.join("BENCH_telemetry.json");
+    let gate = |on: &std::path::Path| {
+        bin()
+            .args([
+                "telemetry-gate",
+                on.to_str().unwrap(),
+                off.to_str().unwrap(),
+                "--out",
+                out_file.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap()
+    };
 
-    let out = bin()
-        .args([
-            "telemetry-gate",
-            within.to_str().unwrap(),
-            off.to_str().unwrap(),
-            "--out",
-            out_file.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
+    let out = gate(&within);
     assert!(
         out.status.success(),
         "{}",
@@ -487,21 +516,41 @@ fn telemetry_gate_passes_and_fails_on_the_5_percent_line() {
     assert!(written.contains("\"pass\":true"), "{written}");
     assert!(written.contains("\"gate_pct\""), "{written}");
 
-    let out = bin()
-        .args([
-            "telemetry-gate",
-            beyond.to_str().unwrap(),
-            off.to_str().unwrap(),
-            "--out",
-            out_file.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
+    let out = gate(&beyond);
     assert!(!out.status.success(), "10% overhead must fail the gate");
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("REGRESSION"), "{err}");
     let written = std::fs::read_to_string(&out_file).unwrap();
     assert!(written.contains("\"pass\":false"), "{written}");
+
+    // A file that is not a v2 report, and a report of another load mix,
+    // are refused before anything is compared or written.
+    let one_field = dir.join("one-field.json");
+    std::fs::write(&one_field, "{\"throughput_rps\": 970}\n").unwrap();
+    let other_mix = write("other-mix.json", 970.0, |r| r.clients = 1000);
+    let refusals = [
+        (
+            &one_field,
+            "report schema '' != 'hypersweep-serve-bench/v2'".to_string(),
+        ),
+        (
+            &other_mix,
+            format!(
+                "{} was measured at clients 1000, {} at clients 8",
+                other_mix.display(),
+                off.display()
+            ),
+        ),
+    ];
+    for (on, message) in refusals {
+        std::fs::remove_file(&out_file).ok();
+        let out = gate(on);
+        assert_eq!(out.status.code(), Some(1), "{on:?}");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains(&message), "{on:?}: {err}");
+        assert!(out.stdout.is_empty(), "{on:?} was compared");
+        assert!(!out_file.exists(), "{on:?} wrote a comparison");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

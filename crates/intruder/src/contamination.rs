@@ -124,12 +124,14 @@ fn reset_set(set: &mut NodeSet, n: usize) {
 /// frontier membership, and a removed edge inside the safe region dirties
 /// the forest like a deletion does.
 ///
-/// The pre-incremental whole-field BFS and frontier scan live on as the
-/// references in `hypersweep-testutil`'s `oracles` module, written against
+/// The pre-incremental whole-field BFS and frontier scan live on as
+/// references in `hypersweep-testutil`'s `oracles` module, beside a
+/// safe-neighbour scan and a component count, all written against
 /// [`ContaminationField::contaminated_set`],
 /// [`ContaminationField::occupancy`] and [`ContaminationField::homebase`];
 /// the differential test suites hold the incremental answers equal to them
-/// on every sampled event stream.
+/// on every sampled event stream and, off the cube, after every edge
+/// change.
 ///
 /// Complexity: applying an event is `O(Δ)` unless the event vacates a node
 /// next to contamination, in which case the spread flood costs up to
@@ -243,38 +245,6 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
             scratch_adj: s.scratch_adj,
             scratch_queue: s.scratch_queue,
         }
-    }
-
-    /// Rebuild a field from an externally-held snapshot: the set of safe
-    /// (decontaminated) nodes and the per-node occupancy. Occupied nodes
-    /// are made safe whether or not the snapshot lists them.
-    ///
-    /// The rebuilt field derives the connectivity forest, safe-neighbour
-    /// counts and maintained frontier from `topo`'s current adjacency, one
-    /// node at a time: `O(n · Δ)`. That makes it the reference for the
-    /// `O(1)` edge hooks ([`ContaminationField::edge_inserted`] and
-    /// [`ContaminationField::edge_removed`]), which the dynamic-graph
-    /// scenario uses to keep one field current across its edge churn: the
-    /// differential tests hold a patched field equal to this rebuild after
-    /// every accepted mutation.
-    pub fn with_state(topo: &'a T, homebase: Node, safe: &NodeSet, occupancy: &[u32]) -> Self {
-        let n = topo.node_count();
-        assert_eq!(safe.universe(), n, "safe set universe mismatch");
-        assert_eq!(occupancy.len(), n, "occupancy length mismatch");
-        let mut field = Self::new(topo, homebase);
-        for x in safe.iter() {
-            field.decontaminate(x);
-        }
-        for (i, &occ) in occupancy.iter().enumerate() {
-            if occ > 0 {
-                let x = Node(i as u32);
-                field.decontaminate(x);
-                field.occupancy[i] = occ;
-                field.guarded.insert(x);
-                field.refresh_frontier(x);
-            }
-        }
-        field
     }
 
     /// Dismantle the field into its reusable allocations.
@@ -392,8 +362,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
     /// count move by one and their frontier membership is refreshed; a
     /// safe–safe edge unions its endpoints' components. Moves
     /// [`ContaminationField::contamination_changes`], since a greedy
-    /// evader's answer depends on the edges too. `O(α)`, where
-    /// [`ContaminationField::with_state`] replays every node.
+    /// evader's answer depends on the edges too. `O(α)`.
     ///
     /// The caller reports exactly the edges its topology changed, once each.
     ///
@@ -884,7 +853,7 @@ impl<'a, T: Topology + ?Sized> ContaminationField<'a, T> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hypersweep_sim::Role;
     use hypersweep_topology::Hypercube;
@@ -1145,88 +1114,45 @@ mod tests {
         assert!(grown.is_contiguous());
     }
 
-    /// `(safe set, occupancy)` snapshot of a field, as the dynamic-graph
-    /// scenario takes between rounds.
-    fn snapshot<T: Topology + ?Sized>(f: &ContaminationField<'_, T>) -> (NodeSet, Vec<u32>) {
-        let n = f.occupancy().len();
-        let mut safe = NodeSet::new(n);
-        for i in 0..n as u32 {
-            if !f.is_contaminated(Node(i)) {
-                safe.insert(Node(i));
-            }
+    /// A topology whose edges change while a field holds it, the way the
+    /// dynamic-graph scenario's does.
+    pub(crate) struct Live(pub(crate) std::cell::RefCell<hypersweep_topology::graph::AdjGraph>);
+
+    impl Topology for Live {
+        fn node_count(&self) -> usize {
+            self.0.borrow().node_count()
         }
-        (safe, f.occupancy().to_vec())
+        fn neighbors_into(&self, x: Node, out: &mut Vec<Node>) {
+            self.0.borrow().neighbors_into(x, out);
+        }
     }
 
     #[test]
-    fn with_state_restores_a_snapshot_onto_the_same_adjacency() {
+    fn an_inserted_edge_exposes_a_clean_node_at_once() {
+        // Path 0-1-2-3 swept to 2: node 1 is clean, unguarded and
+        // interior. Inserting the edge 1-3 puts contaminated 3 next to it,
+        // and the frontier must name node 1 before any further event.
         use hypersweep_topology::graph::AdjGraph;
-        let g = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]);
-        let mut f = ContaminationField::new(&g, Node(0));
-        f.apply(&spawn(0, 0));
-        f.apply(&spawn(1, 0));
-        f.apply(&mv(1, 0, 1)); // 0 guarded by agent 0, 1 guarded by agent 1
-        let (safe, occupancy) = snapshot(&f);
-
-        let mut same = ContaminationField::with_state(&g, Node(0), &safe, &occupancy);
-        assert_eq!(same.contaminated_count(), f.contaminated_count());
-        assert_eq!(same.is_contiguous(), f.is_contiguous());
-        assert_eq!(same.unguarded_frontier(), f.unguarded_frontier());
-        assert!(same.is_guarded(Node(1)));
-        assert_eq!(same.clean_components(), 1);
-    }
-
-    #[test]
-    fn with_state_sees_mutation_exposed_frontier() {
-        // Path 0-1-2-3: after the sweep reaches 2, node 1 is safe,
-        // unguarded, and interior. An adversarial edge insertion 1-3
-        // puts contaminated 3 next to it — the restored field must
-        // surface node 1 as an unguarded frontier immediately.
-        use hypersweep_topology::graph::AdjGraph;
-        let g = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let g = Live(std::cell::RefCell::new(AdjGraph::from_edges(
+            4,
+            &[(0, 1), (1, 2), (2, 3)],
+        )));
         let mut f = ContaminationField::new(&g, Node(0));
         f.apply(&spawn(0, 0));
         f.apply(&spawn(1, 0));
         f.apply(&mv(1, 0, 1));
         f.apply(&mv(1, 1, 2)); // 1 vacated: nbrs 0 (guarded), 2 (now guarded)
         assert!(f.recontaminations().is_empty());
-        let (safe, occupancy) = snapshot(&f);
+        assert!(f.is_clean(Node(1)));
         assert_eq!(f.unguarded_frontier(), None, "1 is interior");
 
-        let mut mutated = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        mutated.add_edge(Node(1), Node(3));
-        let restored = ContaminationField::with_state(&mutated, Node(0), &safe, &occupancy);
+        g.0.borrow_mut().add_edge(Node(1), Node(3));
+        f.edge_inserted(Node(1), Node(3));
+        assert!(f.borders_contamination(Node(1)));
         assert_eq!(
-            restored.unguarded_frontier(),
+            f.unguarded_frontier(),
             Some(Node(1)),
             "the inserted edge 1-3 must expose node 1"
         );
-    }
-
-    #[test]
-    fn with_state_keeps_interior_clean_nodes_off_the_frontier() {
-        // Restoring a snapshot cleans nodes one at a time while the
-        // frontier is not empty, so each cleaning must take its neighbours
-        // off the frontier once they stop bordering contamination. Path
-        // 0-1-2-3 swept to 2: node 1 is clean, unguarded and interior.
-        use hypersweep_topology::graph::AdjGraph;
-        let g = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut f = ContaminationField::new(&g, Node(0));
-        f.apply(&spawn(0, 0));
-        f.apply(&spawn(1, 0));
-        f.apply(&mv(1, 0, 1));
-        f.apply(&mv(1, 1, 2));
-        let (safe, occupancy) = snapshot(&f);
-        let restored = ContaminationField::with_state(&g, Node(0), &safe, &occupancy);
-        assert_eq!(restored.unguarded_frontier(), None);
-        // The same on H_2: 00 and 11 guard contaminated 10, 01 is interior.
-        let h = Hypercube::new(2);
-        let mut safe = NodeSet::new(4);
-        for x in [0b00, 0b01, 0b11] {
-            safe.insert(Node(x));
-        }
-        let mut restored = ContaminationField::with_state(&h, Node::ROOT, &safe, &[1, 0, 0, 1]);
-        assert_eq!(restored.unguarded_frontier(), None);
-        assert!(restored.is_contiguous());
     }
 }

@@ -328,7 +328,10 @@ impl Intruder {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
+    use crate::contamination::tests::Live;
     use hypersweep_sim::{Event, EventKind, Role};
     use hypersweep_topology::graph::Path;
     use hypersweep_topology::Hypercube;
@@ -396,24 +399,30 @@ mod tests {
 
     #[test]
     fn an_answer_given_with_an_exposed_frontier_is_not_reused() {
-        // A 6-cycle 0-1-2-5-4-3-0 restored with {0, 1, 2} safe and a guard
-        // on 2 only: node 0 borders contaminated 3 unguarded. The greedy
-        // answer then counts 2 as the only guard and picks 3. A spawn on 0
-        // flips no contaminated status but makes 0 a guard, which moves
-        // the answer to 4; the first answer must not be reused.
+        // A path 0-1-2-5-4-3 swept from 0 to 2 by one agent, then closed
+        // into the 6-cycle 0-1-2-5-4-3-0 by the edge 3-0: {0, 1, 2} safe
+        // and a guard on 2 only, so node 0 borders contaminated 3
+        // unguarded. The greedy answer then counts 2 as the only guard and
+        // picks 3. A spawn on 0 flips no contaminated status but makes 0 a
+        // guard, which moves the answer to 4; the first answer must not be
+        // reused.
         use hypersweep_topology::graph::AdjGraph;
-        let g = AdjGraph::from_edges(6, &[(0, 1), (1, 2), (2, 5), (5, 4), (4, 3), (3, 0)]);
-        let mut safe = NodeSet::new(6);
-        for x in 0..3 {
-            safe.insert(Node(x));
+        let g = Live(RefCell::new(AdjGraph::from_edges(
+            6,
+            &[(0, 1), (1, 2), (2, 5), (5, 4), (4, 3)],
+        )));
+        let mut field = ContaminationField::new(&g, Node(0));
+        for e in [spawn(0, 0), mv(0, 0, 1), mv(0, 1, 2)] {
+            field.apply(&e);
         }
-        let mut field = ContaminationField::with_state(&g, Node(0), &safe, &[0, 0, 1, 0, 0, 0]);
+        g.0.borrow_mut().add_edge(Node(3), Node(0));
+        field.edge_inserted(Node(3), Node(0));
         assert_eq!(field.unguarded_frontier(), Some(Node(0)));
         let mut evader = Intruder::new(Node(4), EvaderPolicy::Greedy);
         evader.react(&g, &field, 0);
         assert_eq!(evader.status(), CaptureStatus::Free(Node(3)));
         let changes = field.contamination_changes();
-        field.apply(&spawn(0, 0));
+        field.apply(&spawn(1, 0));
         assert_eq!(field.contamination_changes(), changes);
         assert!(evader.may_move(&field));
         evader.react(&g, &field, 1);
@@ -428,23 +437,12 @@ mod tests {
         // to the guard, which moves the answer to 2; the first answer must
         // not be reused.
         use hypersweep_topology::graph::AdjGraph;
-        use std::cell::RefCell;
-        struct Live(RefCell<AdjGraph>);
-        impl Topology for Live {
-            fn node_count(&self) -> usize {
-                self.0.borrow().node_count()
-            }
-            fn neighbors_into(&self, x: Node, out: &mut Vec<Node>) {
-                self.0.borrow().neighbors_into(x, out);
-            }
-        }
         let g = Live(RefCell::new(AdjGraph::from_edges(
             5,
             &[(0, 1), (1, 2), (2, 3), (3, 4)],
         )));
-        let mut safe = NodeSet::new(5);
-        safe.insert(Node(0));
-        let mut field = ContaminationField::with_state(&g, Node(0), &safe, &[1, 0, 0, 0, 0]);
+        let mut field = ContaminationField::new(&g, Node(0));
+        field.apply(&spawn(0, 0));
         assert_eq!(field.unguarded_frontier(), None);
         let mut evader = Intruder::new(Node(1), EvaderPolicy::Greedy);
         evader.react(&g, &field, 0);

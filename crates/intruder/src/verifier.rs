@@ -200,20 +200,12 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
     /// exploring thousands of schedules recycle one scratch per worker
     /// instead of reallocating `O(n)` buffers per schedule.
     pub fn new_in(topo: &'a T, homebase: Node, stride: u64, scratch: FieldScratch) -> Self {
-        Self::from_field(ContaminationField::new_in(topo, homebase, scratch), stride)
-    }
-
-    /// Wrap an already-built field, such as a mid-search state rebuilt with
-    /// [`ContaminationField::with_state`]; the verifier's violations then
-    /// count events from that field's own start.
-    pub fn from_field(field: ContaminationField<'a, T>, stride: u64) -> Self {
-        let recontaminations_seen = field.recontaminations().len();
         Verifier {
-            field,
+            field: ContaminationField::new_in(topo, homebase, scratch),
             stride,
             intruder: None,
             violations: Vec::new(),
-            recontaminations_seen,
+            recontaminations_seen: 0,
         }
     }
 
@@ -391,9 +383,9 @@ impl<'a, T: Topology + ?Sized> Verifier<'a, T> {
     }
 
     /// Mutable access to the underlying field, for tests that hold its
-    /// `&mut self` queries (contiguity, component count, the reference
-    /// scans) to a rebuilt field mid-schedule. Not part of the API: events
-    /// applied through it bypass the verifier's checks.
+    /// `&mut self` queries (contiguity, component count) to the whole-field
+    /// references mid-schedule. Not part of the API: events applied through
+    /// it bypass the verifier's checks.
     #[doc(hidden)]
     pub fn field_for_tests(&mut self) -> &mut ContaminationField<'a, T> {
         &mut self.field

@@ -10,12 +10,11 @@
 //! * [`ContaminationField::unguarded_frontier`] (maintained frontier set)
 //!   vs. [`oracles::unguarded_frontier_scan`] (the pre-incremental
 //!   expand-and-mask scan);
-//! * [`ContaminationField::clean_components`] vs. a component count
-//!   re-derived in this test from the contamination bitset by independent
-//!   BFS;
+//! * [`ContaminationField::clean_components`] vs.
+//!   [`oracles::clean_components_bfs`] (one BFS per component);
 //! * [`ContaminationField::safe_neighbours`] and
-//!   [`ContaminationField::borders_contamination`] of every node vs. a scan
-//!   of its adjacency.
+//!   [`ContaminationField::borders_contamination`] of every node vs.
+//!   [`oracles::safe_neighbour_scan`] (a scan of its adjacency).
 //!
 //! The traces deliberately include island spawns (split safe regions that
 //! later merge) and vacate-triggered recontamination cascades (deletions,
@@ -24,15 +23,13 @@
 //! Every strategy's synthesized trace at `H_1..H_10` goes through the
 //! contiguity and frontier comparisons too.
 
-use std::collections::VecDeque;
-
 use hypersweep_analysis::StrategyKind;
 use hypersweep_intruder::ContaminationField;
 use hypersweep_sim::{Event, EventKind, Role};
 use hypersweep_testutil::{move_event, oracles, spawn_event};
 use hypersweep_topology::graph::{AdjGraph, CubeConnectedCycles, DeBruijn, Ring, Torus};
 use hypersweep_topology::rng::SplitMix64;
-use hypersweep_topology::{GridInstance, Hypercube, Node, NodeSet, Topology};
+use hypersweep_topology::{GridInstance, Hypercube, Node, Topology};
 
 use proptest::prelude::*;
 
@@ -82,34 +79,6 @@ fn decode_trace<T: Topology + ?Sized>(topo: &T, draws: &[u64]) -> Vec<Event> {
     events
 }
 
-/// Independent component count of the safe region: BFS floods over the
-/// complement of the contamination bitset, written against the `Topology`
-/// trait with none of the field's machinery.
-fn reference_components<T: Topology + ?Sized>(topo: &T, contaminated: &NodeSet) -> usize {
-    let n = topo.node_count();
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    let mut components = 0;
-    for i in 0..n as u32 {
-        let seed = Node(i);
-        if contaminated.contains(seed) || seen[seed.index()] {
-            continue;
-        }
-        components += 1;
-        seen[seed.index()] = true;
-        queue.push_back(seed);
-        while let Some(x) = queue.pop_front() {
-            for y in topo.neighbors_vec(x) {
-                if !contaminated.contains(y) && !seen[y.index()] {
-                    seen[y.index()] = true;
-                    queue.push_back(y);
-                }
-            }
-        }
-    }
-    components
-}
-
 /// How the cleanings and deletions of a replayed trace met the forest.
 #[derive(Default)]
 struct Paths {
@@ -157,17 +126,16 @@ fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths 
         if (i + 1) % every != 0 && i + 1 != events.len() {
             continue;
         }
-        for x in (0..topo.node_count() as u32).map(Node) {
-            topo.neighbors_into(x, &mut nbrs);
-            let safe = nbrs.iter().filter(|&&y| !after.contains(y)).count();
+        let counts = oracles::safe_neighbour_scan(topo, &field);
+        for (x, &(safe, degree)) in (0..).map(Node).zip(&counts) {
             assert_eq!(
-                field.safe_neighbours(x) as usize,
+                field.safe_neighbours(x),
                 safe,
                 "event {i}: safe neighbours of {x:?}"
             );
             assert_eq!(
                 field.borders_contamination(x),
-                safe < nbrs.len(),
+                safe < degree,
                 "event {i}: boundary test of {x:?}"
             );
         }
@@ -183,7 +151,7 @@ fn replay<T: Topology + ?Sized>(topo: &T, draws: &[u64], every: usize) -> Paths 
             "event {i}: frontier oracles diverged"
         );
         components = field.clean_components();
-        let expected = reference_components(topo, field.contaminated_set());
+        let expected = oracles::clean_components_bfs(topo, &field);
         assert_eq!(
             components, expected,
             "event {i}: component count diverged (incremental {components}, reference {expected})"
@@ -351,10 +319,7 @@ fn split_merge_islands_on_the_hypercube() {
     // vacated next to contamination and caught too. Every step must agree
     // with the reference.
     f.apply(&mv(2, 0b0110, 0b0100));
-    assert_eq!(
-        f.clean_components(),
-        reference_components(&h, f.contaminated_set())
-    );
+    assert_eq!(f.clean_components(), oracles::clean_components_bfs(&h, &f));
     assert_eq!(f.is_contiguous(), oracles::is_contiguous_bfs(&h, &f));
     assert!(
         !f.recontaminations().is_empty(),
@@ -366,10 +331,7 @@ fn split_merge_islands_on_the_hypercube() {
     f.apply(&mv(3, 0b0000, 0b0001));
     f.apply(&mv(3, 0b0001, 0b0011));
     f.apply(&mv(3, 0b0011, 0b0111));
-    assert_eq!(
-        f.clean_components(),
-        reference_components(&h, f.contaminated_set())
-    );
+    assert_eq!(f.clean_components(), oracles::clean_components_bfs(&h, &f));
     assert_eq!(f.is_contiguous(), oracles::is_contiguous_bfs(&h, &f));
     assert_eq!(
         f.unguarded_frontier().is_some(),
@@ -474,35 +436,4 @@ fn hypercube_cascade_rebuild_matches_the_bfs() {
     f.apply(&move_event(1, 0b001, 0b000)); // vacates 001 next to contaminated 101
     assert_eq!(f.recontaminations().len(), 3);
     assert_eq!(f.is_contiguous(), oracles::is_contiguous_bfs(&h, &f));
-}
-
-/// The restored fields of `contamination.rs`'s
-/// `with_state_keeps_interior_clean_nodes_off_the_frontier` pass the
-/// frontier scan: path 0-1-2-3 swept to 2, and `H_2` with 00 and 11
-/// guarding contaminated 10.
-#[test]
-fn restored_interior_clean_nodes_pass_the_frontier_scan() {
-    let g = AdjGraph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-    let mut f = ContaminationField::new(&g, Node(0));
-    for e in [
-        spawn_event(0),
-        spawn_event(1),
-        move_event(1, 0, 1),
-        move_event(1, 1, 2),
-    ] {
-        f.apply(&e);
-    }
-    let mut safe = NodeSet::new(4);
-    for x in (0..4).map(Node).filter(|&x| !f.is_contaminated(x)) {
-        safe.insert(x);
-    }
-    let restored = ContaminationField::with_state(&g, Node(0), &safe, f.occupancy());
-    assert_eq!(oracles::unguarded_frontier_scan(&g, &restored), None);
-    let h = Hypercube::new(2);
-    let mut safe = NodeSet::new(4);
-    for x in [0b00, 0b01, 0b11] {
-        safe.insert(Node(x));
-    }
-    let restored = ContaminationField::with_state(&h, Node::ROOT, &safe, &[1, 0, 0, 1]);
-    assert_eq!(oracles::unguarded_frontier_scan(&h, &restored), None);
 }

@@ -234,7 +234,7 @@ mod tests {
     use super::*;
     use hypersweep_intruder::ContaminationField;
     use hypersweep_sim::{Event, EventKind, Role};
-    use hypersweep_testutil::oracles;
+    use hypersweep_testutil::{move_event, oracles, spawn_event};
     use hypersweep_topology::GridInstance;
 
     fn base(side: u32, instance: GridInstance) -> AdjGraph {
@@ -254,68 +254,60 @@ mod tests {
         )
     }
 
-    /// A verifier whose field is the snapshot `(safe, occupancy)` on `graph`.
-    fn oracle_at<'a>(
-        graph: &'a Churned,
-        safe: &[u32],
-        occupancy: &[u32],
-    ) -> StepOracle<'a, Churned> {
-        let mut set = NodeSet::new(occupancy.len());
-        safe.iter().for_each(|&x| {
-            set.insert(Node(x));
-        });
-        let field = ContaminationField::with_state(graph, Node(0), &set, occupancy);
-        StepOracle::from_field(field, 1)
+    /// A verifier on `graph` that has observed `events` from the homebase
+    /// `0` without a violation.
+    fn oracle_after<'a>(graph: &'a Churned, events: &[Event]) -> StepOracle<'a, Churned> {
+        let mut oracle = StepOracle::new(graph, Node(0), 1);
+        for (step, e) in (0..).zip(events) {
+            oracle.observe(e, step).expect("a legal sweep");
+        }
+        oracle
     }
 
-    /// Hold a patched `field` equal to the reference: `with_state` rebuilt
-    /// from its contaminated set and occupancy on `topo`'s current
-    /// adjacency.
-    fn assert_matches_rebuild<T: Topology + ?Sized>(
+    /// Hold a patched `field` to the whole-field references of
+    /// [`oracles`] on `topo`'s current adjacency: every node's
+    /// safe-neighbour count and boundary test, the frontier (whose witness
+    /// must be a clean node on the boundary), contiguity and the component
+    /// count.
+    fn assert_matches_oracles<T: Topology + ?Sized>(
         topo: &T,
         field: &mut ContaminationField<'_, T>,
         at: &str,
     ) {
-        let n = topo.node_count();
-        let mut safe = NodeSet::new(n);
-        (0..n as u32)
-            .map(Node)
-            .filter(|&x| !field.is_contaminated(x))
-            .for_each(|x| {
-                safe.insert(x);
-            });
-        let mut rebuilt = ContaminationField::with_state(topo, Node(0), &safe, field.occupancy());
-        assert_eq!(field.contaminated_set(), rebuilt.contaminated_set(), "{at}");
-        assert_eq!(field.occupancy(), rebuilt.occupancy(), "{at}");
-        for x in (0..n as u32).map(Node) {
-            assert_eq!(
-                field.borders_contamination(x),
-                rebuilt.borders_contamination(x),
-                "{at}: boundary test of {x:?}"
-            );
+        let counts = oracles::safe_neighbour_scan(topo, field);
+        for (x, &(safe, degree)) in (0..).map(Node).zip(&counts) {
             assert_eq!(
                 field.safe_neighbours(x),
-                rebuilt.safe_neighbours(x),
+                safe,
                 "{at}: safe neighbours of {x:?}"
+            );
+            assert_eq!(
+                field.borders_contamination(x),
+                safe < degree,
+                "{at}: boundary test of {x:?}"
             );
         }
         let frontier = field.unguarded_frontier();
-        assert_eq!(frontier, rebuilt.unguarded_frontier(), "{at}: frontier");
         assert_eq!(
             frontier.is_some(),
             oracles::unguarded_frontier_scan(topo, field).is_some(),
             "{at}: frontier scan"
         );
-        let contiguous = field.is_contiguous();
-        assert_eq!(contiguous, rebuilt.is_contiguous(), "{at}: contiguity");
+        if let Some(x) = frontier {
+            let (safe, degree) = counts[x.index()];
+            assert!(
+                field.is_clean(x) && safe < degree,
+                "{at}: frontier witness {x:?}"
+            );
+        }
         assert_eq!(
-            contiguous,
+            field.is_contiguous(),
             oracles::is_contiguous_bfs(topo, field),
             "{at}: contiguity BFS"
         );
         assert_eq!(
             field.clean_components(),
-            rebuilt.clean_components(),
+            oracles::clean_components_bfs(topo, field),
             "{at}: components"
         );
     }
@@ -355,8 +347,16 @@ mod tests {
     #[test]
     fn insert_into_unguarded_clean_region_is_rejected() {
         let graph = Churned(RefCell::new(base(3, GridInstance::Full)));
-        // Node 0 clean and unguarded, node 8 contaminated.
-        let mut oracle = oracle_at(&graph, &[0], &[0; 9]);
+        // Node 0 clean and unguarded behind guards on its neighbours 1 and
+        // 3, node 8 contaminated.
+        let sweep = [
+            spawn_event(0),
+            spawn_event(1),
+            move_event(1, 0, 1),
+            move_event(0, 0, 3),
+        ];
+        let mut oracle = oracle_after(&graph, &sweep);
+        assert!(oracle.field().is_clean(Node(0)));
         assert!(!try_mutate(
             &graph,
             &mut oracle,
@@ -368,9 +368,7 @@ mod tests {
         // Same insert with a guard standing on node 0 is fair game, and
         // the patched field sees node 0 border the new contaminated
         // neighbour.
-        let mut guarded = [0; 9];
-        guarded[0] = 1;
-        let mut oracle = oracle_at(&graph, &[0], &guarded);
+        let mut oracle = oracle_after(&graph, &[spawn_event(0)]);
         assert_eq!(oracle.field().safe_neighbours(Node(8)), 0);
         assert!(try_mutate(
             &graph,
@@ -382,7 +380,7 @@ mod tests {
         ));
         assert!(graph.0.borrow().has_edge(Node(8), Node(0)));
         assert_eq!(oracle.field().safe_neighbours(Node(8)), 1);
-        assert_matches_rebuild(&graph, oracle.field_for_tests(), "after the insert");
+        assert_matches_oracles(&graph, oracle.field_for_tests(), "after the insert");
     }
 
     #[test]
@@ -391,7 +389,7 @@ mod tests {
         let grid = GridInstance::Full.build(1);
         assert_eq!(grid.node_count(), 1);
         let graph = Churned(RefCell::new(AdjGraph::from_edges(3, &[(0, 1), (1, 2)])));
-        let mut oracle = oracle_at(&graph, &[], &[0; 3]);
+        let mut oracle = oracle_after(&graph, &[]);
         assert!(!try_mutate(
             &graph,
             &mut oracle,
@@ -409,7 +407,8 @@ mod tests {
             4,
             &[(0, 1), (1, 2), (2, 3), (3, 0)],
         )));
-        let mut oracle = oracle_at(&graph, &[0, 1], &[1, 1, 0, 0]);
+        let sweep = [spawn_event(0), spawn_event(1), move_event(1, 0, 1)];
+        let mut oracle = oracle_after(&graph, &sweep);
         assert!(!try_mutate(
             &graph,
             &mut oracle,
@@ -426,12 +425,13 @@ mod tests {
             Node(3),
             false
         ));
-        assert_matches_rebuild(&graph, oracle.field_for_tests(), "after the delete");
+        assert_matches_oracles(&graph, oracle.field_for_tests(), "after the delete");
     }
 
-    /// The edge hooks against the rebuild, on the churn real schedules
-    /// make: after every accepted mutation of seeded schedules at sides
-    /// 4–8, on full and random-hole grids.
+    /// The edge hooks against the whole-field rebuild of every answer in
+    /// [`oracles`], on the churn real schedules make: after every accepted
+    /// mutation of seeded schedules at sides 4–8, on full and random-hole
+    /// grids.
     #[test]
     fn patched_field_matches_the_rebuild_after_every_accepted_mutation() {
         let mut checked = 0;
@@ -450,7 +450,7 @@ mod tests {
                         |graph, oracle| {
                             checked += 1;
                             let at = format!("side {side} {instance} schedule {schedule}");
-                            assert_matches_rebuild(graph, oracle.field_for_tests(), &at);
+                            assert_matches_oracles(graph, oracle.field_for_tests(), &at);
                         },
                     );
                     assert!(stats.violation.is_none(), "{:?}", stats.violation);
@@ -460,10 +460,11 @@ mod tests {
         assert!(checked > 500, "only {checked} mutations were checked");
     }
 
-    /// The edge hooks against the rebuild under churn `try_mutate` would
-    /// reject — inserts next to unguarded clean nodes, deletions that split
-    /// the clean region or the graph — interleaved with random agent moves
-    /// and the recontamination they cause, checked after every change.
+    /// The edge hooks against the whole-field rebuild of every answer in
+    /// [`oracles`] under churn `try_mutate` would reject — inserts next to
+    /// unguarded clean nodes, deletions that split the clean region or the
+    /// graph — interleaved with random agent moves and the recontamination
+    /// they cause, checked after every change.
     #[test]
     fn patched_field_matches_the_rebuild_under_unvalidated_churn() {
         let mut rng = SplitMix64::new(0x0ED6_E5C4_A7B1);
@@ -511,7 +512,7 @@ mod tests {
                                 drop(g);
                                 field.edge_inserted(a, b);
                             }
-                            assert_matches_rebuild(&graph, &mut field, &format!("change {i}"));
+                            assert_matches_oracles(&graph, &mut field, &format!("change {i}"));
                             continue;
                         }
                         _ => continue,
@@ -522,7 +523,7 @@ mod tests {
                         _ => unreachable!(),
                     }
                     field.apply(&Event { time: i, kind });
-                    assert_matches_rebuild(&graph, &mut field, &format!("event {i}"));
+                    assert_matches_oracles(&graph, &mut field, &format!("event {i}"));
                 }
             }
         }

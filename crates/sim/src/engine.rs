@@ -522,16 +522,7 @@ impl<P: AgentProgram> Engine<P> {
         // Split borrows: program and board live in different fields.
         let slot = &mut self.agents[id as usize];
         let board = &mut self.boards[pos.index()];
-        let mut ctx = Ctx {
-            cube,
-            node: pos,
-            agent: id,
-            alive_here,
-            board,
-            dirty: false,
-            neighbor_states,
-            round: None,
-        };
+        let mut ctx = Ctx::new(cube, pos, id, alive_here, board, neighbor_states, None);
         let action = slot.program.step(&mut ctx);
         let dirty = ctx.dirty;
         self.nbr_scratch = nbr_scratch;
@@ -729,16 +720,15 @@ impl<P: AgentProgram> Engine<P> {
             let alive_here = bufs.active_snapshot[pos.index()];
             let slot = &mut self.agents[idx];
             let board = &mut self.boards[pos.index()];
-            let mut ctx = Ctx {
+            let mut ctx = Ctx::new(
                 cube,
-                node: pos,
-                agent: id,
+                pos,
+                id,
                 alive_here,
                 board,
-                dirty: false,
                 neighbor_states,
-                round: Some(round),
-            };
+                Some(round),
+            );
             let action = slot.program.step(&mut ctx);
             wrote |= ctx.dirty;
             self.meter(pos, id);

@@ -7,21 +7,19 @@
 //! exclusion; in the *visibility* model of §4 an agent can additionally see
 //! whether each neighbour is clean, guarded or contaminated.
 //!
-//! This crate realizes the model twice:
+//! This crate realizes the model once, as [`engine::Engine`]: a
+//! deterministic discrete-event executor. The asynchronous adversary is a
+//! pluggable [`policy::Policy`] deciding which pending agent acts next;
+//! correctness of a strategy must hold under every policy. The special
+//! [`policy::Policy::Synchronous`] policy runs lock-step rounds and yields
+//! the paper's *ideal time* (one unit per edge traversal).
 //!
-//! * [`engine::Engine`] — a deterministic discrete-event executor. The
-//!   asynchronous adversary is a pluggable [`policy::Policy`] deciding which
-//!   pending agent acts next; correctness of a strategy must hold under
-//!   every policy. The special [`policy::Policy::Synchronous`] policy runs
-//!   lock-step rounds and yields the paper's *ideal time* (one unit per
-//!   edge traversal).
-//! * [`threaded::run_threaded`] — the same agent programs running on
-//!   real OS threads with `std::sync` whiteboard locks; true hardware
-//!   asynchrony as a fidelity cross-check.
-//!
-//! Both emit the same linearized [`event::Event`] stream, which the
+//! The engine emits a linearized [`event::Event`] stream, which the
 //! `hypersweep-intruder` crate consumes to verify monotonicity, contiguity
-//! and capture.
+//! and capture. The test fixtures in `hypersweep-testutil` run the same
+//! [`program::AgentProgram`]s on real OS threads, one per agent, through
+//! [`program::Ctx::new`], and the cross-engine suites hold the two
+//! executors' traces and totals equal.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +32,6 @@ pub mod program;
 mod rng;
 pub mod sink;
 pub mod state;
-pub mod threaded;
 
 pub use engine::{Engine, EngineConfig, RoundOutcome, RunError, RunReport};
 pub use event::{AgentId, Event, EventKind, Role};

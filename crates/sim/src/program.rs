@@ -59,6 +59,33 @@ pub struct Ctx<'a, B> {
 }
 
 impl<'a, B> Ctx<'a, B> {
+    /// The view of agent `agent` activated on `node` of `cube`, where
+    /// `alive_here` active agents stand and `board` is the node's
+    /// whiteboard. `neighbor_states` holds the neighbours' states by port
+    /// under the visibility model (`None` otherwise), and `round` the round
+    /// under the synchronous policy (`None` otherwise).
+    #[inline]
+    pub fn new(
+        cube: Hypercube,
+        node: Node,
+        agent: AgentId,
+        alive_here: u32,
+        board: &'a mut B,
+        neighbor_states: Option<&'a [NodeState]>,
+        round: Option<u64>,
+    ) -> Self {
+        Ctx {
+            cube,
+            node,
+            agent,
+            alive_here,
+            board,
+            dirty: false,
+            neighbor_states,
+            round,
+        }
+    }
+
     /// The hypercube being searched (agents know the topology, §2).
     #[inline]
     pub fn cube(&self) -> Hypercube {

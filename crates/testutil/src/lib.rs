@@ -6,14 +6,16 @@
 //! suite kept a private near-identical copy. [`golden`] compares outputs
 //! with the files under the workspace's `tests/golden/` for the root
 //! `goldens` suite and the CLI's tests. [`oracles`] holds the whole-field
-//! references for the contamination field's contiguity and frontier
-//! answers.
+//! references for the contamination field's answers. [`threaded`] runs
+//! agent programs on real OS threads, the cross-check the cross-engine
+//! suites hold the discrete-event engine to.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod golden;
 pub mod oracles;
+pub mod threaded;
 
 use std::sync::Arc;
 use std::thread::JoinHandle;

@@ -1,11 +1,13 @@
-//! Whole-field references for the contamination field's region oracles.
+//! Whole-field references for the contamination field's answers.
 //!
-//! [`ContaminationField`] answers contiguity and frontier coverage from
-//! incrementally maintained state. These functions re-derive both from the
-//! field's public contaminated set, occupancy and homebase, so differential
-//! tests can hold the two equal after every event. On `H_d` they run
-//! word-parallel, which keeps the synthesized-trace sweep to `d = 10`
-//! affordable; elsewhere they walk one node at a time.
+//! [`ContaminationField`] answers contiguity, frontier coverage, component
+//! count and every node's safe-neighbour count from incrementally
+//! maintained state. These functions re-derive each from the field's
+//! public contaminated set, occupancy and homebase on the topology's
+//! current adjacency, so differential tests can hold the two equal after
+//! every event and every edge change. On `H_d` the contiguity and frontier
+//! references run word-parallel, which keeps the synthesized-trace sweep
+//! to `d = 10` affordable; elsewhere they walk one node at a time.
 
 use std::collections::VecDeque;
 
@@ -83,4 +85,53 @@ pub fn unguarded_frontier_scan<T: Topology + ?Sized>(
     wide::mask_clear2(next.words_mut(), contaminated.words(), guarded.words());
     let hit = next.iter().next();
     hit
+}
+
+/// Every node's count of decontaminated neighbours and its degree, by a
+/// scan of each adjacency list of `topo`: the reference for
+/// [`ContaminationField::safe_neighbours`], and, as "fewer safe
+/// neighbours than neighbours", for
+/// [`ContaminationField::borders_contamination`].
+pub fn safe_neighbour_scan<T: Topology + ?Sized>(
+    topo: &T,
+    field: &ContaminationField<'_, T>,
+) -> Vec<(u32, u32)> {
+    let contaminated = field.contaminated_set();
+    let mut nbrs = Vec::new();
+    (0..topo.node_count() as u32)
+        .map(|i| {
+            topo.neighbors_into(Node(i), &mut nbrs);
+            let safe = nbrs.iter().filter(|&&y| !contaminated.contains(y)).count();
+            (safe as u32, nbrs.len() as u32)
+        })
+        .collect()
+}
+
+/// The number of connected components of the decontaminated region of
+/// `field` on `topo` (`0` when everything is contaminated), by one BFS per
+/// component: the reference for [`ContaminationField::clean_components`].
+pub fn clean_components_bfs<T: Topology + ?Sized>(
+    topo: &T,
+    field: &ContaminationField<'_, T>,
+) -> usize {
+    let contaminated = field.contaminated_set();
+    let mut reached = NodeSet::new(topo.node_count());
+    let (mut queue, mut nbrs) = (VecDeque::new(), Vec::new());
+    let mut components = 0;
+    for seed in (0..topo.node_count() as u32).map(Node) {
+        if contaminated.contains(seed) || !reached.insert(seed) {
+            continue;
+        }
+        components += 1;
+        queue.push_back(seed);
+        while let Some(x) = queue.pop_front() {
+            topo.neighbors_into(x, &mut nbrs);
+            for &y in &nbrs {
+                if !contaminated.contains(y) && reached.insert(y) {
+                    queue.push_back(y);
+                }
+            }
+        }
+    }
+    components
 }

@@ -5,10 +5,10 @@
 //! unpredictable amount of time"; correctness must therefore survive any
 //! schedule. This example runs the visibility strategy and the cloning
 //! variant under FIFO/LIFO/round-robin/random adversaries on the
-//! discrete-event engine, then once more on the multi-threaded executor
-//! where the OS scheduler is the adversary — and checks that every run is
-//! monotone, contiguous, complete, and move-for-move identical in its
-//! totals.
+//! discrete-event engine, then once more on the real-thread executor of the
+//! test fixtures (`hypersweep-testutil`, a dev-dependency) where the OS
+//! scheduler is the adversary — and checks that every run is monotone,
+//! contiguous, complete, and move-for-move identical in its totals.
 //!
 //! ```sh
 //! cargo run --release --example adversarial_schedules
@@ -16,8 +16,8 @@
 
 use hypersweep::core::visibility::VisibilityAgent;
 use hypersweep::prelude::*;
-use hypersweep::sim::threaded::{run_threaded, ThreadedConfig};
 use hypersweep::sim::Role;
+use hypersweep_testutil::threaded::{run_threaded, ThreadedConfig};
 
 fn main() {
     let d = 7;

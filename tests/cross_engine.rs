@@ -5,9 +5,9 @@
 use hypersweep::core::cloning::CloningAgent;
 use hypersweep::core::visibility::VisibilityAgent;
 use hypersweep::prelude::*;
-use hypersweep::sim::threaded::{run_threaded, ThreadedConfig};
 use hypersweep::sim::Role;
 use hypersweep_testutil::audit_far_corner as audit;
+use hypersweep_testutil::threaded::{run_threaded, ThreadedConfig};
 
 #[test]
 fn threaded_visibility_matches_des() {

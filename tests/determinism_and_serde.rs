@@ -2,8 +2,8 @@
 
 use hypersweep::core::clean::CleanAgent;
 use hypersweep::prelude::*;
-use hypersweep::sim::threaded::{run_threaded, ThreadedConfig};
 use hypersweep::sim::{Event, Role};
+use hypersweep_testutil::threaded::{run_threaded, ThreadedConfig};
 
 #[test]
 fn engine_runs_are_deterministic_per_policy() {

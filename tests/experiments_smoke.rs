@@ -12,9 +12,6 @@ fn tiny_cfg() -> ExperimentConfig {
         engine_dims: vec![2, 4],
         sync_engine_dims: vec![2, 4],
         adversary_seeds: 1,
-        figure_dim: 5,
-        small_figure_dim: 3,
-        ..ExperimentConfig::quick()
     }
 }
 
