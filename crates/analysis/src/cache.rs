@@ -11,12 +11,26 @@
 //! was rendered from ([`RunCache::line_if_ready`]).
 //!
 //! The cache is hash-partitioned on the full key `(strategy, dim, exec)`:
-//! each shard has its own lock, condvar, LRU clock and slice of the
+//! each shard has its own lock, condvar, eviction state and slice of the
 //! capacity, so concurrent requests for different configurations do not
 //! contend on one lock. Everything else is shared: one set of `cache.*`
 //! series (plus a `cache.shard<i>.requests` counter per shard, so skew is
 //! observable), one timings log, one runner and one insert listener.
 //! `report` builds one shard; the daemon builds `--cache-shards` of them.
+//!
+//! A capped shard evicts by GreedyDual (N. Young, 1994; Cao and Irani's
+//! cost-aware proxy caching, 1997), because its entries differ in what
+//! they cost to recompute: an audit costs its trace's event count, which
+//! the paper's theorems fix per strategy (CLEAN's `O(n log n)` moves
+//! against the cloning variant's `n − 1`). Each shard keeps an inflation
+//! value `L`. An entry's credit becomes `L` plus its recompute cost (its
+//! activations plus its team size) whenever it is inserted or hit. The
+//! shard evicts the entry with the lowest credit (the least recently used
+//! among equals), never the entry it just inserted, and sets `L` to that
+//! credit. So a cheap key cannot push out an expensive one until `L` has
+//! risen past the expensive key's credit, and when every cost is equal
+//! the rule evicts exactly as LRU does. Costs are counts, never clock
+//! readings, so a request sequence misses the same way on every run.
 //!
 //! Strategy runs are deterministic per key (random adversaries are seeded),
 //! so a cached [`SearchOutcome`] is indistinguishable from a fresh one and
@@ -211,83 +225,116 @@ enum Entry {
 }
 
 /// A computed entry: the outcome, the reply line rendered from it once
-/// someone asked for one ([`RunCache::line_if_ready`]), and its LRU stamp.
+/// someone asked for one ([`RunCache::line_if_ready`]), and its eviction
+/// rank.
 struct Ready {
     outcome: Arc<SearchOutcome>,
     line: Option<Arc<str>>,
-    /// Orders entries for LRU eviction.
+    /// GreedyDual credit: the shard's inflation at the entry's last insert
+    /// or hit, plus its [`recompute_cost`].
+    credit: u64,
+    /// Access stamp; among equal credits the older entry goes first.
     last_used: u64,
 }
 
-impl Entry {
-    /// A freshly computed or loaded entry, with no line rendered yet.
-    fn ready(outcome: Arc<SearchOutcome>, last_used: u64) -> Entry {
-        Entry::Ready(Ready {
-            outcome,
-            line: None,
-            last_used,
-        })
-    }
+/// What recomputing `outcome` costs, in the units eviction compares: its
+/// activations plus its team size, about its trace's event count. Every
+/// outcome and every persisted record carries both, so a warm-loaded
+/// entry ranks as its computed twin does. Saturates rather than wraps on
+/// a hostile record.
+fn recompute_cost(outcome: &SearchOutcome) -> u64 {
+    outcome
+        .metrics
+        .activations
+        .saturating_add(outcome.metrics.team_size)
 }
 
-/// One shard's map plus its LRU bookkeeping, guarded by the shard's mutex.
+/// What one capacity pass dropped.
+#[derive(Default)]
+struct Evicted {
+    entries: u64,
+    /// The dropped entries' summed [`recompute_cost`] (saturating).
+    work: u64,
+}
+
+/// One shard's map plus its eviction state, guarded by the shard's mutex.
 struct CacheState {
     entries: HashMap<RunKey, Entry>,
     /// Monotonic access counter driving `last_used`.
     tick: u64,
+    /// GreedyDual's inflation `L`: the credit of the last entry evicted.
+    /// Credits are set from it, so an entry nobody asks for again falls
+    /// behind the ones renewed after it.
+    inflation: u64,
     /// Maximum number of `Ready` entries kept; `None` = unbounded.
     capacity: Option<usize>,
 }
 
 impl CacheState {
-    /// The entry for `key` when it is `Ready`, marked most recently used.
+    /// The entry for `key` when it is `Ready`, its credit renewed as a hit
+    /// renews it.
     fn touch(&mut self, key: &RunKey) -> Option<&mut Ready> {
         let Some(Entry::Ready(ready)) = self.entries.get_mut(key) else {
             return None;
         };
         self.tick += 1;
         ready.last_used = self.tick;
+        ready.credit = self
+            .inflation
+            .saturating_add(recompute_cost(&ready.outcome));
         Some(ready)
     }
 
-    /// Evict least-recently-used `Ready` entries until the bound holds.
-    /// In-flight entries are never evicted (someone is waiting on them).
-    /// Returns how many entries were dropped.
-    fn enforce_capacity(&mut self) -> u64 {
-        let Some(cap) = self.capacity else { return 0 };
-        let mut evicted = 0;
-        loop {
-            let ready = self
-                .entries
-                .values()
-                .filter(|e| matches!(e, Entry::Ready(_)))
-                .count();
-            if ready <= cap {
-                return evicted;
-            }
-            let oldest = self
+    /// Hold `outcome` as `key`'s `Ready` entry (replacing its `InFlight`
+    /// marker, if any), with no line rendered yet and a fresh credit, then
+    /// evict down to the capacity.
+    fn admit(&mut self, key: RunKey, outcome: Arc<SearchOutcome>) -> Evicted {
+        self.tick += 1;
+        let ready = Ready {
+            credit: self.inflation.saturating_add(recompute_cost(&outcome)),
+            outcome,
+            line: None,
+            last_used: self.tick,
+        };
+        self.entries.insert(key, Entry::Ready(ready));
+        self.enforce_capacity(Some(key))
+    }
+
+    /// Evict the `Ready` entry of lowest `(credit, last_used)` until the
+    /// bound holds, raising the inflation to each victim's credit.
+    /// `admitted`, the entry just inserted, goes last: only a shard that
+    /// keeps nothing evicts it. In-flight entries are never evicted
+    /// (someone is waiting on them). Stamps are unique within a shard, so
+    /// the victim never depends on the map's iteration order.
+    fn enforce_capacity(&mut self, admitted: Option<RunKey>) -> Evicted {
+        let mut evicted = Evicted::default();
+        let Some(cap) = self.capacity else {
+            return evicted;
+        };
+        while ready_count(self) > cap {
+            let victim = self
                 .entries
                 .iter()
                 .filter_map(|(k, e)| match e {
-                    Entry::Ready(ready) => Some((ready.last_used, *k)),
+                    Entry::Ready(r) => Some(((Some(*k) == admitted, r.credit, r.last_used), *k)),
                     Entry::InFlight => None,
                 })
-                .min_by_key(|(last_used, _)| *last_used)
+                .min_by_key(|(rank, _)| *rank)
                 .map(|(_, k)| k);
-            match oldest {
-                Some(key) => {
-                    self.entries.remove(&key);
-                    evicted += 1;
-                }
-                None => return evicted,
-            }
+            let Some(Entry::Ready(victim)) = victim.and_then(|k| self.entries.remove(&k)) else {
+                break;
+            };
+            self.inflation = victim.credit;
+            evicted.entries += 1;
+            evicted.work = evicted.work.saturating_add(recompute_cost(&victim.outcome));
         }
+        evicted
     }
 }
 
-/// One hash partition of a [`RunCache`]: its own lock, wake-up, LRU clock
-/// and capacity slice, so requests for keys on different shards never
-/// contend.
+/// One hash partition of a [`RunCache`]: its own lock, wake-up, eviction
+/// state and capacity slice, so requests for keys on different shards
+/// never contend.
 struct Shard {
     state: Mutex<CacheState>,
     ready: Condvar,
@@ -310,6 +357,8 @@ struct CacheMetrics {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
+    /// The evicted entries' summed recompute cost.
+    evicted_work: Counter,
     entries: Gauge,
     run_us: Histogram,
 }
@@ -320,6 +369,7 @@ impl CacheMetrics {
             hits: registry.counter("cache.hits"),
             misses: registry.counter("cache.misses"),
             evictions: registry.counter("cache.evictions"),
+            evicted_work: registry.counter("cache.evicted_work"),
             entries: registry.gauge("cache.entries"),
             run_us: registry.histogram("cache.run_us"),
         }
@@ -329,9 +379,10 @@ impl CacheMetrics {
     /// `evicted` ones its capacity pass then dropped. The entries gauge
     /// moves by deltas, not `set(len)`: each shard updates it under its
     /// own lock, and deltas keep the one cell the total across all of them.
-    fn note_ready(&self, added: i64, evicted: u64) {
-        self.evictions.add(evicted);
-        self.entries.add(added - evicted as i64);
+    fn note_ready(&self, added: i64, evicted: Evicted) {
+        self.evictions.add(evicted.entries);
+        self.evicted_work.add(evicted.work);
+        self.entries.add(added - evicted.entries as i64);
     }
 }
 
@@ -397,10 +448,11 @@ fn shard_capacity(total: Option<usize>, shards: usize, i: usize) -> Option<usize
 ///
 /// The first requester of a key executes it; concurrent requesters of the
 /// same key block until the result is ready instead of duplicating work.
-/// An optional capacity bounds the number of retained outcomes with
-/// least-recently-used eviction within each shard, so a long-running
-/// server stays in bounded memory (an evicted key simply re-executes on
-/// its next request).
+/// An optional capacity bounds the number of retained outcomes, each
+/// shard evicting by GreedyDual (see the module docs: the entry cheapest
+/// to recompute, aged by an inflation value, goes first), so a
+/// long-running server stays in bounded memory (an evicted key simply
+/// re-executes on its next request).
 pub struct RunCache {
     shards: Vec<Shard>,
     metrics: CacheMetrics,
@@ -479,6 +531,7 @@ impl RunCache {
                 state: Mutex::new(CacheState {
                     entries: HashMap::new(),
                     tick: 0,
+                    inflation: 0,
                     capacity: shard_capacity(capacity, n, i),
                 }),
                 ready: Condvar::new(),
@@ -525,7 +578,7 @@ impl RunCache {
         for (i, shard) in self.shards.iter().enumerate() {
             let mut state = recover(&shard.state);
             state.capacity = shard_capacity(capacity, n, i);
-            self.metrics.note_ready(0, state.enforce_capacity());
+            self.metrics.note_ready(0, state.enforce_capacity(None));
         }
     }
 
@@ -582,14 +635,10 @@ impl RunCache {
         self.record_timing(JobTiming { key, elapsed });
         self.metrics.run_us.record_duration(elapsed);
         let mut state = recover(&shard.state);
-        state.tick += 1;
-        let tick = state.tick;
-        state
-            .entries
-            .insert(key, Entry::ready(Arc::clone(&outcome), tick));
-        // The insert replaced this key's `InFlight` marker with one `Ready`
+        // The insert replaces this key's `InFlight` marker with one `Ready`
         // entry.
-        self.metrics.note_ready(1, state.enforce_capacity());
+        let evicted = state.admit(key, Arc::clone(&outcome));
+        self.metrics.note_ready(1, evicted);
         drop(state);
         shard.ready.notify_all();
         let listener = recover(&self.insert_listener).clone();
@@ -606,9 +655,9 @@ impl RunCache {
     /// the line with its outcome, so the capacity bounds lines exactly as
     /// it bounds outcomes, and a recomputed entry renders afresh. A
     /// returned line counts exactly what a [`RunCache::get_or_run`] hit
-    /// counts (`cache.hits`, the shard's `requests` counter and its LRU
-    /// clock); an absent or in-flight key counts nothing and yields
-    /// `None`.
+    /// counts (`cache.hits`, the shard's `requests` counter and the
+    /// entry's renewed eviction credit); an absent or in-flight key counts
+    /// nothing and yields `None`.
     ///
     /// The cache keeps one line per entry and does not know what it
     /// encodes, so a caller must render a key the same way every time.
@@ -644,17 +693,14 @@ impl RunCache {
         if state.entries.contains_key(&key) {
             return false;
         }
-        state.tick += 1;
-        let tick = state.tick;
-        state
-            .entries
-            .insert(key, Entry::ready(Arc::new(outcome), tick));
-        self.metrics.note_ready(1, state.enforce_capacity());
+        let evicted = state.admit(key, Arc::new(outcome));
+        self.metrics.note_ready(1, evicted);
         true
     }
 
-    /// Every computed entry currently held, unordered. Touches no LRU
-    /// state — snapshotting for compaction must not perturb eviction order.
+    /// Every computed entry currently held, unordered. Touches no
+    /// eviction state — snapshotting for compaction must not perturb
+    /// eviction order.
     pub fn entries_snapshot(&self) -> Vec<(RunKey, Arc<SearchOutcome>)> {
         let mut snapshot = Vec::new();
         for shard in &self.shards {
@@ -695,8 +741,8 @@ impl RunCache {
         self.metrics.misses.get()
     }
 
-    /// Outcomes dropped by the LRU capacity bound (the live
-    /// `cache.evictions` counter).
+    /// Outcomes dropped by the capacity bound (the live `cache.evictions`
+    /// counter).
     pub fn evictions(&self) -> u64 {
         self.metrics.evictions.get()
     }
@@ -1026,8 +1072,9 @@ mod tests {
         assert_eq!(*hit, moves_line(&computed));
         assert_eq!((cache.hits(), cache.misses(), requests()), (1, 1, Some(2)));
 
-        // The hit refreshed the key's LRU position: filling the 2-entry
-        // cache evicts the other key, not this one.
+        // The hit renewed the key's credit: every outcome here costs the
+        // same, so filling the 2-entry cache evicts the other, least
+        // recently used key, not this one.
         let other = RunKey::audited(StrategyKind::Clean, 5);
         assert!(cache.insert_ready(other, dummy_outcome()));
         assert!(cache.line_if_ready(key, moves_line).is_some());
@@ -1292,6 +1339,95 @@ mod tests {
         // The survivor is the most recently used key.
         cache.get_or_run(owned[2]);
         assert_eq!(cache.hits(), 1);
+    }
+
+    /// An outcome that costs `cost` to recompute: `cost` activations and
+    /// no team.
+    fn costing(cost: u64) -> SearchOutcome {
+        let mut outcome = dummy_outcome();
+        outcome.metrics.activations = cost;
+        outcome.metrics.team_size = 0;
+        outcome
+    }
+
+    /// Whether `key` is resident, without touching it.
+    fn is_resident(cache: &RunCache, key: &RunKey) -> bool {
+        let state = recover(&cache.shard(key).state);
+        matches!(state.entries.get(key), Some(Entry::Ready(_)))
+    }
+
+    /// The cheap keys the next two tests cycle through, and their
+    /// expensive neighbour (which the runners pick out by its dimension).
+    fn cheap(i: u32) -> RunKey {
+        RunKey::audited(StrategyKind::Cloning, 1 + i % 3)
+    }
+    const EXPENSIVE: RunKey = RunKey {
+        strategy: StrategyKind::Clean,
+        dim: 9,
+        exec: Exec::Audited,
+    };
+
+    #[test]
+    fn cheap_keys_do_not_evict_an_expensive_resident() {
+        let cache = RunCache::with_runner(|key| costing(if key.dim == 9 { 1_000 } else { 1 }));
+        cache.set_capacity(Some(2));
+        cache.get_or_run(EXPENSIVE);
+        // Thirty cheap misses in a cycle of three: each evicts the other
+        // cheap resident, which LRU would have spared for the older,
+        // expensive one.
+        for i in 0..30 {
+            cache.get_or_run(cheap(i));
+        }
+        assert_eq!((cache.misses(), cache.evictions()), (31, 29));
+        cache.get_or_run(EXPENSIVE);
+        assert_eq!(cache.hits(), 1, "the expensive resident was kept");
+    }
+
+    #[test]
+    fn an_expensive_key_never_asked_again_goes_once_inflation_reaches_its_credit() {
+        let cache = RunCache::with_runner(|key| costing(if key.dim == 9 { 50 } else { 1 }));
+        cache.set_capacity(Some(2));
+        cache.get_or_run(EXPENSIVE);
+        let inflation = || recover(&cache.shards[0].state).inflation;
+        let mut i = 0;
+        while is_resident(&cache, &EXPENSIVE) {
+            assert!(inflation() < 50, "a cheap victim's credit reached 50");
+            cache.get_or_run(cheap(i));
+            i += 1;
+            assert!(i < 1_000, "the expensive key was never evicted");
+        }
+        // Each cheap victim raised the inflation by at most one, so the
+        // expensive key outlived dozens of them, and its own credit became
+        // the inflation when it went.
+        assert!(i > 50, "evicted after only {i} cheap requests");
+        assert_eq!(inflation(), 50);
+        assert_eq!(
+            recover(&cache.shards[0].state).entries.len(),
+            2,
+            "the cheap key that pushed it out is resident"
+        );
+        cache.get_or_run(EXPENSIVE);
+        assert_eq!(cache.hits(), 0, "an evicted key recomputes");
+    }
+
+    #[test]
+    fn zero_capacity_shard_keeps_nothing() {
+        // One entry split over two shards leaves shard 1 keeping none.
+        let cache = sharded(2, Some(1));
+        let (kept, empty): (Vec<RunKey>, Vec<RunKey>) = keys(20)
+            .into_iter()
+            .partition(|k| cache.shard_index(k) == 0);
+        cache.get_or_run(empty[0]);
+        cache.get_or_run(empty[0]);
+        assert_eq!((cache.misses(), cache.evictions()), (2, 2));
+        assert!(cache.insert_ready(empty[1], dummy_outcome()));
+        assert!(cache.line_if_ready(empty[1], moves_line).is_none());
+        assert_eq!(shard_len(&cache, 1), 0);
+        assert_eq!(cache.evictions(), 3);
+        // Shard 0 keeps its one entry.
+        cache.get_or_run(kept[0]);
+        cache.get_or_run(kept[0]);
+        assert_eq!((cache.hits(), cache.len()), (1, 1));
     }
 
     #[test]

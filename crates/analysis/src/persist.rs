@@ -603,6 +603,44 @@ mod tests {
         assert!(record_of(&fast_key, &execute_run(fast_key)).is_some());
     }
 
+    /// A checksummed record claiming `u64::MAX` activations and team size
+    /// loads, and its eviction credit saturates: a wrapped sum would panic
+    /// in a debug build, or in a release build rank the record cheapest.
+    #[test]
+    fn a_record_of_saturated_metrics_warm_loads_and_ranks_highest() {
+        let store = temp_store("saturated");
+        let key = RunKey::audited(StrategyKind::Clean, 3);
+        let mut record = record_of(&key, &execute_run(key)).unwrap();
+        record.metrics.activations = u64::MAX;
+        record.metrics.team_size = u64::MAX;
+        let others = [
+            RunKey::audited(StrategyKind::Visibility, 3),
+            RunKey::audited(StrategyKind::Cloning, 3),
+            RunKey::audited(StrategyKind::Cloning, 4),
+        ];
+        let mut lines = vec![encode_line(&record).unwrap()];
+        for other in others {
+            lines.push(encode_line(&record_of(&other, &execute_run(other)).unwrap()).unwrap());
+        }
+        fs::write(store.path(), lines.join("\n") + "\n").unwrap();
+
+        let registry = MetricsRegistry::new();
+        let cache = RunCache::with_capacity_and_telemetry(1, Some(2), &registry);
+        let stats = store.warm_load(&cache, &registry).unwrap();
+        assert_eq!((stats.loaded, stats.skipped), (4, 0));
+        assert_eq!((cache.len(), cache.evictions()), (2, 2));
+        // Hits renew its credit from a raised inflation; recomputing the
+        // others around it never evicts it.
+        for _ in 0..3 {
+            assert_eq!(cache.get_or_run(key).metrics.activations, u64::MAX);
+            for other in others {
+                cache.get_or_run(other);
+            }
+        }
+        assert_eq!(cache.hits(), 3, "the saturated record stayed resident");
+        let _ = fs::remove_file(store.path());
+    }
+
     #[test]
     fn decode_rejects_out_of_range_and_unknown_fields() {
         let key = RunKey::audited(StrategyKind::Clean, 3);

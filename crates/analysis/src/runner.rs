@@ -187,7 +187,7 @@ pub struct RunSummary {
     pub cache_hits: u64,
     /// Run requests that executed (once per unique configuration).
     pub cache_misses: u64,
-    /// Outcomes dropped by the LRU capacity bound (`0` when unbounded).
+    /// Outcomes dropped by the capacity bound (`0` when unbounded).
     pub cache_evictions: u64,
     /// Distinct strategy runs executed.
     pub unique_runs: usize,
@@ -251,8 +251,9 @@ pub struct HarnessReport {
 /// run cache. Panics on unknown ids (callers validate against
 /// [`experiments::ALL_IDS`]).
 ///
-/// `cache_cap` is an optional LRU bound on retained strategy runs (the
-/// CLI's `--cache-cap`): long `report all --full` sweeps trade
+/// `cache_cap` is an optional bound on retained strategy runs (the CLI's
+/// `--cache-cap`), evicting the run cheapest to recompute first (the run
+/// cache's GreedyDual rule): long `report all --full` sweeps trade
 /// re-execution for bounded memory. `None` keeps every run (the default).
 ///
 /// The run reports into `registry`: phase spans (`span.report.warm_us`,

@@ -1,10 +1,21 @@
 //! End-to-end tests of the `hypersweep` binary.
 
 use std::io::{BufRead, BufReader, Write};
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_hypersweep"))
+}
+
+/// A `hypersweep serve` child, killed on drop, so a failed assertion does
+/// not leave the daemon running.
+struct ServeChild(Child);
+
+impl Drop for ServeChild {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 #[test]
@@ -344,13 +355,15 @@ fn report_timings_renders_the_phase_table() {
 fn serve_bench_and_graceful_shutdown() {
     // Start the daemon on an ephemeral port and learn the port from its
     // startup line.
-    let mut daemon = bin()
-        .args(["serve", "--addr", "127.0.0.1:0", "--max-dim", "10"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut stderr = BufReader::new(daemon.stderr.take().unwrap());
+    let mut daemon = ServeChild(
+        bin()
+            .args(["serve", "--addr", "127.0.0.1:0", "--max-dim", "10"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    let mut stderr = BufReader::new(daemon.0.stderr.take().unwrap());
     let mut banner = String::new();
     stderr.read_line(&mut banner).unwrap();
     let addr = banner
@@ -442,13 +455,13 @@ fn serve_bench_and_graceful_shutdown() {
         .unwrap();
     assert!(ack.contains("\"type\":\"shutdown\""), "{ack}");
 
-    let status = daemon.wait().unwrap();
+    let status = daemon.0.wait().unwrap();
     assert!(status.success(), "daemon exited with {status}");
     let mut rest = String::new();
     std::io::Read::read_to_string(&mut stderr, &mut rest).unwrap();
     assert!(rest.contains("drained"), "{rest}");
     let mut stdout = String::new();
-    std::io::Read::read_to_string(&mut daemon.stdout.take().unwrap(), &mut stdout).unwrap();
+    std::io::Read::read_to_string(&mut daemon.0.stdout.take().unwrap(), &mut stdout).unwrap();
     assert!(stdout.contains("\"type\":\"status\""), "{stdout}");
 }
 
@@ -1140,14 +1153,36 @@ fn bench_check_writes_a_report_and_gates_against_itself() {
 
 // --- managed daemon lifecycle -------------------------------------------
 
+/// A managed daemon's state directory. Dropping it stops the daemon the
+/// directory records (a no-op once stopped) and removes the directory, so
+/// a failed assertion does not leave a detached daemon running.
+struct StateDir(std::path::PathBuf);
+
+impl std::ops::Deref for StateDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl Drop for StateDir {
+    fn drop(&mut self) {
+        let _ = bin()
+            .args(["daemon", "stop", "--state-dir"])
+            .arg(&self.0)
+            .output();
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// A fresh state directory for one daemon test.
-fn daemon_dir(name: &str) -> std::path::PathBuf {
+fn daemon_dir(name: &str) -> StateDir {
     let dir = std::env::temp_dir().join(format!(
         "hypersweep-cli-daemon-{name}-{}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    StateDir(dir)
 }
 
 /// Crude field extraction from `state.json`, enough for tests.
@@ -1215,7 +1250,6 @@ fn daemon_lifecycle_start_status_stop_and_force_takeover() {
     let out = daemon_cmd(&dir, &["status"]);
     assert_eq!(out.status.code(), Some(3), "stopped daemon reads as down");
     assert!(!dir.join("state.json").exists(), "state retired at stop");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -1270,5 +1304,4 @@ fn daemon_warm_restart_after_kill9_serves_byte_identical_replies() {
     assert!(log.contains("cleanup"), "stale cleanup not logged:\n{log}");
 
     assert!(daemon_cmd(&dir, &["stop"]).status.success());
-    let _ = std::fs::remove_dir_all(&dir);
 }

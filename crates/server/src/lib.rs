@@ -26,8 +26,9 @@
 //! the analysis crate's bounded [`WorkerPool`] (backpressure surfaces to
 //! clients as `busy` errors, never as unbounded queueing); runs
 //! deduplicate through one [`RunCache`], hash-sharded on the run key with
-//! an LRU capacity bound, so the daemon stays in bounded memory no matter
-//! how long it serves.
+//! a capacity bound that evicts the run cheapest to recompute first
+//! (GreedyDual), so the daemon stays in bounded memory no matter how long
+//! it serves.
 //! Graceful shutdown (SIGINT or a `shutdown` request) drains in-flight
 //! work and emits a final stats line.
 //!

@@ -34,7 +34,8 @@ pub struct ServerLimits {
     pub max_pipeline: usize,
     /// Worker threads executing requests.
     pub workers: usize,
-    /// LRU bound on cached run outcomes (`None` = unbounded).
+    /// Bound on cached run outcomes, evicting the one cheapest to
+    /// recompute first (`None` = unbounded).
     pub cache_capacity: Option<usize>,
     /// Hash-partitioned run-cache shards ([`ServerLimits::cache_capacity`]
     /// is split across them).

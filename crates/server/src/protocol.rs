@@ -502,11 +502,11 @@ pub struct CacheStats {
     pub hits: u64,
     /// Requests that executed a run.
     pub misses: u64,
-    /// Outcomes dropped by the LRU bound.
+    /// Outcomes dropped by the capacity bound.
     pub evictions: u64,
     /// Outcomes currently resident.
     pub entries: u64,
-    /// The LRU bound (`null` = unbounded).
+    /// The capacity bound (`null` = unbounded).
     pub capacity: Option<u64>,
     /// Hash-partitioned shards behind these aggregates.
     pub shards: u64,

@@ -18,6 +18,7 @@ use hypersweep_analysis::{execute_run, RunCache, RunKey, StrategyKind};
 use hypersweep_scenario::ScenarioId;
 use hypersweep_server::{Dispatcher, Request};
 use hypersweep_telemetry::MetricsRegistry;
+use hypersweep_testutil::greedy_dual::{cost_of, GreedyDual};
 use hypersweep_topology::GridInstance;
 
 const MAX_DIM: u32 = 6;
@@ -244,14 +245,14 @@ fn capped(cap: usize) -> Dispatcher {
 
 /// Stored lines obey the memo bound: an evicted audit's line goes with its
 /// outcome. A one-shard cache capped below its audit keyspace is fed a
-/// cyclic audit order, as the churn benchmark feeds its daemon, so every
-/// key is evicted and recomputed each cycle. Each step also asks again for
-/// the two keys before it, which are still resident (the first of those
-/// hits renders the key's line, the second reads it), and for one hot key
-/// outside the cycle, which only stays resident if stored-line hits keep
-/// it recently used. Every reply must be the computing path's, and the
-/// cache must miss and evict exactly as it does when every request goes
-/// through `handle`.
+/// cyclic audit order, as the churn benchmark feeds its daemon, so keys
+/// are evicted and recomputed every cycle. Each step also asks again for
+/// the two keys before it (the first hit on a resident key renders its
+/// line, the next reads it), and for one hot key outside the cycle, which
+/// only stays resident if stored-line hits renew its credit. Every reply
+/// must be the computing path's, the cache must miss and evict exactly as
+/// it does when every request goes through `handle`, and both must match
+/// the reference GreedyDual model over the same stream.
 #[test]
 fn stored_lines_obey_the_memo_bound_under_churn() {
     const CAP: usize = 16;
@@ -281,7 +282,7 @@ fn stored_lines_obey_the_memo_bound_under_churn() {
     let served = capped(CAP);
     let computing = capped(CAP);
     let mut stored = 0;
-    for request in requests {
+    for &request in &requests {
         let expected = computing.handle(request).to_line();
         let line = match served.answer_now(&request) {
             Some(line) => {
@@ -296,10 +297,21 @@ fn stored_lines_obey_the_memo_bound_under_churn() {
     assert_eq!(served.misses(), computing.misses());
     assert_eq!(served.evictions(), computing.evictions());
     assert_eq!(served.hits(), computing.hits());
-    // Every cycle misses on every key, and the hot key misses once. The
-    // look-backs all hit, apart from the very first step's two, which ask
-    // for keys not yet computed.
-    assert_eq!(served.misses(), 3 * n as u64 + 3);
-    assert_eq!(stored, 3 * (3 * n) - 3);
+    // The model over the same audit stream, at each key's recompute cost.
+    let mut model = GreedyDual::new(1, Some(CAP));
+    for request in requests {
+        let Request::Audit { strategy, dim } = request else {
+            unreachable!("the stream holds audits only")
+        };
+        let key = RunKey::audited(strategy, dim);
+        model.get(key, cost_of(&execute_run(key)));
+    }
+    assert_eq!(served.misses(), model.misses);
+    assert_eq!(stored, model.hits);
+    assert_eq!(served.evictions(), model.evictions);
     assert_eq!(served.evictions(), served.misses() - CAP as u64);
+    // Cost-aware eviction spares expensive keys that a cyclic order would
+    // otherwise push out every cycle: LRU misses every cycled key each
+    // cycle plus the hot key once, 3n + 3 in all.
+    assert!(served.misses() < 3 * n as u64 + 3, "{}", served.misses());
 }

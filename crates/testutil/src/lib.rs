@@ -8,12 +8,14 @@
 //! `goldens` suite and the CLI's tests. [`oracles`] holds the whole-field
 //! references for the contamination field's answers. [`threaded`] runs
 //! agent programs on real OS threads, the cross-check the cross-engine
-//! suites hold the discrete-event engine to.
+//! suites hold the discrete-event engine to. [`greedy_dual`] is the
+//! reference model of the run cache's eviction rule.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod golden;
+pub mod greedy_dual;
 pub mod oracles;
 pub mod threaded;
 

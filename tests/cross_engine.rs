@@ -2,6 +2,7 @@
 //! trace generators, and the real-thread executor must tell the same
 //! story.
 
+use hypersweep::core::clean::CleanAgent;
 use hypersweep::core::cloning::CloningAgent;
 use hypersweep::core::visibility::VisibilityAgent;
 use hypersweep::prelude::*;
@@ -143,6 +144,32 @@ fn cloning_agrees_across_executors() {
             "d={d}: thread schedule changed the move count"
         );
         assert_eq!(threaded.metrics.team_size, engine.metrics.team_size);
+        let verdict = audit(cube, &threaded.events);
+        assert!(verdict.is_complete(), "d={d}: {:?}", verdict.violations);
+    }
+}
+
+#[test]
+fn threaded_clean_meters_logarithmic_whiteboards_and_local_memory() {
+    // The executor meters whiteboard and agent-local bits after every
+    // activation. On real threads CLEAN must use some of both, within the
+    // O(log n) bounds `full_captures.rs` holds the engine to (§2).
+    for d in [4u32, 6, 8] {
+        let cube = Hypercube::new(d);
+        let team = CleanStrategy::new(cube).team_size();
+        let mut programs = vec![(CleanAgent::synchronizer(), Role::Coordinator)];
+        programs.extend((1..team).map(|_| (CleanAgent::worker(), Role::Worker)));
+        let threaded = run_threaded(cube, programs, ThreadedConfig::default())
+            .unwrap_or_else(|e| panic!("d={d}: {e}"));
+        let (board, local) = (
+            threaded.metrics.peak_board_bits,
+            threaded.metrics.peak_local_bits,
+        );
+        assert!(
+            board > 0 && board <= 16 * d + 64,
+            "d={d}: whiteboard {board} bits"
+        );
+        assert!(local > 0 && local <= 64, "d={d}: local state {local} bits");
         let verdict = audit(cube, &threaded.events);
         assert!(verdict.is_complete(), "d={d}: {:?}", verdict.violations);
     }
